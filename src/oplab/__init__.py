@@ -4,53 +4,50 @@ built on top of them."""
 
 from .contamination import (MODELS, AdditiveShift, ContaminatedData,
                             ContaminationError, ContaminationSpec,
-                            GaussianShift, PointMass, cell_count_distribution,
-                            cell_count_pmf, clean_case_prob, contaminate,
-                            indicator_matrix, outlier_from_dict, read_dataset,
-                            sample_contaminated, sample_replacement,
-                            write_dataset)
-from .estimators import (AllPointsRejected, CoordScale, DegenerateData,
-                         EstimationError, LocationScatter, coord_median,
-                         coord_s, m_location, m_scale, mcd, mve, s_estimate,
-                         s_weight_bounds, sample_mean)
+                            GaussianShift, PointMass, cell_count_pmf,
+                            clean_case_prob, contaminate, outlier_from_dict,
+                            read_dataset, sample_contaminated,
+                            sample_replacement, write_dataset)
+from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
+                         EstimationError, Estimator, LocationScatter,
+                         coord_median, coord_s, m_location, m_scale, mcd, mve,
+                         s_estimate, s_weight_bounds, sample_mean)
 from .experiments import (ExperimentReport, bias_sweep, clean_majority_threshold,
                           empirical_breakdown, epsilon0, ges_vs_dim,
-                          propagation_demo, table1, theorem1_transform)
+                          propagation_demo, table1)
 from .influence import (GesResult, GesSearch, InfluenceContext,
                         InfluenceResult, MonteCarlo, a_psi, coord_ges,
-                        coord_m_fit, g_function, ges, if_coordwise, if_fdcm,
-                        if_ficm, if_numeric, if_pcicm, if_psicm, influence,
+                        coord_m_fit, ges, if_coordwise, if_fdcm, if_ficm,
+                        if_numeric, if_pcicm, if_psicm, influence,
                         m_location_fit)
-from .numerics import (CalibrationError, EllipticalModel, RhoSpec,
-                       SingularScatter, calibrate_c, chi2_expectation,
-                       chi2_truncated_expectation, equicorrelated_model,
-                       expected_rho, mahalanobis_sq, psi, psi_prime, psi_sq,
-                       psi_sq_prime, rho, rho_inverse, rho_sq, standard_model,
-                       truncation_sq, weight)
+from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
+                       SingularScatter, calibrate_c, chi2_truncated_expectation,
+                       default_c, equicorrelated_model, expected_rho,
+                       mahalanobis_sq, psi, psi_prime, psi_sq, psi_sq_prime,
+                       rho, rho_inverse, rho_sq, standard_model, truncation_sq,
+                       weight)
 from .rng import row_stream, substream, substream_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MODELS", "AdditiveShift", "AllPointsRejected", "CalibrationError",
-    "ContaminatedData", "ContaminationError", "ContaminationSpec",
-    "CoordScale", "DegenerateData", "EllipticalModel", "EstimationError",
-    "ExperimentReport", "GaussianShift", "GesResult", "GesSearch",
-    "InfluenceContext", "InfluenceResult", "LocationScatter", "MonteCarlo",
-    "PointMass", "RhoSpec", "SingularScatter", "a_psi", "bias_sweep",
-    "calibrate_c", "cell_count_distribution", "cell_count_pmf",
-    "chi2_expectation", "chi2_truncated_expectation", "clean_case_prob",
+    "ESTIMATORS", "MODELS", "AdditiveShift", "AllPointsRejected",
+    "CalibrationError", "ContaminatedData", "ContaminationError",
+    "ContaminationSpec", "DegenerateData", "EllipticalModel",
+    "EstimationError", "Estimator", "ExperimentReport", "GaussianShift",
+    "GesResult", "GesSearch", "InfluenceContext", "InfluenceResult",
+    "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
+    "SingularScatter", "a_psi", "bias_sweep", "calibrate_c",
+    "cell_count_pmf", "chi2_truncated_expectation", "clean_case_prob",
     "clean_majority_threshold", "contaminate", "coord_ges", "coord_m_fit",
-    "coord_median", "coord_s", "empirical_breakdown", "epsilon0",
-    "equicorrelated_model",
-    "expected_rho", "g_function", "ges", "ges_vs_dim", "if_coordwise",
-    "if_fdcm", "if_ficm", "if_numeric", "if_pcicm", "if_psicm",
-    "indicator_matrix", "influence", "m_location", "m_location_fit",
-    "m_scale", "mahalanobis_sq", "mcd", "mve", "outlier_from_dict",
-    "propagation_demo",
+    "coord_median", "coord_s", "default_c", "empirical_breakdown",
+    "epsilon0", "equicorrelated_model", "expected_rho", "ges", "ges_vs_dim",
+    "if_coordwise", "if_fdcm", "if_ficm", "if_numeric", "if_pcicm",
+    "if_psicm", "influence", "m_location", "m_location_fit", "m_scale",
+    "mahalanobis_sq", "mcd", "mve", "outlier_from_dict", "propagation_demo",
     "psi", "psi_prime", "psi_sq", "psi_sq_prime", "read_dataset", "rho",
     "rho_inverse", "rho_sq", "row_stream", "s_estimate", "s_weight_bounds",
     "sample_contaminated", "sample_mean", "sample_replacement",
     "standard_model", "substream", "substream_seed", "table1",
-    "theorem1_transform", "truncation_sq", "weight", "write_dataset",
+    "truncation_sq", "weight", "write_dataset",
 ]

@@ -5,7 +5,7 @@ influence surfaces, gross-error sensitivity searches, and the canned
 experiments.  Every run resolves its defaults up front and writes the
 resulting configuration as JSON before any computation starts, so a run can
 be replayed from that file alone via --config.  Exit codes: 0 success,
-1 usage error, 2 numerical failure.
+1 usage error or unreadable, non-finite input, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from .contamination import (MODELS, ContaminationError, ContaminationSpec,
                             AdditiveShift, GaussianShift, PointMass,
                             outlier_from_dict, read_dataset,
                             sample_contaminated, write_dataset)
-from .estimators import (EstimationError, coord_median, coord_s, m_location,
-                         mcd, mve, s_estimate, sample_mean)
+from .estimators import ESTIMATORS, EstimationError
 from .experiments import (PROPAGATION_TRANSFORM, ExperimentReport, bias_sweep,
                           empirical_breakdown, ges_vs_dim, propagation_demo,
                           table1, write_json)
 from .influence import GesSearch, InfluenceContext, MonteCarlo, ges, influence
-from .numerics import (CalibrationError, RhoSpec, SingularScatter,
-                       calibrate_c, equicorrelated_model, standard_model)
+from .numerics import (CONVENTIONS, CalibrationError, InvalidData, RhoSpec,
+                       SingularScatter, default_c, equicorrelated_model,
+                       standard_model)
 from .svg import write_line_chart
 
 # Anything the engines raise for bad values or failed fits maps to exit 2.
@@ -40,10 +40,6 @@ _NUMERIC_FAILURES = (EstimationError, CalibrationError, SingularScatter,
 
 _SEED_DEFAULTS = {"simulate": 7, "estimate": 0, "influence": 2024, "ges": 31,
                   "fig2": 31, "fig3": 2045, "fig4": 7, "breakdown": 11}
-
-_ESTIMATORS = ("mean", "coord_median", "coord_s", "m", "s", "mcd", "mve")
-_BREAKDOWN_CHOICES = ("mcd", "mve", "coord_median", "coord_s", "s")
-_SWEEP_CHOICES = ("mean", "coord_median", "mcd", "mve")
 
 
 class _UsageError(Exception):
@@ -124,9 +120,7 @@ def _resolve_c(c, convention: str, bp: float, d: int) -> float:
         if not c > 0:
             raise _UsageError("--c must be positive")
         return float(c)
-    if convention == "squared-distance":
-        return math.sqrt(6.0)
-    return calibrate_c(d, bp, convention="scaled-distance")
+    return default_c(convention, bp, d)
 
 
 def _prepare_run_dir(out: str, name: str, params: dict) -> str:
@@ -135,6 +129,13 @@ def _prepare_run_dir(out: str, name: str, params: dict) -> str:
     os.makedirs(run_dir, exist_ok=True)
     write_json(os.path.join(run_dir, "config.json"), params)
     return run_dir
+
+
+def _write_sidecar_config(path: str, params: dict) -> None:
+    """Persist the resolved config as <stem>.config.json beside a file output."""
+    out = Path(path)
+    os.makedirs(out.parent, exist_ok=True)
+    write_json(str(out.with_name(out.stem + ".config.json")), params)
 
 
 def _announce(report: ExperimentReport, run_dir: str) -> None:
@@ -175,14 +176,12 @@ def _build_simulate(args) -> dict:
 
 
 def _run_simulate(p: dict) -> None:
-    out = Path(p["out"])
-    if out.parent and not out.parent.exists():
-        os.makedirs(out.parent, exist_ok=True)
-    write_json(str(out.with_name(out.stem + ".config.json")), p)
+    _write_sidecar_config(p["out"], p)
     spec = ContaminationSpec(model=p["model"], epsilon=p["eps"],
                              gamma=p.get("gamma"),
                              outlier=outlier_from_dict(p["outlier"]))
     data = sample_contaminated(standard_model(p["d"]), spec, p["n"], p["seed"])
+    out = Path(p["out"])
     write_dataset(out, data, spec=spec, seed=p["seed"])
     print(f"wrote {p['n']} rows x {p['d']} columns to {out}")
 
@@ -194,13 +193,9 @@ def _build_estimate(args) -> dict:
     if args.input is None:
         raise _UsageError("estimate requires --in")
     est = args.estimator
-    if args.convention is None:
-        convention = {"m": "squared-distance"}.get(est, "scaled-distance")
-    else:
-        convention = args.convention
-    starts = args.starts
-    if starts is None:
-        starts = {"mcd": 500, "mve": 500, "s": 20}.get(est)
+    fit = ESTIMATORS[est]
+    convention = fit.convention if args.convention is None else args.convention
+    starts = fit.starts if args.starts is None else args.starts
     return {"command": "estimate", "estimator": est, "input": args.input,
             "scatter": args.scatter, "bp": float(args.bp),
             "convention": convention,
@@ -209,53 +204,25 @@ def _build_estimate(args) -> dict:
             "out": args.out}
 
 
-def _scatter_for_m(x: np.ndarray, how: str, seed: int) -> np.ndarray:
-    if how == "identity":
-        return np.eye(x.shape[1])
-    if how == "sample":
-        return np.cov(x, rowvar=False, ddof=1)
-    return mcd(x, seed=seed).sigma
-
-
 def _run_estimate(p: dict) -> None:
     try:
         x, _, _ = read_dataset(p["input"])
     except OSError as exc:
         raise _UsageError(f"cannot read {p['input']}: {exc}") from None
-    est, seed, d = p["estimator"], p["seed"], x.shape[1]
-    if est in ("m", "s", "coord_s") and p["c"] is None:
-        cal_dim = 1 if est == "coord_s" else d
-        p["c"] = _resolve_c(None, p["convention"], p["bp"], cal_dim)
+    est, seed = p["estimator"], p["seed"]
+    if est not in ESTIMATORS:
+        raise _UsageError(f"unknown estimator {est!r}")
+    fit = ESTIMATORS[est]
+    rho = fit.rho(x.shape[1], p["bp"], p["convention"], p["c"])
+    if rho is not None:
+        p["c"] = rho.c
     if p["out"]:
-        outp = Path(p["out"])
-        if outp.parent and not outp.parent.exists():
-            os.makedirs(outp.parent, exist_ok=True)
-        write_json(str(outp.with_name(outp.stem + ".config.json")), p)
+        _write_sidecar_config(p["out"], p)
 
-    if est == "mean":
-        result = sample_mean(x).to_dict("mean", seed)
-    elif est == "coord_median":
-        result = {"estimator": "coord_median",
-                  "mu": [float(v) for v in coord_median(x)], "sigma": None}
-    elif est == "coord_s":
-        spec = RhoSpec(c=p["c"], convention=p["convention"])
-        r = coord_s(x, spec, bp=p["bp"])
-        result = {"estimator": "coord_s", "mu": [float(v) for v in r.mu],
-                  "scale": [float(v) for v in r.scale],
-                  "iterations": int(r.iterations), "converged": bool(r.converged)}
-    elif est == "m":
-        spec = RhoSpec(c=p["c"], convention=p["convention"])
-        sigma = _scatter_for_m(x, p["scatter"], seed)
-        result = m_location(x, sigma, spec).to_dict("m", seed)
+    result = fit(x, rho=rho, bp=p["bp"], starts=p["starts"], seed=seed,
+                 scatter=p["scatter"]).to_dict(est, seed)
+    if est == "m":
         result["scatter"] = p["scatter"]
-    elif est == "s":
-        spec = RhoSpec(c=p["c"], convention=p["convention"])
-        result = s_estimate(x, spec, bp=p["bp"], n_starts=p["starts"],
-                            seed=seed).to_dict("s", seed)
-    elif est == "mcd":
-        result = mcd(x, n_starts=p["starts"], seed=seed).to_dict("mcd", seed)
-    else:
-        result = mve(x, n_trials=p["starts"], seed=seed).to_dict("mve", seed)
 
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
@@ -428,9 +395,9 @@ def _run_fig3(p: dict) -> None:
 
 def _build_fig4(args) -> dict:
     ests = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    bad = [e for e in ests if e not in _SWEEP_CHOICES]
+    bad = [e for e in ests if e not in ESTIMATORS]
     if bad or not ests:
-        raise _UsageError(f"--estimators must be among {_SWEEP_CHOICES}, got {bad}")
+        raise _UsageError(f"--estimators must be among {tuple(ESTIMATORS)}, got {bad}")
     return {"command": "fig4", "d": int(args.d), "n": int(args.n),
             "eps": float(args.eps), "t_grid": _parse_grid(args.t_grid),
             "estimators": ests, "replications": int(args.reps),
@@ -492,8 +459,7 @@ def _run_breakdown(p: dict) -> None:
 # parser assembly and dispatch
 
 def _add_rho_flags(sp, default_convention: str | None) -> None:
-    sp.add_argument("--convention", choices=("squared-distance", "scaled-distance"),
-                    default=default_convention)
+    sp.add_argument("--convention", choices=CONVENTIONS, default=default_convention)
     sp.add_argument("--c", type=float, default=None,
                     help="loss truncation constant; default derives from the convention")
     sp.add_argument("--bp", type=float, default=0.5,
@@ -541,7 +507,7 @@ def _build_parser() -> _Parser:
 
     sp = add("estimate", "fit one location/scatter estimator to a CSV dataset",
              dir_out=False)
-    sp.add_argument("--estimator", choices=_ESTIMATORS, required=True)
+    sp.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     sp.add_argument("--in", dest="input", default=None)
     sp.add_argument("--scatter", choices=("mcd", "sample", "identity"),
                     default="mcd", help="plug-in scatter for the m estimator")
@@ -551,8 +517,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", default=None, help="optional JSON result path")
 
     sp = add("influence", "influence surface over a z grid")
-    sp.add_argument("--kind", choices=("fdcm", "ficm", "psicm", "pcicm-i", "pcicm-ii"),
-                    default="ficm")
+    sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--r", type=float, default=0.0,
                     help="equicorrelation of the model scatter")
@@ -562,8 +527,7 @@ def _build_parser() -> _Parser:
     _add_rho_flags(sp, "squared-distance")
 
     sp = add("ges", "gross-error sensitivity for one model and dimension")
-    sp.add_argument("--kind", choices=("fdcm", "ficm", "psicm", "pcicm-i", "pcicm-ii"),
-                    default="ficm")
+    sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--draws", type=int, default=100_000)
     sp.add_argument("--gamma", type=float, default=None)
@@ -603,7 +567,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--svg", action="store_true")
 
     sp = add("breakdown", "empirical breakdown rate on a contamination grid")
-    sp.add_argument("--estimator", choices=_BREAKDOWN_CHOICES, default="mcd")
+    sp.add_argument("--estimator", choices=tuple(ESTIMATORS), default="mcd")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--eps-grid", default="0.02:0.40:0.02")
     sp.add_argument("--t-large", type=float, default=1000.0)
@@ -683,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             params = _BUILDERS[command](args)
         _RUNNERS[command](params)
-    except _UsageError as exc:
+    except (_UsageError, InvalidData) as exc:
         print(f"oplab: error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_FAILURES as exc:

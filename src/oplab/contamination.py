@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binom
 
-from .numerics import EllipticalModel
+from .numerics import EllipticalModel, InvalidData
 from .rng import row_stream
 
 MODELS = ("fdcm", "ficm", "psicm", "pcicm-i", "pcicm-ii")
@@ -167,14 +166,6 @@ def sample_indicators(spec: ContaminationSpec, d: int, rng: np.random.Generator)
     return (rng.random(d) < cell_rate).astype(np.int8)
 
 
-def indicator_matrix(spec: ContaminationSpec, n: int, d: int, seed: int) -> np.ndarray:
-    """Indicator rows 0..n-1 under per-row substreams of the master seed."""
-    out = np.empty((n, d), dtype=np.int8)
-    for i in range(n):
-        out[i] = sample_indicators(spec, d, row_stream(seed, i))
-    return out
-
-
 def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
     """P(exactly k of the d cells in a row are contaminated)."""
     if not 0 <= k <= d:
@@ -188,14 +179,10 @@ def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
             return eps if d > 0 else 1.0
         return 0.0
     p_struct, struct_kind, cell_rate = spec.mixture()
-    base = float(binom.pmf(k, d, cell_rate))
+    base = math.comb(d, k) * cell_rate**k * (1.0 - cell_rate) ** (d - k)
     if struct_kind == "ones":
         return (1.0 - p_struct) * base + (p_struct if k == d else 0.0)
     return (1.0 - p_struct) * base + (p_struct if k == 0 else 0.0)
-
-
-def cell_count_distribution(spec: ContaminationSpec, d: int) -> np.ndarray:
-    return np.array([cell_count_pmf(spec, d, k) for k in range(d + 1)])
 
 
 def clean_case_prob(spec: ContaminationSpec, d: int) -> float:
@@ -305,14 +292,21 @@ def write_dataset(path, data: ContaminatedData, spec: ContaminationSpec | None =
 
 
 def read_dataset(path) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
+    """Read a dataset CSV.  InvalidData when it is not a numeric table with a
+    header naming x1..xd and at least one row; OSError when unreadable."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    x_cols = [j for j, name in enumerate(header) if name.startswith("x")]
-    b_cols = [j for j, name in enumerate(header) if name.startswith("b")]
-    arr = np.array([[float(v) for v in row] for row in rows])
+    try:
+        with path.open(newline="") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+        x_cols = [j for j, name in enumerate(header) if name.startswith("x")]
+        b_cols = [j for j, name in enumerate(header) if name.startswith("b")]
+        if not x_cols or not rows:
+            raise ValueError("no x1..xd columns or no data rows")
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError("a row and the header differ in length")
+        arr = np.array([[float(v) for v in row] for row in rows])
+    except (ValueError, csv.Error) as exc:
+        raise InvalidData(f"{path}: {exc}") from None
     x = arr[:, x_cols]
     b = arr[:, b_cols].astype(np.int8) if b_cols else None
     meta = None

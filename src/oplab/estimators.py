@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .numerics import (RhoSpec, SingularScatter, mahalanobis_sq, psi_sq, rho,
-                       rho_inverse, weight)
+from .numerics import (InvalidData, RhoSpec, SingularScatter, default_c,
+                       mahalanobis_sq, psi_sq, rho, rho_inverse, weight)
 from .rng import substream
 
 
@@ -36,7 +37,7 @@ class DegenerateData(EstimationError):
 
 @dataclass
 class LocationScatter:
-    """Estimate record: center, scatter, and solver diagnostics."""
+    """Estimate record: center, scatter (coord_s: per-column scale), diagnostics."""
 
     mu: np.ndarray
     sigma: np.ndarray | None
@@ -45,16 +46,19 @@ class LocationScatter:
     objective: float = float("nan")
     weights: np.ndarray | None = None
     subset: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
     def to_dict(self, estimator: str | None = None, seed: int | None = None) -> dict:
         d = {
             "mu": [float(v) for v in np.atleast_1d(self.mu)],
             "sigma": None if self.sigma is None else
                      [[float(v) for v in row] for row in np.atleast_2d(self.sigma)],
-            "objective": float(self.objective),
+            "objective": float(self.objective) if math.isfinite(self.objective) else None,
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
         }
+        if self.scale is not None:
+            d["scale"] = [float(v) for v in self.scale]
         if estimator is not None:
             d["estimator"] = estimator
         if seed is not None:
@@ -62,20 +66,12 @@ class LocationScatter:
         return d
 
 
-@dataclass(frozen=True)
-class CoordScale:
-    """Coordinatewise S result: per-column location and scale."""
-
-    mu: np.ndarray
-    scale: np.ndarray
-    iterations: int = 0
-    converged: bool = True
-
-
 def _as_data(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DegenerateData("expected a nonempty (n, d) data matrix")
+    if not np.all(np.isfinite(x)):
+        raise InvalidData("data holds NaN or infinite cells")
     return x
 
 
@@ -125,7 +121,7 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> floa
 
 
 def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
-            tol: float = 1e-11) -> CoordScale:
+            tol: float = 1e-11) -> LocationScatter:
     """Columnwise univariate S-estimates of location and scale.
 
     Per column: minimize s(m) subject to mean rho((x - m)/s) = bp, by
@@ -164,7 +160,8 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
         worst_iters = max(worst_iters, it)
         mu[j] = m
         scale[j] = s
-    return CoordScale(mu=mu, scale=scale, iterations=worst_iters, converged=converged)
+    return LocationScatter(mu=mu, sigma=None, scale=scale, iterations=worst_iters,
+                           converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +172,21 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
     """Location M-estimate: iterate the weighted mean with weights psi(d^2).
 
     The returned estimate satisfies the estimating equation
-    mean_i psi(d^2(x_i, mu, sigma)) (x_i - mu) = 0 to below 1e-9, or carries
-    converged=False.
+    mean_i psi(d^2(x_i, mu, sigma)) (x_i - mu) = 0 to below 1e-9 in the
+    Mahalanobis norm of sigma, or carries converged=False.  That norm does not
+    change when x scales by a and sigma by a^2, and the iteration only stops
+    early once it holds, so neither does converged.
     """
     x = _as_data(x)
-    n, d = x.shape
+    sigma = np.asarray(sigma, dtype=float)
     m = coord_median(x) if start is None else np.asarray(start, dtype=float)
+    d2 = mahalanobis_sq(x, m, sigma)
+
+    def whitened_residual(w: np.ndarray) -> float:
+        return math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).mean(axis=0), 0.0, sigma))
+
     it = 0
     for it in range(1, max_iter + 1):
-        d2 = mahalanobis_sq(x, m, sigma)
         w = np.asarray(psi_sq(spec, d2))
         wsum = w.sum()
         if not wsum > 0.0:
@@ -191,14 +194,18 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
         m_new = (w[:, None] * x).sum(axis=0) / wsum
         step = float(np.max(np.abs(m_new - m)))
         m = m_new
+        d2 = mahalanobis_sq(x, m, sigma)
         if step < tol * (1.0 + float(np.max(np.abs(m)))):
-            break
-    d2 = mahalanobis_sq(x, m, sigma)
-    w = np.asarray(psi_sq(spec, d2))
-    residual = float(np.linalg.norm((w[:, None] * (x - m)).mean(axis=0)))
+            # the step test depends on the units of x, the whitened residual does not
+            w = np.asarray(psi_sq(spec, d2))
+            residual = whitened_residual(w)
+            if residual < 1e-9:
+                break
+    else:
+        w = np.asarray(psi_sq(spec, d2))
+        residual = whitened_residual(w)
     obj = float(np.mean(np.asarray(rho(spec, d2) if spec.convention == "squared-distance"
                                    else rho(spec, np.sqrt(d2)))))
-    sigma = np.asarray(sigma, dtype=float)
     return LocationScatter(mu=m, sigma=sigma, converged=residual < 1e-9,
                            iterations=it, objective=obj,
                            weights=w / w.sum() if w.sum() > 0 else None)
@@ -270,8 +277,6 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
         mom = _subset_moments(x, idx)
         if mom is not None:
             starts.append(mom)
-    if not starts:
-        raise DegenerateData("no nonsingular starting subsets found")
 
     best: LocationScatter | None = None
     for m0, c0 in starts:
@@ -408,7 +413,6 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     if h == n:
         est = sample_mean(x)
         est.subset = np.arange(n)
-        est.weights = np.full(n, 1.0 / n)
         return est
 
     rng = substream(seed, 0)
@@ -426,6 +430,7 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         tried += 1
         m, cov = mom
         logdet_prev = np.inf
+        cut = False
         keep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for _ in range(max_csteps):
             subset = c_step(x, m, cov, h)
@@ -438,17 +443,20 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
                 keep = (m, cov, subset)
             else:
                 break  # determinant stopped dropping: concentration fixed point
+        else:
+            cut = True  # max_csteps ran out while the determinant still dropped
         if keep is None:
             continue
         if logdet_prev < best_logdet - 1e-14:
             best_logdet = logdet_prev
             best = keep
+            best_cut = cut
     if best is None:
         raise DegenerateData("all MCD starts hit singular subsets")
     m, cov, subset = best
     weights = np.zeros(n)
     weights[subset] = 1.0 / h
-    return LocationScatter(mu=m, sigma=cov, converged=True, iterations=tried,
+    return LocationScatter(mu=m, sigma=cov, converged=not best_cut, iterations=tried,
                            objective=float(best_logdet), weights=weights,
                            subset=subset)
 
@@ -502,3 +510,66 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     return LocationScatter(mu=m, sigma=sigma, converged=True,
                            iterations=len(candidates),
                            objective=float(math.exp(best_logvol)))
+
+
+# ---------------------------------------------------------------------------
+# The registry: the one place that names the estimators and says how each is
+# called.  Fits look estimators up by module name at call time, so rebinding a
+# name (a monkeypatch, a tracer) reaches every fit.
+
+@dataclass(frozen=True)
+class Estimator:
+    """fit(x, rho=, bp=, starts=, seed=, scatter=) -> LocationScatter, plus the
+    defaults callers resolve: subset starts or trials (None without a search),
+    and the loss: None, "univariate" (c calibrated at d = 1) or "multivariate"
+    (at the data dimension), on its default convention."""
+
+    fit: Callable[..., LocationScatter]
+    starts: int | None = None
+    loss: str | None = None
+    convention: str = "scaled-distance"
+
+    def rho(self, d: int, bp: float = 0.5, convention: str | None = None,
+            c: float | None = None) -> RhoSpec | None:
+        """The loss for d-column data; resolve it once per run, not per fit."""
+        if self.loss is None:
+            return None
+        convention = convention or self.convention
+        if c is None:
+            c = default_c(convention, bp, 1 if self.loss == "univariate" else d)
+        return RhoSpec(c=c, convention=convention)
+
+    def __call__(self, x, rho: RhoSpec | None = None, bp: float = 0.5,
+                 starts: int | None = None, seed: int = 0,
+                 scatter: str = "mcd") -> LocationScatter:
+        if self.loss is not None and rho is None:
+            raise ValueError("this estimator needs a loss (rho)")
+        return self.fit(x, rho=rho, bp=bp, seed=seed, scatter=scatter,
+                        starts=self.starts if starts is None else starts)
+
+
+def _m_fit(x, rho, seed, scatter, **_) -> LocationScatter:
+    """M-location at a plug-in scatter: identity, sample covariance or MCD."""
+    x = _as_data(x)
+    if scatter == "identity":
+        sigma = np.eye(x.shape[1])
+    elif scatter == "sample":
+        sigma = np.cov(x, rowvar=False, ddof=1)
+    elif scatter == "mcd":
+        sigma = mcd(x, seed=seed).sigma
+    else:
+        raise ValueError(f"unknown plug-in scatter {scatter!r}")
+    return m_location(x, sigma, rho)
+
+
+ESTIMATORS: dict[str, Estimator] = {
+    "mean": Estimator(lambda x, **_: sample_mean(x)),
+    "coord_median": Estimator(lambda x, **_: LocationScatter(mu=coord_median(x), sigma=None)),
+    "coord_s": Estimator(lambda x, rho, bp, **_: coord_s(x, rho, bp=bp), loss="univariate"),
+    "m": Estimator(_m_fit, loss="multivariate", convention="squared-distance"),
+    "s": Estimator(lambda x, rho, bp, starts, seed, **_:
+                   s_estimate(x, rho, bp=bp, n_starts=starts, seed=seed),
+                   starts=20, loss="multivariate"),
+    "mcd": Estimator(lambda x, starts, seed, **_: mcd(x, n_starts=starts, seed=seed), starts=500),
+    "mve": Estimator(lambda x, starts, seed, **_: mve(x, n_trials=starts, seed=seed), starts=500),
+}

@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contamination import ContaminationSpec, GaussianShift, sample_contaminated
-from .estimators import coord_median, coord_s, mcd, mve, s_estimate, sample_mean
+from .estimators import ESTIMATORS, EstimationError
 from .influence import GesSearch, InfluenceContext, MonteCarlo, coord_ges, ges
-from .numerics import RhoSpec, calibrate_c, standard_model
+from .numerics import SingularScatter, standard_model
 from .rng import substream, substream_seed
 
 # paper-quoted two-column mixing weights for the propagation example
 PROPAGATION_TRANSFORM = ((0.64, 0.77), (0.78, 0.62))
+
+# the ways a fit can fail on its data; anything else is a programming error
+_FIT_FAILURES = (EstimationError, SingularScatter, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -140,21 +143,6 @@ def table1(d_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 15, 20, 100),
         summary={"assertions": checks})
 
 
-def theorem1_transform(d: int) -> np.ndarray:
-    """All-ones plus identity: 2 on the diagonal, 1 elsewhere.
-
-    Only invertibility matters for the propagation argument; the determinant
-    is d + 1, checked rather than assumed.
-    """
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    m = np.ones((d, d)) + np.eye(d)
-    det = float(np.linalg.det(m))
-    if abs(det) < 1e-8:
-        raise ArithmeticError("transform unexpectedly singular")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Propagation demonstration (two columns, cellwise shift outliers).
 
@@ -228,25 +216,9 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
 # ---------------------------------------------------------------------------
 # Location-bias sweep over the contamination size.
 
-_SWEEP_ESTIMATORS = ("mean", "coord_median", "mcd", "mve")
-
-
-def _fit_location(name: str, x: np.ndarray, seed: int, mcd_starts: int,
-                  mve_trials: int) -> np.ndarray:
-    if name == "mean":
-        return sample_mean(x).mu
-    if name == "coord_median":
-        return coord_median(x)
-    if name == "mcd":
-        return mcd(x, n_starts=mcd_starts, seed=seed).mu
-    if name == "mve":
-        return mve(x, n_trials=mve_trials, seed=seed).mu
-    raise ValueError(f"unknown estimator {name!r}")
-
-
 def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
                t_grid: tuple[float, ...] | None = None,
-               estimators: tuple[str, ...] = _SWEEP_ESTIMATORS,
+               estimators: tuple[str, ...] = ("mean", "coord_median", "mcd", "mve"),
                replications: int = 20, seed: int = 7, threads: int = 1,
                mcd_starts: int = 100, mve_trials: int = 200) -> ExperimentReport:
     """Largest componentwise location bias against the outlier size t.
@@ -260,9 +232,13 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
     if t_grid is None:
         t_grid = tuple(float(t) for t in range(0, 101, 5))
     model = standard_model(d)
-    unknown = [e for e in estimators if e not in _SWEEP_ESTIMATORS]
+    unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:
         raise ValueError(f"unknown estimators: {unknown}")
+    # losses are calibrated once per run, not once per fit; other estimators
+    # keep their registered starts
+    rhos = {est: ESTIMATORS[est].rho(d) for est in estimators}
+    starts = {"mcd": mcd_starts, "mve": mve_trials}
 
     def run_rep(rep: int) -> list:
         rng = substream(seed, 23, rep)
@@ -276,10 +252,11 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
             x = y + t * b
             for est in estimators:
                 try:
-                    mu = _fit_location(est, x, est_seed, mcd_starts, mve_trials)
+                    mu = ESTIMATORS[est](x, rho=rhos[est], starts=starts.get(est),
+                                         seed=est_seed).mu
                     out.append((t, est, rep, float(np.max(np.abs(mu))),
                                 mu.copy()))
-                except Exception as exc:  # record failures, keep sweeping
+                except _FIT_FAILURES:  # record failures, keep sweeping
                     out.append((t, est, rep, float("nan"), None))
         return out
 
@@ -359,12 +336,10 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
     """
     if search is None:
         search = GesSearch(axes="first", n_random=2, n_radial=20, refine=32)
-    rho1 = RhoSpec(c=calibrate_c(1, bp, convention="scaled-distance"),
-                   convention="scaled-distance")
+    rho1 = ESTIMATORS["coord_s"].rho(1, bp)
 
     def run_dim(d: int) -> list[tuple]:
-        rho_d = RhoSpec(c=calibrate_c(d, bp, convention="scaled-distance"),
-                        convention="scaled-distance")
+        rho_d = ESTIMATORS["s"].rho(d, bp)
         model = standard_model(d)
         mc = MonteCarlo(n_draws=n_draws, seed=substream_seed(seed, 41, d))
         rows = []
@@ -415,9 +390,6 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
 # ---------------------------------------------------------------------------
 # Empirical breakdown against the Theorem 1 bound.
 
-_BREAKDOWN_ESTIMATORS = ("mcd", "mve", "coord_median", "coord_s", "s")
-
-
 def empirical_breakdown(estimator: str = "mcd", d: int = 2,
                         eps_grid: tuple[float, ...] | None = None,
                         t_large: float = 1000.0, replications: int = 5,
@@ -432,28 +404,16 @@ def empirical_breakdown(estimator: str = "mcd", d: int = 2,
     the rate grid, and the bias curve is reported with the theoretical bound.
     eps_star_hat is null when no grid rate breaks the estimator.
     """
-    if estimator not in _BREAKDOWN_ESTIMATORS:
+    if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     if eps_grid is None:
         eps_grid = tuple(round(0.02 * k, 2) for k in range(1, 21))
     if any(not 0.0 < e < 1.0 for e in eps_grid) or list(eps_grid) != sorted(eps_grid):
         raise ValueError("eps_grid must be increasing rates in (0, 1)")
     model = standard_model(d)
-    rho1 = RhoSpec(c=calibrate_c(1, bp, convention="scaled-distance"),
-                   convention="scaled-distance")
-    rho_d = RhoSpec(c=calibrate_c(d, bp, convention="scaled-distance"),
-                    convention="scaled-distance")
-
-    def fit(x: np.ndarray, cell_seed: int) -> np.ndarray:
-        if estimator == "mcd":
-            return mcd(x, n_starts=mcd_starts, seed=cell_seed).mu
-        if estimator == "mve":
-            return mve(x, n_trials=mve_trials, seed=cell_seed).mu
-        if estimator == "coord_median":
-            return coord_median(x)
-        if estimator == "coord_s":
-            return coord_s(x, rho1, bp=bp).mu
-        return s_estimate(x, rho_d, bp=bp, seed=cell_seed).mu
+    fit = ESTIMATORS[estimator]
+    rho = fit.rho(d, bp)
+    starts = {"mcd": mcd_starts, "mve": mve_trials}.get(estimator)
 
     def run_rep(rep: int) -> list[float]:
         rng = substream(seed, 37, rep)
@@ -463,9 +423,10 @@ def empirical_breakdown(estimator: str = "mcd", d: int = 2,
         for ei, eps in enumerate(eps_grid):
             x = y + t_large * (u < eps)
             try:
-                mu = fit(x, substream_seed(seed, 43, ei, rep))
+                mu = fit(x, rho=rho, bp=bp, starts=starts,
+                         seed=substream_seed(seed, 43, ei, rep)).mu
                 biases.append(float(np.max(np.abs(mu))))
-            except Exception:
+            except _FIT_FAILURES:
                 biases.append(float("inf"))  # estimator failure counts as broken
         return biases
 

@@ -24,17 +24,14 @@ from scipy.optimize import minimize_scalar
 from .contamination import MODELS, ContaminationSpec
 from .estimators import EstimationError, m_location
 from .numerics import (EllipticalModel, RhoSpec, chi2_truncated_expectation,
-                       mahalanobis_sq, psi_sq, psi_sq_prime, truncation_sq)
+                       psi_sq, psi_sq_prime, truncation_sq)
 from .rng import substream
 
 # substream branch labels, one per consumer of the master seed
-_PATH_G = 7
 _PATH_FICM = 11
 _PATH_PSICM = 13
 _PATH_NUMERIC = 17
 _PATH_GES = 19
-
-KINDS = MODELS  # influence is defined for every contamination model
 
 
 @dataclass(frozen=True)
@@ -43,11 +40,10 @@ class MonteCarlo:
 
     n_draws: int = 200_000
     seed: int = 2024
-    batch: int = 200_000
 
     def __post_init__(self):
-        if self.n_draws < 1 or self.batch < 1:
-            raise ValueError("n_draws and batch must be positive")
+        if self.n_draws < 1:
+            raise ValueError("n_draws must be positive")
 
 
 def a_psi(rho: RhoSpec, d: int, nodes: int = 256) -> float:
@@ -81,7 +77,7 @@ class InfluenceContext:
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
                  mc: MonteCarlo | None = None, gamma: float | None = None,
                  nodes: int = 256):
-        if kind not in KINDS:
+        if kind not in MODELS:
             raise ValueError(f"unknown contamination kind {kind!r}")
         self.model = model
         self.rho = rho
@@ -125,72 +121,6 @@ def _as_point(z, d: int) -> np.ndarray:
     if z.shape != (d,):
         raise ValueError(f"z must be a length-{d} vector")
     return z
-
-
-# ---------------------------------------------------------------------------
-# g-function: E_H[psi(d^2(X, m, Sigma)) (X - m)] for pattern distributions.
-
-@dataclass(frozen=True)
-class PatternSampler:
-    """Distribution of a model draw with the listed coordinates pinned to z.
-
-    coords empty means the clean model; coords covering every index is the
-    point mass at z.
-    """
-
-    model: EllipticalModel
-    coords: tuple[int, ...]
-    z: np.ndarray
-
-    def __post_init__(self):
-        d = self.model.dim
-        if any(not 0 <= k < d for k in self.coords):
-            raise ValueError("pattern coordinate out of range")
-        if len(set(self.coords)) != len(self.coords):
-            raise ValueError("pattern coordinates must be distinct")
-        object.__setattr__(self, "z", _as_point(self.z, d))
-
-    @property
-    def is_point_mass(self) -> bool:
-        return len(self.coords) == self.model.dim
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        x = self.model.sample(n, rng)
-        for k in self.coords:
-            x[:, k] = self.z[k]
-        return x
-
-
-def g_function(sampler: PatternSampler, m, sigma, rho: RhoSpec,
-               mc: MonteCarlo) -> InfluenceResult:
-    """Mean psi-weighted displacement under the sampler's distribution.
-
-    Point-mass samplers short-circuit to the exact value with zero stderr.
-    The substream depends on the pattern but not on z, so evaluations across
-    a z-grid share their random numbers.
-    """
-    d = sampler.model.dim
-    m = _as_point(m, d)
-    sigma = np.asarray(sigma, dtype=float)
-    if sampler.is_point_mass:
-        val = psi_sq(rho, mahalanobis_sq(sampler.z, m, sigma)) * (sampler.z - m)
-        return InfluenceResult(z=sampler.z, value=np.asarray(val),
-                               stderr=np.zeros(d))
-    rng = substream(mc.seed, _PATH_G, len(sampler.coords), *sampler.coords)
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    n_done = 0
-    while n_done < mc.n_draws:
-        n_batch = min(mc.batch, mc.n_draws - n_done)
-        x = sampler.sample(n_batch, rng)
-        contrib = psi_sq(rho, mahalanobis_sq(x, m, sigma))[:, None] * (x - m)
-        total += contrib.sum(axis=0)
-        total_sq += (contrib**2).sum(axis=0)
-        n_done += n_batch
-    mean = total / n_done
-    var = np.maximum(total_sq / n_done - mean**2, 0.0) * n_done / max(n_done - 1, 1)
-    return InfluenceResult(z=sampler.z, value=mean,
-                           stderr=np.sqrt(var / n_done))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import linalg, special
@@ -44,6 +44,10 @@ class SingularScatter(ValueError):
 
 class CalibrationError(RuntimeError):
     """No tuning constant attains the requested constraint level."""
+
+
+class InvalidData(ValueError):
+    """Input data is unreadable or holds NaN or infinite cells."""
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,6 @@ class RhoSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "RhoSpec":
         return cls(c=float(d["c"]), convention=d["convention"], family=d.get("family", "tukey-bisquare"))
-
-
-class RhoValues(NamedTuple):
-    rho: np.ndarray | float
-    psi: np.ndarray | float
-    psi_prime: np.ndarray | float
 
 
 def rho(spec: RhoSpec, t) -> np.ndarray | float:
@@ -105,11 +103,6 @@ def weight(spec: RhoSpec, t) -> np.ndarray | float:
     x = np.square(t / spec.c)
     out = np.where(x < 1.0, (6.0 / spec.c**2) * (1.0 - x) ** 2, 0.0)
     return out if out.ndim else float(out)
-
-
-def rho_eval(spec: RhoSpec, t) -> RhoValues:
-    """Evaluate (rho, psi, psi') at t in one call."""
-    return RhoValues(rho(spec, t), psi(spec, t), psi_prime(spec, t))
 
 
 def rho_inverse(spec: RhoSpec, y) -> np.ndarray | float:
@@ -213,10 +206,6 @@ class EllipticalModel:
         z = rng.standard_normal((int(n), self.dim))
         return self.mu0 + z @ self._chol.T
 
-    def standardize(self, x: np.ndarray) -> np.ndarray:
-        dev = np.atleast_2d(np.asarray(x, dtype=float)) - self.mu0
-        return linalg.solve_triangular(self._chol, dev.T, lower=True).T
-
     def mahalanobis_sq(self, x) -> np.ndarray | float:
         return mahalanobis_sq(x, self.mu0, self.sigma0)
 
@@ -248,36 +237,6 @@ def equicorrelated_model(d: int, r: float) -> EllipticalModel:
 # ---------------------------------------------------------------------------
 # Deterministic expectations against the chi-square(d) radial law.
 
-@lru_cache(maxsize=64)
-def _chi2_nodes(d: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    # E f(U), U ~ chi2_d: substituting u = 2x into the density leaves a
-    # generalized Gauss-Laguerre rule with weight x^(d/2-1) e^(-x).  The
-    # nodes/weights come from the Golub-Welsch eigenproblem, which stays
-    # finite at orders where the classical recurrence overflows, and the
-    # squared first eigenvector components are already the normalized weights.
-    alpha = d / 2.0 - 1.0
-    k = np.arange(nodes, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    x, vecs = linalg.eigh_tridiagonal(diag, off)
-    return 2.0 * x, vecs[0] ** 2
-
-
-def chi2_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, nodes: int = DEFAULT_QUAD_NODES) -> float:
-    """E[f(U)] for U ~ chi-square(d) by fixed-node quadrature."""
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError("dimension d must be a positive integer")
-    if nodes < 2:
-        raise ValueError("need at least two quadrature nodes")
-    u, w = _chi2_nodes(int(d), int(nodes))
-    vals = np.asarray(f(u), dtype=float)
-    if vals.shape != u.shape:
-        vals = np.broadcast_to(vals, u.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned non-finite values on the quadrature nodes")
-    return float(w @ vals)
-
-
 @lru_cache(maxsize=8)
 def _unit_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(int(nodes))
@@ -294,8 +253,6 @@ def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cu
     """
     if cut <= 0.0:
         raise ValueError("cut must be positive")
-    from scipy.stats import chi2 as _chi2
-
     x, w = _unit_legendre(nodes)
     v = np.sqrt(cut) * x
     log_norm = math.log(2.0) - (d / 2.0) * math.log(2.0) - special.gammaln(d / 2.0)
@@ -306,7 +263,7 @@ def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cu
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the quadrature nodes")
     body = math.sqrt(cut) * float(w @ (vals * dens))
-    return body + float(tail_value) * float(_chi2.sf(cut, d))
+    return body + float(tail_value) * float(special.chdtrc(d, cut))
 
 
 def expected_rho(spec: RhoSpec, d: int, nodes: int = DEFAULT_QUAD_NODES) -> float:
@@ -349,3 +306,10 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
     if abs(excess(c)) > 1e-8:
         raise CalibrationError(f"calibration residual {excess(c):.3e} exceeds 1e-8")
     return c
+
+
+def default_c(convention: str, bp: float, d: int) -> float:
+    """sqrt(6) on the squared-distance convention, else calibrate_c(d, bp)."""
+    if convention == "squared-distance":
+        return math.sqrt(6.0)
+    return calibrate_c(d, bp, convention="scaled-distance")

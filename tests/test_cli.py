@@ -46,6 +46,11 @@ def test_merge_negative_payloads():
 # ---------------------------------------------------------------------------
 # exit codes
 
+def _write_table(path, rows):
+    path.write_text("x1,x2,x3\n" + "".join(",".join(r) + "\n" for r in rows))
+    return str(path)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
@@ -60,6 +65,25 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--model", "pcicm-i", "--eps", "0.2",
                  "--out", str(tmp_path / "y.csv")]) == 2
     capsys.readouterr()
+
+    # bad input is rejected at the boundary, whichever estimator reads it
+    rows = [[repr(v) for v in row] for row in np.random.default_rng(0).normal(size=(40, 3))]
+    nan_rows = [list(r) for r in rows]
+    nan_rows[5][1] = "nan"
+    inf_rows = [list(r) for r in rows]
+    inf_rows[9][2] = "inf"
+    text_rows = [list(r) for r in rows]
+    text_rows[3][0] = "n/a"
+    bad = {"nan": _write_table(tmp_path / "nan.csv", nan_rows),
+           "inf": _write_table(tmp_path / "inf.csv", inf_rows),
+           "text": _write_table(tmp_path / "text.csv", text_rows),
+           "ragged": _write_table(tmp_path / "ragged.csv", rows[:5] + [rows[5][:2]]),
+           "header": _write_table(tmp_path / "header.csv", [])}
+    for name, path in bad.items():
+        for est in ("mean", "mcd", "coord_s"):
+            assert main(["estimate", "--estimator", est, "--in", path]) == 1, (name, est)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "oplab: error:" in captured.err, (name, est)
 
 
 def test_numeric_failure_is_exit_2(tmp_path, capsys):
@@ -262,6 +286,21 @@ def test_fig4_micro_run(tmp_path, capsys):
     assert header == ["t", "estimator", "replication", "max_abs_bias"]
     assert len(rows) == 2 * 2 * 2
     assert main(["fig4", "--estimators", "mean,huber", "--out", str(out)]) == 1
+    capsys.readouterr()
+
+
+def test_sweeps_accept_every_registered_estimator(tmp_path, capsys):
+    out = tmp_path / "all"
+    assert main(["fig4", "--d", "2", "--n", "30", "--t-grid", "0:10:10",
+                 "--estimators", "mean,coord_median,coord_s,m,s,mcd,mve",
+                 "--reps", "1", "--mcd-starts", "10", "--mve-trials", "10",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "bias_sweep" / "results.csv")
+    assert len(rows) == 2 * 7
+    for est in ("m", "s"):
+        assert main(["breakdown", "--estimator", est, "--d", "2",
+                     "--eps-grid", "0.1:0.2:0.1", "--reps", "1", "--n", "40",
+                     "--out", str(tmp_path / est)]) == 0
     capsys.readouterr()
 
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import (MODELS, AdditiveShift, ContaminationError,
-                   ContaminationSpec, GaussianShift, PointMass,
-                   cell_count_distribution, cell_count_pmf, clean_case_prob,
-                   contaminate, indicator_matrix, outlier_from_dict,
-                   read_dataset, sample_contaminated, sample_replacement,
-                   standard_model, write_dataset)
+                   ContaminationSpec, GaussianShift, InvalidData, PointMass,
+                   cell_count_pmf, clean_case_prob, contaminate,
+                   outlier_from_dict, read_dataset, sample_contaminated,
+                   sample_replacement, standard_model, write_dataset)
 from oplab.rng import substream
 
 
@@ -92,8 +91,7 @@ def test_cell_count_k_range_checked():
        st.floats(min_value=0.01, max_value=0.5))
 def test_cell_count_pmf_normalizes_with_mean_d_eps(model, d, eps):
     spec = _spec(model, eps)
-    pmf = cell_count_distribution(spec, d)
-    assert pmf.shape == (d + 1,)
+    pmf = np.array([cell_count_pmf(spec, d, k) for k in range(d + 1)])
     assert np.all(pmf >= 0.0)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     # every model shares the marginal cell rate
@@ -111,17 +109,17 @@ def test_clean_case_probabilities():
 
 
 def test_indicator_frequencies_psicm():
-    spec = _spec("psicm", 0.2)
-    b = indicator_matrix(spec, 100_000, 3, seed=404)
+    spec = _spec("psicm", 0.2, outlier=AdditiveShift(10.0))
+    b = sample_contaminated(standard_model(3), spec, 100_000, seed=404).b
     counts = np.bincount(b.sum(axis=1), minlength=4) / b.shape[0]
-    pmf = cell_count_distribution(spec, 3)
+    pmf = np.array([cell_count_pmf(spec, 3, k) for k in range(4)])
     assert np.max(np.abs(counts - pmf)) < 0.01
 
 
 @pytest.mark.parametrize("model", MODELS)
 def test_marginal_cell_rate(model):
-    spec = _spec(model, 0.1)
-    b = indicator_matrix(spec, 20_000, 5, seed=77)
+    spec = _spec(model, 0.1, outlier=AdditiveShift(10.0))
+    b = sample_contaminated(standard_model(5), spec, 20_000, seed=77).b
     assert abs(b.mean() - 0.1) < 0.01
     # per-coordinate rates match too; rows are exchangeable across coordinates
     assert np.max(np.abs(b.mean(axis=0) - 0.1)) < 0.02
@@ -263,3 +261,17 @@ def test_dataset_without_indicators(tmp_path):
     assert x.shape == (10, 2)
     assert b is None
     assert meta == {"columns": ["x1", "x2"], "d": 2, "n": 10}
+
+
+@pytest.mark.parametrize("text", [
+    "",                              # empty file
+    "x1,x2\n",                       # header only
+    "x1,x2\n1.0,2.0\n3.0\n",         # ragged row
+    "x1,x2\n1.0,2.0\n3.0,abc\n",     # non-numeric cell
+    "b1,b2\n0,1\n",                  # no x columns
+])
+def test_read_dataset_rejects_malformed_tables(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidData):
+        read_dataset(path)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import (AllPointsRejected, DegenerateData, RhoSpec, calibrate_c,
-                   coord_median, coord_s, m_location, m_scale, mahalanobis_sq,
-                   mcd, mve, rho, s_estimate, s_weight_bounds, sample_mean)
+from oplab import (ESTIMATORS, AllPointsRejected, DegenerateData, InvalidData,
+                   LocationScatter, RhoSpec, calibrate_c, coord_median,
+                   coord_s, m_location, m_scale, mahalanobis_sq, mcd, mve,
+                   rho, s_estimate, s_weight_bounds, sample_mean)
 from oplab.estimators import c_step
 from oplab.rng import substream
 
@@ -141,6 +142,25 @@ def test_m_location_rejecting_everything_raises():
         m_location(x, np.eye(2), SQ, start=np.array([50.0, 50.0]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=-6.0, max_value=6.0),
+       st.integers(min_value=1, max_value=3), st.sampled_from([1, 2, 3, 500]))
+def test_m_location_converged_is_scale_free(seed, log_a, d, max_iter):
+    # converged rests on the residual in the Mahalanobis norm of sigma, which
+    # x -> a x + b, sigma -> a^2 sigma leaves alone.  b moves in units of a:
+    # a shift far beyond the spread of the data would leave fewer significant
+    # digits than a 1e-9 residual test needs.
+    rng = substream(seed, 0)
+    x = rng.normal(size=(60, d))
+    x[:6] += 5.0
+    root = 0.5 * rng.normal(size=(d, d))
+    sigma = root @ root.T + np.eye(d)
+    a, b = 10.0 ** log_a, 10.0 ** log_a * rng.uniform(-5.0, 5.0, size=d)
+    e0 = m_location(x, sigma, SQ, max_iter=max_iter)
+    e1 = m_location(a * x + b, a * a * sigma, SQ, max_iter=max_iter)
+    assert e1.converged == e0.converged
+
+
 # ---------------------------------------------------------------------------
 # multivariate S
 
@@ -238,6 +258,15 @@ def test_mcd_weights_are_subset_indicators():
     scaled = n * est.weights
     assert set(np.round(scaled[scaled > 0], 12)) == {round(n / h, 12)}
     assert 1.0 <= n / h <= 2.0
+
+
+def test_mcd_flags_chains_cut_by_the_cstep_cap():
+    x = substream(105, 0).normal(size=(100, 15))
+    cut = mcd(x, n_starts=20, seed=0, max_csteps=1)
+    full = mcd(x, n_starts=20, seed=0)
+    assert not cut.converged
+    assert full.converged
+    assert full.objective < cut.objective
 
 
 def test_mcd_h_validation():
@@ -368,3 +397,33 @@ def test_coord_median_is_not_rotation_equivariant():
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     gap = np.max(np.abs(coord_median(w @ rot.T) - rot @ coord_median(w)))
     assert gap > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+def test_registry_fits_every_estimator():
+    x = substream(106, 0).normal(size=(60, 2))
+    for name, fit in ESTIMATORS.items():
+        est = fit(x, rho=fit.rho(2), seed=3)
+        assert isinstance(est, LocationScatter), name
+        assert est.mu.shape == (2,), name
+        assert np.max(np.abs(est.mu)) < 0.6, name
+    assert ESTIMATORS["coord_s"](x, rho=ESTIMATORS["coord_s"].rho(2)).scale.shape == (2,)
+    assert ESTIMATORS["coord_s"].rho(5).c == calibrate_c(1, 0.5)
+    assert ESTIMATORS["s"].rho(5).c == calibrate_c(5, 0.5)
+    assert ESTIMATORS["m"].rho(5).c == math.sqrt(6.0)
+    assert ESTIMATORS["mcd"].rho(2) is None
+    with pytest.raises(ValueError):
+        ESTIMATORS["s"](x)  # a loss is required
+    with pytest.raises(ValueError):
+        ESTIMATORS["m"](x, rho=SQ, scatter="robust")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_cells_are_rejected(bad):
+    x = substream(107, 0).normal(size=(40, 3))
+    x[7, 1] = bad
+    for name, fit in ESTIMATORS.items():
+        with pytest.raises(InvalidData):
+            fit(x, rho=fit.rho(3), starts=10)

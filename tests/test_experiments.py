@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import (ExperimentReport, GesSearch, bias_sweep,
+from oplab import (ESTIMATORS, ExperimentReport, GesSearch, bias_sweep,
                    clean_majority_threshold, empirical_breakdown, epsilon0,
-                   ges_vs_dim, propagation_demo, table1, theorem1_transform)
+                   ges_vs_dim, propagation_demo, table1)
+from oplab import estimators
 from oplab.experiments import _parallel_map, write_csv, write_json
 
 
@@ -56,19 +57,6 @@ def test_clean_majority_threshold():
         assert d == 1 or (1.0 - eps) ** (d - 1) >= 0.5
     with pytest.raises(ValueError):
         clean_majority_threshold(0.0)
-
-
-def test_theorem1_transform():
-    assert np.array_equal(theorem1_transform(1), [[2.0]])
-    t2 = theorem1_transform(2)
-    assert np.array_equal(t2, [[2.0, 1.0], [1.0, 2.0]])
-    assert np.linalg.det(t2) == pytest.approx(3.0)
-    assert np.linalg.det(theorem1_transform(3)) == pytest.approx(4.0)
-    # invertible by construction: det is d + 1
-    inv = np.linalg.inv(theorem1_transform(6))
-    assert np.allclose(inv @ theorem1_transform(6), np.eye(6), atol=1e-12)
-    with pytest.raises(ValueError):
-        theorem1_transform(0)
 
 
 def test_table1_matches_the_bound():
@@ -152,6 +140,30 @@ def test_bias_sweep_estimator_validation():
         bias_sweep(d=2, n=20, estimators=("mean", "mode"), replications=1)
 
 
+def test_bias_sweep_runs_every_registered_estimator():
+    rep = bias_sweep(d=2, n=40, eps=0.1, t_grid=(0.0, 50.0), estimators=tuple(ESTIMATORS),
+                     replications=2, mcd_starts=20, mve_trials=20)
+    _, rows = rep.tables["results"]
+    assert len(rows) == 2 * len(ESTIMATORS) * 2
+    assert all(math.isfinite(r[3]) for r in rows)
+    by_key = {(t, e): mm for t, e, mm, _ in rep.tables["curves"][1]}
+    for est in ESTIMATORS:
+        if est != "mean":
+            assert by_key[(50.0, est)] < 2.0, est
+
+
+def _break_mcd(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("mcd() got an unexpected keyword argument")
+    monkeypatch.setattr(estimators, "mcd", broken)
+
+
+def test_bias_sweep_propagates_programming_errors(monkeypatch):
+    _break_mcd(monkeypatch)
+    with pytest.raises(TypeError):
+        bias_sweep(d=2, n=20, t_grid=(0.0, 10.0), estimators=("mcd",), replications=1)
+
+
 # ---------------------------------------------------------------------------
 # sensitivity against dimension
 
@@ -218,6 +230,12 @@ def test_breakdown_univariate_s_near_half():
     got = rep.summary["eps_star_hat"]
     assert got is not None
     assert abs(got - 0.5) <= 0.04 + 1e-12
+
+
+def test_breakdown_propagates_programming_errors(monkeypatch):
+    _break_mcd(monkeypatch)
+    with pytest.raises(TypeError):
+        empirical_breakdown(estimator="mcd", d=2, eps_grid=(0.1, 0.2), replications=1, n=40)
 
 
 def test_breakdown_validation():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from oplab import (GesSearch, InfluenceContext, MonteCarlo, RhoSpec, a_psi,
-                   calibrate_c, coord_ges, equicorrelated_model, g_function,
-                   ges, if_coordwise, if_fdcm, if_ficm, if_numeric, if_pcicm,
+                   calibrate_c, coord_ges, equicorrelated_model, ges,
+                   if_coordwise, if_fdcm, if_ficm, if_numeric, if_pcicm,
                    if_psicm, influence, mahalanobis_sq, psi_sq, standard_model)
-from oplab.influence import PatternSampler
+
+from _patterns import PatternSampler, g_function
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
 RHO1 = RhoSpec(c=1.5476449810245039, convention="scaled-distance")
@@ -156,6 +157,21 @@ def test_if_ficm_matches_direct_per_pattern_estimate():
     gap = np.abs(res.value - np.array(FICM_DIRECT_IF))
     band = 4.0 * np.sqrt(res.stderr**2 + np.array(FICM_DIRECT_SE) ** 2)
     assert np.all(gap < band)
+
+
+@pytest.mark.parametrize("model", [standard_model(3), equicorrelated_model(3, 0.5)])
+def test_if_ficm_matches_the_pattern_by_pattern_oracle(model):
+    # the shared-sample core against one separate draw set per single-cell
+    # pattern: IF = sum_k g({k}) / a_psi
+    z = np.array([1.2, -0.4, 0.8])
+    ctx = InfluenceContext(model, SQ, kind="ficm", mc=MonteCarlo(n_draws=100_000, seed=4))
+    got = if_ficm(z, ctx)
+    mc = MonteCarlo(n_draws=100_000, seed=5)
+    parts = [g_function(PatternSampler(model, (k,), z), model.mu0, model.sigma0, SQ, mc)
+             for k in range(3)]
+    ref = sum(p.value for p in parts) / ctx.a_psi
+    ref_se = np.sqrt(sum(p.stderr**2 for p in parts)) / ctx.a_psi
+    assert np.all(np.abs(got.value - ref) < 4.0 * np.sqrt(got.stderr**2 + ref_se**2))
 
 
 def test_if_ficm_vanishes_when_every_cell_lands_far():

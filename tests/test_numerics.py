@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oplab import (CalibrationError, EllipticalModel, RhoSpec, SingularScatter,
-                   calibrate_c, chi2_expectation, chi2_truncated_expectation,
+                   calibrate_c, chi2_truncated_expectation,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi,
                    psi_prime, psi_sq, psi_sq_prime, rho, rho_inverse, rho_sq,
                    standard_model, truncation_sq, weight)
@@ -177,14 +177,6 @@ def test_model_sampling_is_seeded_and_centered():
 
 # ---------------------------------------------------------------------------
 # chi-square expectations
-
-def test_chi2_expectation_exact_moments():
-    for d in range(1, 9):
-        assert chi2_expectation(lambda u: np.ones_like(u), d) == pytest.approx(1.0, abs=1e-12)
-        assert chi2_expectation(lambda u: u, d) == pytest.approx(d, abs=1e-9)
-        assert chi2_expectation(lambda u: u * u, d) == pytest.approx(d * d + 2 * d, rel=1e-11)
-    assert chi2_expectation(lambda u: u, 5) == pytest.approx(5.0, abs=1e-9)
-
 
 def test_chi2_truncated_expectation():
     got = chi2_truncated_expectation(lambda q: q * q, 2, cut=SQRT6, tail_value=0.0)
