@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .numerics import (InvalidData, RhoSpec, SingularScatter, default_c,
-                       mahalanobis_sq, psi_sq, rho, rho_inverse, weight)
+                       mahalanobis_sq, rho, rho_inverse, rho_sq_into,
+                       spd_cholesky, truncation_sq, weight)
 from .rng import substream
 
 
@@ -169,46 +170,103 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
 
 def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
                tol: float = 1e-12) -> LocationScatter:
-    """Location M-estimate: iterate the weighted mean with weights psi(d^2).
+    """Location M-estimate: solve mean_i psi(d^2(x_i, mu, sigma)) (x_i - mu) = 0.
 
-    The returned estimate satisfies the estimating equation
-    mean_i psi(d^2(x_i, mu, sigma)) (x_i - mu) = 0 to below 1e-9 in the
-    Mahalanobis norm of sigma, or carries converged=False.  That norm does not
-    change when x scales by a and sigma by a^2, and the iteration only stops
-    early once it holds, so neither does converged.
+    The data are whitened once: with sigma = L L^T and the start m0
+    (coordinatewise median by default), z_i = L^-1 (x_i - m0), and the
+    iteration runs on nu = L^-1 (mu - m0).  There d_i^2 = |z_i - nu|^2 and the
+    estimating function is F(nu) = sum_i psi_i (z_i - nu).
+
+    Each iteration tries the Newton step J^-1 F, where
+    J = sum_i psi_i I + 2 sum_i psi'_i (z_i - nu)(z_i - nu)^T comes from the
+    closed-form psi_sq_prime.  It takes that step only when J is positive
+    definite, the step is short enough to trust and it lowers |F|.  Otherwise
+    it takes the weighted-mean step F / sum_i psi_i, the plain fixed-point
+    iteration.  J varies over distances like the truncation radius r of the
+    loss, so a step is trusted when |J^-1 F| sum_i psi_i / lambda_min(J) is at
+    most r / 2 (a Kantorovich-style bound).  Far from a root, where J is
+    nearly singular, the bound keeps the weighted-mean steps, and with them
+    the root the fixed-point iteration would reach.
+
+    The stopping rule is the fixed-point iteration's: the step in mu falls
+    below tol (relative to 1 + max |mu|) and the residual |F| / n, which is the
+    estimating equation in the Mahalanobis norm of sigma, is below 1e-9.  The
+    result carries converged=False when the residual test fails.  That norm
+    does not change when x scales by a and sigma by a^2, and the iteration
+    only stops early once it holds, so neither does converged.
     """
     x = _as_data(x)
+    n, d = x.shape
     sigma = np.asarray(sigma, dtype=float)
-    m = coord_median(x) if start is None else np.asarray(start, dtype=float)
-    d2 = mahalanobis_sq(x, m, sigma)
+    low = spd_cholesky(sigma)
+    m0 = coord_median(x) if start is None else np.asarray(start, dtype=float)
+    reach = 0.5 * math.sqrt(truncation_sq(spec))
+    # z is (d, n), row a holding whitened coordinate a of every point, solved
+    # in place by forward substitution so that each row stays contiguous
+    z = np.empty((d, n))
+    np.subtract(x.T, m0[:, None], out=z)
+    for a in range(d):
+        for b in range(a):
+            z[a] -= low[a, b] * z[b]
+        z[a] /= low[a, a]
+    # with z, the only n-sized arrays: each candidate step overwrites them, so
+    # the state at the previous iterate is kept only as nu, sum w and F
+    d2, w, work = np.empty(n), np.empty(n), np.empty(n)
 
-    def whitened_residual(w: np.ndarray) -> float:
-        return math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).mean(axis=0), 0.0, sigma))
+    def evaluate(nu: np.ndarray) -> tuple[float, np.ndarray]:
+        """Fill d2 and w = psi(d2) at nu; return sum w and F(nu)."""
+        np.subtract(z[0], nu[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for a in range(1, d):
+            np.subtract(z[a], nu[a], out=work)
+            np.multiply(work, work, out=work)
+            np.add(d2, work, out=d2)
+        rho_sq_into(spec, d2, w, work, derivative=1)
+        wsum = float(w.sum())
+        return wsum, z @ w - wsum * nu
 
+    def newton_step(nu: np.ndarray, wsum: float, f: np.ndarray) -> np.ndarray | None:
+        """J^-1 F at nu, or None when it is not to be trusted; overwrites w."""
+        g = rho_sq_into(spec, d2, w, work, derivative=2)
+        jac = np.empty((d, d))
+        for a in range(d):  # row a of sum g (z - nu)(z - nu)^T, no (d, n) temporary
+            np.subtract(z[a], nu[a], out=work)
+            np.multiply(work, g, out=work)
+            jac[a] = z @ work - nu * work.sum()
+        jac *= 2.0
+        jac.flat[::d + 1] += wsum
+        lam = np.linalg.eigvalsh(jac)[0]
+        if not lam > 0.0:
+            return None
+        step = np.linalg.solve(jac, f)
+        return step if np.linalg.norm(step) * wsum / lam <= reach else None
+
+    nu = np.zeros(d)
+    wsum, f = evaluate(nu)
     it = 0
     for it in range(1, max_iter + 1):
-        w = np.asarray(psi_sq(spec, d2))
-        wsum = w.sum()
         if not wsum > 0.0:
             raise AllPointsRejected("every point fell beyond the loss truncation")
-        m_new = (w[:, None] * x).sum(axis=0) / wsum
-        step = float(np.max(np.abs(m_new - m)))
-        m = m_new
-        d2 = mahalanobis_sq(x, m, sigma)
-        if step < tol * (1.0 + float(np.max(np.abs(m)))):
-            # the step test depends on the units of x, the whitened residual does not
-            w = np.asarray(psi_sq(spec, d2))
-            residual = whitened_residual(w)
-            if residual < 1e-9:
-                break
-    else:
-        w = np.asarray(psi_sq(spec, d2))
-        residual = whitened_residual(w)
-    obj = float(np.mean(np.asarray(rho(spec, d2) if spec.convention == "squared-distance"
-                                   else rho(spec, np.sqrt(d2)))))
-    return LocationScatter(mu=m, sigma=sigma, converged=residual < 1e-9,
+        prev, prev_wsum, prev_f = nu, wsum, f
+        newton = newton_step(nu, wsum, f)
+        if newton is not None:
+            nu = prev + newton
+            wsum, f = evaluate(nu)
+        if newton is None or not (wsum > 0.0 and np.linalg.norm(f) < np.linalg.norm(prev_f)):
+            nu = prev + prev_f / prev_wsum
+            wsum, f = evaluate(nu)
+        step = float(np.max(np.abs(low @ (nu - prev))))
+        # the step test depends on the units of x, the whitened residual does not
+        if (step < tol * (1.0 + float(np.max(np.abs(m0 + low @ nu))))
+                and np.linalg.norm(f) / n < 1e-9):
+            break
+    residual = float(np.linalg.norm(f)) / n
+    obj = float(np.mean(rho_sq_into(spec, d2, d2, work)))
+    if wsum > 0.0:
+        w /= wsum
+    return LocationScatter(mu=m0 + low @ nu, sigma=sigma, converged=residual < 1e-9,
                            iterations=it, objective=obj,
-                           weights=w / w.sum() if w.sum() > 0 else None)
+                           weights=w if wsum > 0.0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +396,13 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
         if not wsum > 0.0:
             return None
         m_new = (w[:, None] * x).sum(axis=0) / wsum
-        shift = float(np.max(np.abs(m_new - m)))
+        step = m_new - m
+        shift = float(np.max(np.abs(step)))
         m = m_new
-        if shift < 1e-12 * (1.0 + float(np.max(np.abs(m)))):
+        # the shift test depends on the units of x, the whitened shift does
+        # not; it must reach the 1e-8 that converged asks of the residual
+        if shift < 1e-12 * (1.0 + float(np.max(np.abs(m)))) \
+                and mahalanobis_sq(step, 0.0, sigma) < 1e-16:
             break
     dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
     w = weight(spec, dist)
@@ -348,7 +410,8 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
     if not wsum > 0.0:
         return None
     constraint_res = abs(float(np.mean(rho(spec, dist))) - b)
-    mean_res = float(np.linalg.norm((w[:, None] * (x - m)).sum(axis=0) / wsum))
+    # the weighted-mean equation in the Mahalanobis norm of sigma: scale-free
+    mean_res = math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).sum(axis=0) / wsum, 0.0, sigma))
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0:
         return None

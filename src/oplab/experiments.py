@@ -279,32 +279,37 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
             curve_map[(t, est)] = (mean_of_max, max_of_mean)
 
     checks = []
-    if "coord_median" in estimators:
-        worst = max(curve_map[(t, "coord_median")][0] for t in t_grid)
-        checks.append(_assertion("coord_median mean max-bias < 1.0 at all t",
-                                 worst < 1.0, f"worst {worst:.4f}"))
+
+    def curve(name: str, est: str, ts, col: int) -> list[float] | None:
+        """Column col of the curve at ts, or None after failing check name
+        with the cells where every fit failed."""
+        gone = [(t, est) for t in ts if (t, est) not in curve_map]
+        if gone:
+            checks.append(_assertion(name, False, f"every fit failed at (t, estimator) {gone}"))
+            return None
+        return [curve_map[(t, est)][col] for t in ts]
+
+    name = "coord_median mean max-bias < 1.0 at all t"
+    if "coord_median" in estimators \
+            and (vals := curve(name, "coord_median", t_grid, 0)) is not None:
+        worst = max(vals)
+        checks.append(_assertion(name, worst < 1.0, f"worst {worst:.4f}"))
     for est in ("mcd", "mve"):
         if est not in estimators:
             continue
         tail = [t for t in t_grid if t >= 10.0]
-        vals = [curve_map[(t, est)][0] for t in tail]
-        mono = all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
-        checks.append(_assertion(f"{est} mean max-bias nondecreasing for t >= 10",
-                                 mono, f"{[round(v, 3) for v in vals]}"))
-        if 100.0 in t_grid:
-            v100 = curve_map[(100.0, est)][0]
-            checks.append(_assertion(f"{est} mean max-bias > 5 at t=100",
-                                     v100 > 5.0, f"{v100:.3f}"))
-    if "mean" in estimators:
-        rels = []
-        for t in t_grid:
-            if t < 5.0:
-                continue
-            bias = curve_map[(t, "mean")][1]
-            rels.append(abs(bias - eps * t) / (eps * t))
-        if rels:
-            checks.append(_assertion("sample-mean bias within 20% of eps*t (t>=5)",
-                                     max(rels) <= 0.20, f"worst rel {max(rels):.4f}"))
+        name = f"{est} mean max-bias nondecreasing for t >= 10"
+        if (vals := curve(name, est, tail, 0)) is not None:
+            mono = all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+            checks.append(_assertion(name, mono, f"{[round(v, 3) for v in vals]}"))
+        name = f"{est} mean max-bias > 5 at t=100"
+        if 100.0 in t_grid and (vals := curve(name, est, [100.0], 0)) is not None:
+            checks.append(_assertion(name, vals[0] > 5.0, f"{vals[0]:.3f}"))
+    tail = [t for t in t_grid if t >= 5.0]
+    name = "sample-mean bias within 20% of eps*t (t>=5)"
+    if "mean" in estimators and tail and (biases := curve(name, "mean", tail, 1)) is not None:
+        worst = max(abs(bias - eps * t) / (eps * t) for bias, t in zip(biases, tail))
+        checks.append(_assertion(name, worst <= 0.20, f"worst rel {worst:.4f}"))
 
     config = {"name": "bias_sweep", "d": d, "n": n, "eps": eps,
               "t_grid": list(t_grid), "estimators": list(estimators),

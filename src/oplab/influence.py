@@ -275,9 +275,10 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 
     datasets = [dataset(e) for e in eps_grid]
 
-    def slope_at_zero(idx) -> np.ndarray:
-        t0 = estimator(y[idx])
-        secants = np.array([(estimator(x[idx]) - t0) / e
+    def slope_at_zero(idx=None) -> np.ndarray:
+        """Slope on the rows idx (a bootstrap draw), or on every row."""
+        t0 = estimator(y if idx is None else y[idx])
+        secants = np.array([(estimator(x if idx is None else x[idx]) - t0) / e
                             for x, e in zip(datasets, eps_grid)])
         if len(eps_grid) == 1:
             return secants[0]
@@ -285,8 +286,7 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
         coef = np.polyfit(np.asarray(eps_grid), secants, 1)
         return coef[1]
 
-    full = np.arange(n)
-    value = slope_at_zero(full)
+    value = slope_at_zero()
     if n_boot > 1:
         boot_rng = substream(ctx.mc.seed, _PATH_NUMERIC, 3)
         boots = np.array([slope_at_zero(boot_rng.integers(0, n, n))

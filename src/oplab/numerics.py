@@ -152,10 +152,49 @@ def psi_sq_prime(spec: RhoSpec, s) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def rho_sq_into(spec: RhoSpec, s: np.ndarray, out: np.ndarray, work: np.ndarray,
+                derivative: int = 0) -> np.ndarray:
+    """rho_sq(spec, s), or psi_sq (derivative=1) or psi_sq_prime (2), into out.
+
+    Allocates nothing: work is scratch, and out and work are float arrays of
+    the shape of s, distinct from s and from each other, except that out may
+    be s itself for the loss (derivative=0).  All three closed
+    forms carry p = max(1 - q, 0), with q = (s/c)^2 (squared-distance) or
+    s/c^2 (scaled-distance), which vanishes beyond the truncation.
+    """
+    k = 1.0 / spec.c**2
+    squared = spec.convention == "squared-distance"
+    if squared:
+        np.multiply(s, s, out=work)
+    else:
+        np.copyto(work, s)
+    work *= -k
+    work += 1.0
+    np.maximum(work, 0.0, out=work)
+    if derivative == 0:
+        np.multiply(work, work, out=out)  # 1 - p^3
+        out *= work
+        np.subtract(1.0, out, out=out)
+    elif derivative == 1:
+        np.multiply(work, work, out=out)  # (6/c^2) s p^2, or (3/c^2) p^2
+        if squared:
+            out *= s
+        out *= (6.0 if squared else 3.0) * k
+    elif squared:
+        np.multiply(s, s, out=out)  # (6/c^2) p (1 - 5q)
+        out *= -5.0 * k
+        out += 1.0
+        out *= work
+        out *= 6.0 * k
+    else:
+        np.multiply(work, -6.0 * k * k, out=out)  # -(6/c^4) p
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Mahalanobis geometry and the Gaussian elliptical model.
 
-def _spd_cholesky(sigma: np.ndarray) -> np.ndarray:
+def spd_cholesky(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise SingularScatter("scatter matrix must be square")
@@ -171,7 +210,7 @@ def mahalanobis_sq(x, m, sigma) -> np.ndarray | float:
     """Squared Mahalanobis distance of row(s) x from m under scatter sigma."""
     x = np.asarray(x, dtype=float)
     m = np.asarray(m, dtype=float)
-    low = _spd_cholesky(sigma)
+    low = spd_cholesky(sigma)
     dev = np.atleast_2d(x) - m
     z = linalg.solve_triangular(low, dev.T, lower=True)
     d2 = np.einsum("ij,ij->j", z, z)
@@ -193,7 +232,7 @@ class EllipticalModel:
             raise ValueError(f"unknown radial law {self.radial!r}")
         if sigma0.shape != (mu0.size, mu0.size):
             raise SingularScatter("scatter shape does not match center")
-        low = _spd_cholesky(sigma0)
+        low = spd_cholesky(sigma0)
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "sigma0", sigma0)
         object.__setattr__(self, "_chol", low)

@@ -15,6 +15,7 @@ from oplab.estimators import c_step
 from oplab.rng import substream
 
 from _datasets import mcd_cluster_data, mve_small_data
+from _m_reference import estimating_residual, fixed_point_m_location
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
 SCAL2 = RhoSpec(c=calibrate_c(2, 0.5), convention="scaled-distance")
@@ -161,6 +162,49 @@ def test_m_location_converged_is_scale_free(seed, log_a, d, max_iter):
     assert e1.converged == e0.converged
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=12), st.booleans())
+def test_m_location_matches_the_fixed_point_iteration(seed, d, shifted, explicit_start):
+    # where the weighted-mean iteration converges, the Newton-accelerated
+    # solve converges too, to the same root, and never needs more iterations
+    rng = substream(seed, 1)
+    x = rng.normal(size=(200, d))
+    x[:shifted] += 3.0
+    root = 0.5 * rng.normal(size=(d, d))
+    sigma = root @ root.T + np.eye(d)
+    start = x.mean(axis=0) + 0.3 * rng.normal(size=d) if explicit_start else None
+    mu_ref, converged_ref, iterations_ref = fixed_point_m_location(x, sigma, SQ, start=start)
+    est = m_location(x, sigma, SQ, start=start)
+    assert est.iterations <= iterations_ref
+    if converged_ref:
+        assert est.converged
+        assert math.sqrt(mahalanobis_sq(est.mu, mu_ref, sigma)) < 1e-8
+    elif est.converged:
+        # psi_sq of this loss is not monotone, and the weighted-mean map can
+        # cycle around a root that Newton steps reach: then it is a true root
+        assert estimating_residual(x, est.mu, sigma, SQ) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [308, 1081])
+def test_m_location_newton_keeps_the_fixed_point_root(seed):
+    # a block shifted by 3 sits just outside the truncation radius: from the
+    # start, J is nearly singular and its Newton step would land on the
+    # block's root instead of the one the weighted-mean iteration reaches
+    rng = substream(seed, 1)
+    d = 1 + seed % 3
+    x = rng.normal(size=(200, d))
+    x[:int(rng.integers(0, 41))] += 3.0
+    root = 0.5 * rng.normal(size=(d, d))
+    sigma = root @ root.T + np.eye(d)
+    start = x.mean(axis=0) + 0.3 * rng.normal(size=d) if seed % 2 else None
+    mu_ref, converged_ref, iterations_ref = fixed_point_m_location(x, sigma, SQ, start=start)
+    est = m_location(x, sigma, SQ, start=start)
+    assert converged_ref and est.converged
+    assert math.sqrt(mahalanobis_sq(est.mu, mu_ref, sigma)) < 1e-8
+    assert est.iterations < iterations_ref
+
+
 # ---------------------------------------------------------------------------
 # multivariate S
 
@@ -211,6 +255,28 @@ def test_s_estimate_validation():
         s_estimate(z, SCAL2, bp=0.7)
     with pytest.raises(DegenerateData):
         s_estimate(z[:2], SCAL2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=-6.0, max_value=6.0))
+def test_s_estimate_converged_is_scale_free(seed, log_a):
+    # as for m_location: converged judges the weighted-mean equation in the
+    # Mahalanobis norm of the returned sigma, which x -> a x + b leaves alone
+    rng = substream(seed, 2)
+    x = rng.normal(size=(60, 2))
+    x[:6] += 6.0
+    a, b = 10.0 ** log_a, 10.0 ** log_a * rng.uniform(-5.0, 5.0, size=2)
+    e0 = s_estimate(x, SCAL2, seed=4, n_starts=5)
+    e1 = s_estimate(a * x + b, SCAL2, seed=4, n_starts=5)
+    assert e1.converged == e0.converged
+
+
+def test_s_estimate_converged_at_extreme_scales():
+    # an absolute residual test reported False at 1e6 on this fixture; at
+    # 1e-6 an absolute polishing tolerance stopped short of the 1e-8 residual
+    z = _s_fixture()
+    for a in (1e-6, 1.0, 1e4, 1e6):
+        assert s_estimate(a * z, SCAL2, seed=4, n_starts=5).converged, a
 
 
 def test_s_estimate_resists_the_shifted_block():

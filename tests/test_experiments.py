@@ -164,6 +164,18 @@ def test_bias_sweep_propagates_programming_errors(monkeypatch):
         bias_sweep(d=2, n=20, t_grid=(0.0, 10.0), estimators=("mcd",), replications=1)
 
 
+def test_bias_sweep_reports_cells_where_every_fit_failed():
+    # at n = d = 3 the contaminated MCD fit fails; the check stage names the
+    # empty cell instead of dying on it
+    rep = bias_sweep(d=3, n=3, t_grid=(0.0, 10.0), estimators=("mcd",), replications=1)
+    _, rows = rep.tables["results"]
+    assert math.isnan(next(r[3] for r in rows if r[0] == 10.0))
+    (check,) = rep.summary["assertions"]
+    assert not check["passed"]
+    assert "(10.0, 'mcd')" in check["detail"]
+    assert not rep.passed()
+
+
 # ---------------------------------------------------------------------------
 # sensitivity against dimension
 

@@ -13,6 +13,7 @@ from oplab import (CalibrationError, EllipticalModel, RhoSpec, SingularScatter,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi,
                    psi_prime, psi_sq, psi_sq_prime, rho, rho_inverse, rho_sq,
                    standard_model, truncation_sq, weight)
+from oplab.numerics import rho_sq_into
 from oplab.influence import a_psi
 from oplab.rng import substream
 
@@ -112,6 +113,20 @@ def test_squared_argument_views_chain_rule(conv, c):
     assert np.max(np.abs(psi_sq(spec, s)[keep] - d_rho[keep])) < 1e-5
     d_psi = (psi_sq(spec, s + h) - psi_sq(spec, s - h)) / (2 * h)
     assert np.max(np.abs(psi_sq_prime(spec, s)[keep] - d_psi[keep])) < 2e-4
+
+
+@pytest.mark.parametrize("conv,c", [("squared-distance", SQRT6),
+                                    ("scaled-distance", 2.6608033926979555)])
+def test_rho_sq_into_matches_the_allocating_forms(conv, c):
+    spec = RhoSpec(c=c, convention=conv)
+    s = np.linspace(0.0, 1.5 * truncation_sq(spec), 1001)
+    out, work = np.empty_like(s), np.empty_like(s)
+    for derivative, ref in enumerate((rho_sq, psi_sq, psi_sq_prime)):
+        assert rho_sq_into(spec, s, out, work, derivative) is out
+        assert np.allclose(out, ref(spec, s), rtol=1e-13, atol=1e-15)
+        assert np.array_equal(out == 0.0, ref(spec, s) == 0.0)
+    inplace = s.copy()  # the loss may overwrite its argument
+    assert np.array_equal(rho_sq_into(spec, inplace, inplace, work), rho_sq_into(spec, s, out, work))
 
 
 def test_scaled_psi_sq_closed_form():
