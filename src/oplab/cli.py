@@ -169,17 +169,25 @@ def _build_simulate(args) -> dict:
     else:
         shift = 10.0 if args.shift is None else float(args.shift)
         outlier = AdditiveShift(shift).to_dict()
-    return {"command": "simulate", "model": args.model, "eps": float(args.eps),
-            "gamma": None if args.gamma is None else float(args.gamma),
-            "d": d, "n": int(args.n), "outlier": outlier,
-            "seed": _resolve_seed(args, "simulate"), "out": args.out}
+    p = {"command": "simulate", "model": args.model, "eps": float(args.eps),
+         "gamma": None if args.gamma is None else float(args.gamma),
+         "d": d, "n": int(args.n), "outlier": outlier,
+         "seed": _resolve_seed(args, "simulate"), "out": args.out}
+    try:
+        _contamination_spec(p)
+    except ContaminationError as exc:
+        raise _UsageError(str(exc)) from None
+    return p
+
+
+def _contamination_spec(p: dict) -> ContaminationSpec:
+    return ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p.get("gamma"),
+                             outlier=outlier_from_dict(p["outlier"]))
 
 
 def _run_simulate(p: dict) -> None:
+    spec = _contamination_spec(p)
     _write_sidecar_config(p["out"], p)
-    spec = ContaminationSpec(model=p["model"], epsilon=p["eps"],
-                             gamma=p.get("gamma"),
-                             outlier=outlier_from_dict(p["outlier"]))
     data = sample_contaminated(standard_model(p["d"]), spec, p["n"], p["seed"])
     out = Path(p["out"])
     write_dataset(out, data, spec=spec, seed=p["seed"])

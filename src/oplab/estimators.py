@@ -272,11 +272,10 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
 # ---------------------------------------------------------------------------
 # Multivariate S-estimator.
 
-def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator,
-                      size: int | None = None):
+def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator):
     """Random (or exhaustive, when fewer exist) index subsets of size d + 1."""
     n, d = x.shape
-    size = d + 1 if size is None else size
+    size = d + 1
     total = math.comb(n, size)
     if total <= n_starts:
         yield from (np.array(c) for c in itertools.combinations(range(n), size))
@@ -338,7 +337,10 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
 
     best: LocationScatter | None = None
     for m0, c0 in starts:
-        result = _s_from_start(x, spec, bp, m0, c0, max_iter, tol)
+        try:
+            result = _s_from_start(x, spec, bp, m0, c0, max_iter, tol)
+        except (SingularScatter, DegenerateData):
+            continue  # this start's scatter went singular
         if result is None:
             continue
         if best is None or result.objective < best.objective:
@@ -348,14 +350,18 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     return best
 
 
+def _step_below(step: np.ndarray, m: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
+    """|step| < tol (1 + |m|), both in the Mahalanobis norm of sigma, which
+    does not change when x scales by a and sigma by a^2."""
+    bound = tol * (1.0 + math.sqrt(mahalanobis_sq(m, 0.0, sigma)))
+    return mahalanobis_sq(step, 0.0, sigma) < bound * bound
+
+
 def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None:
-    n, d = x.shape
-    try:
-        dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
-        s0 = m_scale(dist, spec, b)
-    except (SingularScatter, DegenerateData):
-        return None
-    sigma = sigma * s0**2
+    """The S fixed point from one start, or None; raises SingularScatter or
+    DegenerateData when the scatter goes singular on the way."""
+    dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
+    sigma = sigma * m_scale(dist, spec, b)**2
     logdet_prev = float(np.linalg.slogdet(sigma)[1])
     it = 0
     for it in range(1, max_iter + 1):
@@ -367,29 +373,23 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
         m_new = (w[:, None] * x).sum(axis=0) / wsum
         dev = x - m_new
         shape = (w[:, None] * dev).T @ dev
-        try:
-            dist_shape = np.sqrt(np.maximum(mahalanobis_sq(x, m_new, shape), 0.0))
-            s = m_scale(dist_shape, spec, b)
-        except (SingularScatter, DegenerateData):
-            return None
+        dist_shape = np.sqrt(np.maximum(mahalanobis_sq(x, m_new, shape), 0.0))
+        s = m_scale(dist_shape, spec, b)
         sigma_new = shape * s**2
         logdet = float(np.linalg.slogdet(sigma_new)[1])
         if logdet > logdet_prev + 1e-10:
             break  # determinant rose past float noise: fixed point reached
-        step = float(np.max(np.abs(m_new - m)))
+        small_step = _step_below(m_new - m, m_new, sigma_new, tol)
         drop = logdet_prev - logdet
         m, sigma, logdet_prev = m_new, sigma_new, logdet
-        if step < tol * (1.0 + float(np.max(np.abs(m)))) and drop < 1e-11:
+        if small_step and drop < 1e-11:
             break
 
     # polish: enforce the scale constraint exactly, then refresh the
     # weighted-mean identity until both residuals sit at solver precision
     for _ in range(60):
-        try:
-            dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
-            s = m_scale(dist, spec, b)
-        except (SingularScatter, DegenerateData):
-            return None
+        dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
+        s = m_scale(dist, spec, b)
         sigma = sigma * s**2
         w = weight(spec, dist / s)
         wsum = w.sum()
@@ -397,12 +397,8 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
             return None
         m_new = (w[:, None] * x).sum(axis=0) / wsum
         step = m_new - m
-        shift = float(np.max(np.abs(step)))
         m = m_new
-        # the shift test depends on the units of x, the whitened shift does
-        # not; it must reach the 1e-8 that converged asks of the residual
-        if shift < 1e-12 * (1.0 + float(np.max(np.abs(m)))) \
-                and mahalanobis_sq(step, 0.0, sigma) < 1e-16:
+        if _step_below(step, m, sigma, 1e-12):
             break
     dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
     w = weight(spec, dist)

@@ -1,21 +1,15 @@
 """Loss family, Mahalanobis geometry, Gaussian elliptical model, and tuning calibration.
 
-The bounded loss used throughout is Tukey's bisquare,
-
-    rho_c(t) = min(3 t^2/c^2 - 3 t^4/c^4 + t^6/c^6, 1) = 1 - (1 - (t/c)^2)^3 for |t| < c,
-
-which redescends: its derivative psi vanishes identically beyond the
-truncation point ``c``.  Two argument conventions coexist in practice and are
-recorded explicitly on :class:`RhoSpec`:
-
-* ``"squared-distance"`` -- the loss is fed the squared Mahalanobis distance
-  directly (location M-estimation path),
-* ``"scaled-distance"`` -- the loss is fed the plain distance divided by a
-  scale that is fixed to one and absorbed into ``c`` (S-estimation path).
-
-Helpers with the ``_sq`` suffix present every spec as a loss on the *squared*
-distance, applying the chain rule for the scaled-distance convention, so the
-influence machinery can stay convention-agnostic.
+The bounded loss is Tukey's bisquare, written once in _bisquare_into.  With
+q = (t/c)^2 and p = max(1 - q, 0) it is rho = 1 - p^3, with psi = (6/c^2) t p^2
+and psi' = (6/c^2) p (1 - 5q); both vanish identically beyond |t| = c.
+:class:`RhoSpec` records which argument the loss is fed: the squared
+Mahalanobis distance itself (``"squared-distance"``, the location M path) or
+the plain distance over a scale fixed to one and absorbed into ``c``
+(``"scaled-distance"``, the S path).  Helpers with the ``_sq`` suffix present
+every spec as a loss on the squared distance s, so the influence machinery can
+stay convention-agnostic; for the scaled-distance convention q = s/c^2, and the
+chain rule gives psi = (3/c^2) p^2 and psi' = -(6/c^4) p.
 """
 
 from __future__ import annotations
@@ -27,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import linalg, special
+from scipy.optimize import brentq
 
 RHO_FAMILIES = ("tukey-bisquare",)
 CONVENTIONS = ("squared-distance", "scaled-distance")
@@ -74,103 +69,20 @@ class RhoSpec:
         return cls(c=float(d["c"]), convention=d["convention"], family=d.get("family", "tukey-bisquare"))
 
 
-def rho(spec: RhoSpec, t) -> np.ndarray | float:
-    """Loss value; even in t, zero at zero, capped at one beyond |t| = c."""
-    x = np.minimum(np.square(np.asarray(t, dtype=float) / spec.c), 1.0)
-    out = 1.0 - (1.0 - x) ** 3
-    return out if out.ndim else float(out)
+def _bisquare_into(c: float, law: str, s: np.ndarray, out: np.ndarray, work: np.ndarray,
+                   derivative: int) -> np.ndarray:
+    """Loss (derivative 0), psi (1) or psi' (2) of s under law, into out; law is
+    "squared-distance" (q = (s/c)^2) or "scaled-distance" (q = s/c^2).
 
-
-def psi(spec: RhoSpec, t) -> np.ndarray | float:
-    """First derivative of the loss; identically zero for |t| >= c."""
-    t = np.asarray(t, dtype=float)
-    x = np.square(t / spec.c)
-    out = np.where(x < 1.0, (6.0 * t / spec.c**2) * (1.0 - x) ** 2, 0.0)
-    return out if out.ndim else float(out)
-
-
-def psi_prime(spec: RhoSpec, t) -> np.ndarray | float:
-    """Second derivative of the loss; identically zero for |t| >= c."""
-    t = np.asarray(t, dtype=float)
-    x = np.square(t / spec.c)
-    out = np.where(x < 1.0, (6.0 / spec.c**2) * (1.0 - x) * (1.0 - 5.0 * x), 0.0)
-    return out if out.ndim else float(out)
-
-
-def weight(spec: RhoSpec, t) -> np.ndarray | float:
-    """psi(t)/t with its continuous limit psi'(0) at t = 0; nonincreasing in |t|."""
-    t = np.asarray(t, dtype=float)
-    x = np.square(t / spec.c)
-    out = np.where(x < 1.0, (6.0 / spec.c**2) * (1.0 - x) ** 2, 0.0)
-    return out if out.ndim else float(out)
-
-
-def rho_inverse(spec: RhoSpec, y) -> np.ndarray | float:
-    """Inverse of rho on [0, 1) -> [0, c); closed form for the bisquare."""
-    y = np.asarray(y, dtype=float)
-    if np.any((y < 0.0) | (y >= 1.0)):
-        raise ValueError("rho_inverse is defined on [0, 1)")
-    out = spec.c * np.sqrt(1.0 - np.cbrt(1.0 - y))
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Loss viewed as a function of the squared distance s = d^2.  For the
-# scaled-distance convention the chain rule gives closed forms again:
-#   rho~(s) = 1 - (1 - s/c^2)^3,  psi~(s) = (3/c^2)(1 - s/c^2)^2,
-#   psi~'(s) = -(6/c^4)(1 - s/c^2)   for s < c^2, all zero beyond.
-
-def truncation_sq(spec: RhoSpec) -> float:
-    """Squared-distance value beyond which psi_sq vanishes identically."""
-    return spec.c if spec.convention == "squared-distance" else spec.c**2
-
-
-def rho_sq(spec: RhoSpec, s) -> np.ndarray | float:
-    s = np.asarray(s, dtype=float)
-    if spec.convention == "squared-distance":
-        return rho(spec, s)
-    x = np.minimum(s / spec.c**2, 1.0)
-    out = 1.0 - (1.0 - x) ** 3
-    return out if out.ndim else float(out)
-
-
-def psi_sq(spec: RhoSpec, s) -> np.ndarray | float:
-    s = np.asarray(s, dtype=float)
-    if spec.convention == "squared-distance":
-        return psi(spec, s)
-    x = s / spec.c**2
-    out = np.where(x < 1.0, (3.0 / spec.c**2) * (1.0 - x) ** 2, 0.0)
-    return out if out.ndim else float(out)
-
-
-def psi_sq_prime(spec: RhoSpec, s) -> np.ndarray | float:
-    s = np.asarray(s, dtype=float)
-    if spec.convention == "squared-distance":
-        return psi_prime(spec, s)
-    x = s / spec.c**2
-    out = np.where(x < 1.0, -(6.0 / spec.c**4) * (1.0 - x), 0.0)
-    return out if out.ndim else float(out)
-
-
-def rho_sq_into(spec: RhoSpec, s: np.ndarray, out: np.ndarray, work: np.ndarray,
-                derivative: int = 0) -> np.ndarray:
-    """rho_sq(spec, s), or psi_sq (derivative=1) or psi_sq_prime (2), into out.
-
-    Allocates nothing: work is scratch, and out and work are float arrays of
-    the shape of s, distinct from s and from each other, except that out may
-    be s itself for the loss (derivative=0).  All three closed
-    forms carry p = max(1 - q, 0), with q = (s/c)^2 (squared-distance) or
-    s/c^2 (scaled-distance), which vanishes beyond the truncation.
-    """
-    k = 1.0 / spec.c**2
-    squared = spec.convention == "squared-distance"
-    if squared:
-        np.multiply(s, s, out=work)
-    else:
-        np.copyto(work, s)
+    Allocates nothing and leaves p in work: out and work are float arrays
+    shaped like s, distinct from s and from each other, except that out may
+    be s itself for the loss."""
+    k = 1.0 / c**2
+    squared = law == "squared-distance"
+    np.multiply(s, s if squared else 1.0, out=work)  # q / k
     work *= -k
     work += 1.0
-    np.maximum(work, 0.0, out=work)
+    np.maximum(work, 0.0, out=work)  # p
     if derivative == 0:
         np.multiply(work, work, out=out)  # 1 - p^3
         out *= work
@@ -189,6 +101,71 @@ def rho_sq_into(spec: RhoSpec, s: np.ndarray, out: np.ndarray, work: np.ndarray,
     else:
         np.multiply(work, -6.0 * k * k, out=out)  # -(6/c^4) p
     return out
+
+
+def _loss(c: float, law: str, s, derivative: int) -> np.ndarray | float:
+    """_bisquare_into on fresh buffers: float in, float out; array in, array out."""
+    s = np.asarray(s, dtype=float)
+    out, work = np.empty_like(s), np.empty_like(s)
+    _bisquare_into(c, law, s, out, work, derivative)
+    if derivative:
+        out[work == 0.0] = 0.0  # zero beyond the truncation, also where s or s^2 is inf
+    return out if out.ndim else float(out)
+
+
+def rho(spec: RhoSpec, t) -> np.ndarray | float:
+    """Loss value; even in t, zero at zero, capped at one beyond |t| = c."""
+    return _loss(spec.c, "squared-distance", t, 0)
+
+
+def psi(spec: RhoSpec, t) -> np.ndarray | float:
+    """First derivative of the loss; identically zero for |t| >= c."""
+    return _loss(spec.c, "squared-distance", t, 1)
+
+
+def psi_prime(spec: RhoSpec, t) -> np.ndarray | float:
+    """Second derivative of the loss; identically zero for |t| >= c."""
+    return _loss(spec.c, "squared-distance", t, 2)
+
+
+def weight(spec: RhoSpec, t) -> np.ndarray | float:
+    """psi(t)/t, psi'(0) at t = 0, nonincreasing in |t|: twice the scaled-law psi at t^2."""
+    return 2.0 * _loss(spec.c, "scaled-distance", np.square(t), 1)
+
+
+def rho_inverse(spec: RhoSpec, y) -> np.ndarray | float:
+    """Inverse of rho on [0, 1) -> [0, c); closed form for the bisquare."""
+    y = np.asarray(y, dtype=float)
+    if np.any((y < 0.0) | (y >= 1.0)):
+        raise ValueError("rho_inverse is defined on [0, 1)")
+    out = spec.c * np.sqrt(1.0 - np.cbrt(1.0 - y))
+    return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# The loss as a function of the squared distance s = d^2, law by convention.
+
+def truncation_sq(spec: RhoSpec) -> float:
+    """Squared-distance value beyond which psi_sq vanishes identically."""
+    return spec.c if spec.convention == "squared-distance" else spec.c**2
+
+
+def rho_sq(spec: RhoSpec, s) -> np.ndarray | float:
+    return _loss(spec.c, spec.convention, s, 0)
+
+
+def psi_sq(spec: RhoSpec, s) -> np.ndarray | float:
+    return _loss(spec.c, spec.convention, s, 1)
+
+
+def psi_sq_prime(spec: RhoSpec, s) -> np.ndarray | float:
+    return _loss(spec.c, spec.convention, s, 2)
+
+
+def rho_sq_into(spec: RhoSpec, s: np.ndarray, out: np.ndarray, work: np.ndarray,
+                derivative: int = 0) -> np.ndarray:
+    """rho_sq (derivative=0), psi_sq (1) or psi_sq_prime (2) into out, as _bisquare_into."""
+    return _bisquare_into(spec.c, spec.convention, s, out, work, derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +315,6 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
         lo /= 2.0
     else:
         raise CalibrationError("no lower bracket for the tuning constant")
-
-    from scipy.optimize import brentq
 
     c = float(brentq(excess, lo, hi, xtol=1e-10, maxiter=200))
     if abs(excess(c)) > 1e-8:

@@ -61,9 +61,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["influence", "--c", "-1", "--out", str(tmp_path)]) == 1
     assert main(["estimate", "--estimator", "mean",
                  "--in", str(tmp_path / "missing.csv")]) == 1
-    # engine-level failures: gamma missing for pcicm-i
+    # a contamination spec the flags cannot build is bad input: nothing is
+    # written, not even the sidecar config
     assert main(["simulate", "--model", "pcicm-i", "--eps", "0.2",
-                 "--out", str(tmp_path / "y.csv")]) == 2
+                 "--out", str(tmp_path / "y.csv")]) == 1
+    assert not (tmp_path / "y.csv").exists()
+    assert not (tmp_path / "y.config.json").exists()
     capsys.readouterr()
 
     # bad input is rejected at the boundary, whichever estimator reads it

@@ -279,6 +279,18 @@ def test_s_estimate_converged_at_extreme_scales():
         assert s_estimate(a * z, SCAL2, seed=4, n_starts=5).converged, a
 
 
+def test_s_estimate_is_scale_equivariant_at_extreme_scales():
+    # an absolute step test stopped the main loop early at small scales, and
+    # mu / a at a = 1e-6 then differed from mu at a = 1 in the sixth digit
+    x = substream(0, 2).normal(size=(60, 2))
+    x[:6] += 6.0
+    ref = s_estimate(x, SCAL2, seed=4, n_starts=5)
+    for a in (1e-6, 1e6):
+        est = s_estimate(a * x, SCAL2, seed=4, n_starts=5)
+        assert np.allclose(est.mu / a, ref.mu, rtol=1e-9, atol=0.0), a
+        assert np.allclose(est.sigma / a**2, ref.sigma, rtol=1e-9, atol=0.0), a
+
+
 def test_s_estimate_resists_the_shifted_block():
     z = _s_fixture()
     est = s_estimate(z, SCAL2, seed=4)

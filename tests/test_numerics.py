@@ -13,9 +13,11 @@ from oplab import (CalibrationError, EllipticalModel, RhoSpec, SingularScatter,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi,
                    psi_prime, psi_sq, psi_sq_prime, rho, rho_inverse, rho_sq,
                    standard_model, truncation_sq, weight)
-from oplab.numerics import rho_sq_into
 from oplab.influence import a_psi
+from oplab.numerics import rho_sq_into
 from oplab.rng import substream
+
+import _loss_reference
 
 SQRT6 = math.sqrt(6.0)
 SQ = RhoSpec(c=SQRT6, convention="squared-distance")
@@ -121,12 +123,37 @@ def test_rho_sq_into_matches_the_allocating_forms(conv, c):
     spec = RhoSpec(c=c, convention=conv)
     s = np.linspace(0.0, 1.5 * truncation_sq(spec), 1001)
     out, work = np.empty_like(s), np.empty_like(s)
-    for derivative, ref in enumerate((rho_sq, psi_sq, psi_sq_prime)):
+    refs = _loss_reference.squared_argument_forms(conv)
+    for derivative, (form, ref) in enumerate(zip((rho_sq, psi_sq, psi_sq_prime), refs)):
+        expected = ref(c, s)
+        assert np.allclose(form(spec, s), expected, rtol=1e-13, atol=1e-15)
         assert rho_sq_into(spec, s, out, work, derivative) is out
-        assert np.allclose(out, ref(spec, s), rtol=1e-13, atol=1e-15)
-        assert np.array_equal(out == 0.0, ref(spec, s) == 0.0)
+        assert np.allclose(out, expected, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(out == 0.0, expected == 0.0)
+        half = 0.5 * truncation_sq(spec)
+        assert type(form(spec, half)) is float
+        assert form(spec, half) == pytest.approx(float(ref(c, np.float64(half))), rel=1e-13)
     inplace = s.copy()  # the loss may overwrite its argument
-    assert np.array_equal(rho_sq_into(spec, inplace, inplace, work), rho_sq_into(spec, s, out, work))
+    assert rho_sq_into(spec, inplace, inplace, work) is inplace
+    assert np.array_equal(inplace, rho_sq_into(spec, s, out, work))
+
+
+@pytest.mark.parametrize("spec", [SQ, RhoSpec(c=2.6608033926979555, convention="scaled-distance")])
+def test_loss_forms_match_the_reference(spec):
+    # negative t: rho, psi' and the weight are even, psi is odd
+    t = np.linspace(-1.5 * spec.c, 1.5 * spec.c, 1001)
+    forms = ((rho, _loss_reference.rho), (psi, _loss_reference.psi),
+             (psi_prime, _loss_reference.psi_prime), (weight, _loss_reference.weight))
+    for form, ref in forms:
+        assert np.allclose(form(spec, t), ref(spec.c, t), rtol=1e-13, atol=1e-15)
+        for scalar in (-0.3 * spec.c, 0.0, 0.7 * spec.c, 2.0 * spec.c):
+            value = form(spec, scalar)
+            assert type(value) is float
+            assert value == pytest.approx(float(ref(spec.c, np.float64(scalar))), rel=1e-13, abs=1e-15)
+        # far beyond the truncation, where t^2 overflows, the forms stay exact
+        far = np.array([-np.inf, -1e200, 1e200, np.inf])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(form(spec, far), ref(spec.c, far))
 
 
 def test_scaled_psi_sq_closed_form():
