@@ -19,6 +19,7 @@ matter how generation is scheduled.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import json
@@ -296,15 +297,22 @@ def read_dataset(path) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
     header naming x1..xd and at least one row; OSError when unreadable."""
     path = Path(path)
     try:
+        # parse row by row into packed doubles: holding every cell as a str
+        # and then a float object costs ~80 bytes a cell, and how much of it
+        # the allocator hands back afterwards varies from run to run
+        values = array.array("d")
         with path.open(newline="") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+            rows = (row for row in csv.reader(fh) if row)
+            header = next(rows, [])
+            for row in rows:
+                if len(row) != len(header):
+                    raise ValueError("a row and the header differ in length")
+                values.extend(map(float, row))
         x_cols = [j for j, name in enumerate(header) if name.startswith("x")]
         b_cols = [j for j, name in enumerate(header) if name.startswith("b")]
-        if not x_cols or not rows:
+        if not x_cols or not values:
             raise ValueError("no x1..xd columns or no data rows")
-        if any(len(row) != len(header) for row in rows):
-            raise ValueError("a row and the header differ in length")
-        arr = np.array([[float(v) for v in row] for row in rows])
+        arr = np.frombuffer(values, dtype=float).reshape(-1, len(header))
     except (ValueError, csv.Error) as exc:
         raise InvalidData(f"{path}: {exc}") from None
     x = arr[:, x_cols]

@@ -263,6 +263,15 @@ def test_dataset_without_indicators(tmp_path):
     assert meta == {"columns": ["x1", "x2"], "d": 2, "n": 10}
 
 
+def test_read_dataset_skips_blank_lines_and_keeps_every_bit(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x1,b1\n\n0.1,1\n\n-2.5e-300,0\n")
+    x, b, meta = read_dataset(path)
+    assert np.array_equal(x, [[0.1], [-2.5e-300]])
+    assert np.array_equal(b, [[1], [0]]) and b.dtype == np.int8
+    assert x.flags.writeable and meta is None
+
+
 @pytest.mark.parametrize("text", [
     "",                              # empty file
     "x1,x2\n",                       # header only
