@@ -11,7 +11,7 @@ from .contamination import (MODELS, AdditiveShift, ContaminatedData,
 from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
                          EstimationError, Estimator, LocationScatter,
                          coord_median, coord_s, m_location, m_scale, mcd, mve,
-                         s_estimate, s_weight_bounds, sample_mean)
+                         s_estimate, sample_mean)
 from .experiments import (ExperimentReport, bias_sweep, clean_majority_threshold,
                           empirical_breakdown, epsilon0, ges_vs_dim,
                           propagation_demo, table1)
@@ -24,7 +24,7 @@ from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
                        default_c, equicorrelated_model, expected_rho,
                        mahalanobis_sq, psi, psi_prime, psi_sq, psi_sq_prime,
-                       rho, rho_inverse, rho_sq, standard_model, truncation_sq,
+                       rho, rho_sq, standard_model, truncation_sq,
                        weight)
 from .rng import row_stream, substream, substream_seed
 
@@ -46,7 +46,7 @@ __all__ = [
     "if_psicm", "influence", "m_location", "m_location_fit", "m_scale",
     "mahalanobis_sq", "mcd", "mve", "outlier_from_dict", "propagation_demo",
     "psi", "psi_prime", "psi_sq", "psi_sq_prime", "read_dataset", "rho",
-    "rho_inverse", "rho_sq", "row_stream", "s_estimate", "s_weight_bounds",
+    "rho_sq", "row_stream", "s_estimate",
     "sample_contaminated", "sample_mean", "sample_replacement",
     "standard_model", "substream", "substream_seed", "table1",
     "truncation_sq", "weight", "write_dataset",

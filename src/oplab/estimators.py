@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .numerics import (InvalidData, RhoSpec, SingularScatter, default_c,
-                       mahalanobis_sq, rho, rho_inverse, rho_sq_into,
+from .numerics import (InvalidData, RhoSpec, SingularScatter, _dist_sq, _factor,
+                       default_c, mahalanobis_sq, rho, rho_sq_into,
                        spd_cholesky, truncation_sq, weight)
 from .rng import substream
 
@@ -108,8 +108,7 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> floa
     def excess(s: float) -> float:
         return float(np.mean(rho(spec, r / s))) - b
 
-    med = float(np.median(pos))
-    lo = hi = max(med / spec.c, 1e-12)
+    lo = hi = float(np.median(pos)) / spec.c
     for _ in range(200):
         if excess(lo) > 0.0:
             break
@@ -118,7 +117,8 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> floa
         if excess(hi) < 0.0:
             break
         hi *= 2.0
-    return float(brentq(excess, lo, hi, rtol=rtol, maxiter=200))
+    # a relative xtol, so that the solve does not depend on the units of r
+    return float(brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200))
 
 
 def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
@@ -154,7 +154,7 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
             s = m_scale(np.abs(col - m_new), spec, bp)
             step = abs(m_new - m)
             m = m_new
-            if step < tol * max(1.0, s):
+            if step < tol * s:
                 break
         else:
             converged = False
@@ -284,10 +284,20 @@ def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator):
         yield rng.choice(n, size=size, replace=False)
 
 
-def _subset_moments(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    sub = x[idx]
+def _moments(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample covariance of the rows of sub, computed the way np.cov
+    computes them, so bit for bit the same; dot(dev, dev.T) is one symmetric
+    rank-k update, so the covariance is exactly symmetric."""
     m = sub.mean(axis=0)
-    cov = np.cov(sub, rowvar=False).reshape(x.shape[1], x.shape[1])
+    dev = (sub - m).T
+    cov = np.dot(dev, dev.T)
+    cov *= np.true_divide(1, sub.shape[0] - 1)
+    return m, cov
+
+
+def _elemental_moments(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_moments of the rows idx of x, or None when their covariance is singular."""
+    m, cov = _moments(x[idx])
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -331,7 +341,7 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
         pass
     starts.append(_mad_start(x))
     for idx in _elemental_starts(x, n_starts, rng):
-        mom = _subset_moments(x, idx)
+        mom = _elemental_moments(x, idx)
         if mom is not None:
             starts.append(mom)
 
@@ -416,40 +426,32 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
                            objective=float(logdet), weights=w / wsum)
 
 
-def s_weight_bounds(spec: RhoSpec, delta0: float) -> tuple[float, float]:
-    """Normalized-weight envelope for a 50%-breakdown S-estimate.
-
-    With kappa = psi'(0) and zeta = u(rho^{-1}(t0)), t0 = 1/(1 + 2*delta0),
-    every scaled weight lies below 4*kappa/zeta, and points with loss below t0
-    (at least half the mass, up to delta0) sit above zeta/kappa.
-    """
-    if not 0.0 < delta0 < 0.5:
-        raise ValueError("delta0 must lie in (0, 0.5)")
-    kappa = float(weight(spec, 0.0))
-    t0 = 1.0 / (1.0 + 2.0 * delta0)
-    zeta = float(weight(spec, rho_inverse(spec, t0)))
-    return 4.0 * kappa / zeta, zeta / kappa
-
-
 # ---------------------------------------------------------------------------
 # Minimum covariance determinant.
 
-def _cov_det(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    m = sub.mean(axis=0)
-    cov = np.cov(sub, rowvar=False).reshape(sub.shape[1], sub.shape[1])
+def _logdet(cov: np.ndarray) -> float | None:
+    """log det cov, or None when cov is not numerically positive definite."""
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0 or not np.isfinite(logdet):
         return None
-    return m, cov, float(logdet)
+    return float(logdet)
 
 
 def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarray:
     """One concentration step: the h points closest to (m, sigma) in
-    Mahalanobis distance, as sorted indices.  The stable order keeps the
-    smallest indices on ties, so the step is deterministic."""
-    d2 = mahalanobis_sq(x, m, sigma)
-    order = np.argsort(d2, kind="stable")
-    return np.sort(order[:h])
+    Mahalanobis distance, as sorted indices.  Ties at the h-th distance go to
+    the smallest indices, as a stable sort would order them, so the step is
+    deterministic.
+
+    A private path for the searches: sigma must be an exactly symmetric
+    positive definite matrix (as _moments builds), factored by _factor and
+    used by _dist_sq without mahalanobis_sq's checks.  The selection is a
+    partition, linear in n, not a sort."""
+    d2 = _dist_sq(x, m, _factor(sigma))
+    kth = np.partition(d2, h - 1)[h - 1]
+    below = np.flatnonzero(d2 < kth)
+    ties = np.flatnonzero(d2 == kth)[: h - below.size]
+    return np.sort(np.concatenate((below, ties)))
 
 
 def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
@@ -457,8 +459,8 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     """Minimum covariance determinant via concentration steps.
 
     Each start concentrates to a determinant fixed point: take the h points
-    with the smallest Mahalanobis distances (stable sort, so ties keep the
-    smallest indices), recompute moments, repeat while the determinant drops.
+    with the smallest Mahalanobis distances (ties keep the smallest indices,
+    see c_step), recompute moments, repeat while the determinant drops.
     Candidates merge by (objective, start index), so results do not depend on
     evaluation order.
     """
@@ -483,7 +485,7 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     while tried < n_starts and attempts < max_attempts:
         attempts += 1
         idx = rng.choice(n, size=d + 1, replace=False)
-        mom = _subset_moments(x, idx)
+        mom = _elemental_moments(x, idx)
         if mom is None:
             continue  # singular elemental subset: draw a fresh one
         tried += 1
@@ -493,10 +495,10 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         keep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for _ in range(max_csteps):
             subset = c_step(x, m, cov, h)
-            step = _cov_det(x[subset])
-            if step is None:
+            m, cov = _moments(x[subset])
+            logdet = _logdet(cov)
+            if logdet is None:
                 break
-            m, cov, logdet = step
             if logdet < logdet_prev - 1e-12:
                 logdet_prev = logdet
                 keep = (m, cov, subset)
@@ -540,12 +542,12 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
 
     candidates = []
     for idx in _elemental_starts(x, n_trials, rng):
-        mom = _subset_moments(x, idx)
+        mom = _elemental_moments(x, idx)
         if mom is not None:
             candidates.append(mom)
-    mom = _cov_det(x)
-    if mom is not None:
-        candidates.append((mom[0], mom[1]))
+    mom = _moments(x)
+    if _logdet(mom[1]) is not None:
+        candidates.append(mom)
     if not candidates:
         raise DegenerateData("all MVE subsets were singular")
 
@@ -555,8 +557,8 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             continue
-        d2 = np.sort(mahalanobis_sq(x, m, cov), kind="stable")
-        m2 = float(d2[cover - 1])
+        d2 = _dist_sq(x, m, _factor(cov))
+        m2 = float(np.partition(d2, cover - 1)[cover - 1])
         if m2 <= 0.0:
             continue
         logvol = 0.5 * logdet + 0.5 * d * math.log(m2)

@@ -20,7 +20,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import brentq
 
 RHO_FAMILIES = ("tukey-bisquare",)
@@ -133,15 +134,6 @@ def weight(spec: RhoSpec, t) -> np.ndarray | float:
     return 2.0 * _loss(spec.c, "scaled-distance", np.square(t), 1)
 
 
-def rho_inverse(spec: RhoSpec, y) -> np.ndarray | float:
-    """Inverse of rho on [0, 1) -> [0, c); closed form for the bisquare."""
-    y = np.asarray(y, dtype=float)
-    if np.any((y < 0.0) | (y >= 1.0)):
-        raise ValueError("rho_inverse is defined on [0, 1)")
-    out = spec.c * np.sqrt(1.0 - np.cbrt(1.0 - y))
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # The loss as a function of the squared distance s = d^2, law by convention.
 
@@ -172,25 +164,48 @@ def rho_sq_into(spec: RhoSpec, s: np.ndarray, out: np.ndarray, work: np.ndarray,
 # Mahalanobis geometry and the Gaussian elliptical model.
 
 def spd_cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of sigma, after the boundary checks: square,
+    finite, symmetric to rtol 1e-10 and positive definite."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise SingularScatter("scatter matrix must be square")
+    if not np.all(np.isfinite(sigma)):
+        raise SingularScatter("scatter matrix must be finite")
     if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=1e-12):
         raise SingularScatter("scatter matrix must be symmetric")
-    try:
-        return linalg.cholesky(sigma, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SingularScatter("scatter matrix is not positive definite") from exc
+    return _factor(sigma)
+
+
+def _factor(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor by LAPACK potrf, the routine scipy.linalg.cholesky
+    calls, without its checks: sigma must be a finite, square and exactly
+    symmetric float matrix (potrf reads only its lower triangle)."""
+    low, info = dpotrf(sigma, lower=1, clean=1)
+    if info != 0:
+        raise SingularScatter("scatter matrix is not positive definite")
+    return low
+
+
+def _dist_sq(x: np.ndarray, m: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of the rows of x from m under the scatter
+    whose lower Cholesky factor is low (from _factor): one triangular solve."""
+    z, _ = dtrtrs(low, (x - m).T, lower=1)
+    return np.einsum("ij,ij->j", z, z)
 
 
 def mahalanobis_sq(x, m, sigma) -> np.ndarray | float:
-    """Squared Mahalanobis distance of row(s) x from m under scatter sigma."""
+    """Squared Mahalanobis distance of row(s) x from m under scatter sigma.
+
+    The checked boundary of the distance kernel: spd_cholesky validates and
+    factors sigma, then _dist_sq computes the distances.  The subset searches
+    in oplab.estimators call _factor and _dist_sq directly, because the
+    covariances they build are exactly symmetric."""
     x = np.asarray(x, dtype=float)
     m = np.asarray(m, dtype=float)
     low = spd_cholesky(sigma)
-    dev = np.atleast_2d(x) - m
-    z = linalg.solve_triangular(low, dev.T, lower=True)
-    d2 = np.einsum("ij,ij->j", z, z)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(m))):
+        raise InvalidData("points and center must be finite")
+    d2 = _dist_sq(np.atleast_2d(x), m, low)
     return d2 if x.ndim == 2 else float(d2[0])
 
 

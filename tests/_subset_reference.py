@@ -1,0 +1,136 @@
+"""The subset searches as first written: np.cov moments, scipy's checked
+Cholesky and triangular solve, and full stable sorts.
+
+The package builds subset moments with one rank-k update, factors each
+candidate scatter once through LAPACK without scipy's wrapper checks, picks a
+C-step's h closest points by partition and reads MVE's coverage order
+statistic by partition.  This module keeps the slow and obvious forms, so the
+two can be checked against each other bit for bit.
+"""
+
+import math
+
+import numpy as np
+from scipy import linalg
+
+from oplab import DegenerateData, LocationScatter, SingularScatter, sample_mean
+from oplab.estimators import _elemental_starts
+from oplab.rng import substream
+
+
+def mahalanobis_sq(x, m, sigma):
+    try:
+        low = linalg.cholesky(sigma, lower=True)
+    except linalg.LinAlgError as exc:
+        raise SingularScatter("scatter matrix is not positive definite") from exc
+    z = linalg.solve_triangular(low, (x - m).T, lower=True)
+    return np.einsum("ij,ij->j", z, z)
+
+
+def moments(sub):
+    d = sub.shape[1]
+    return sub.mean(axis=0), np.cov(sub, rowvar=False).reshape(d, d)
+
+
+def _subset_moments(x, idx):
+    m, cov = moments(x[idx])
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    return m, cov
+
+
+def _cov_det(sub):
+    m, cov = moments(sub)
+    sign, logdet = np.linalg.slogdet(cov)
+    if sign <= 0 or not np.isfinite(logdet):
+        return None
+    return m, cov, float(logdet)
+
+
+def c_step(x, m, sigma, h):
+    order = np.argsort(mahalanobis_sq(x, m, sigma), kind="stable")
+    return np.sort(order[:h])
+
+
+def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
+    n, d = x.shape
+    if h is None:
+        h = (n + d + 1) // 2
+    if h == n:
+        est = sample_mean(x)
+        est.subset = np.arange(n)
+        return est
+    rng = substream(seed, 0)
+    best_logdet = np.inf
+    best = None
+    tried = attempts = 0
+    while tried < n_starts and attempts < 20 * max(n_starts, 1):
+        attempts += 1
+        mom = _subset_moments(x, rng.choice(n, size=d + 1, replace=False))
+        if mom is None:
+            continue
+        tried += 1
+        m, cov = mom
+        logdet_prev = np.inf
+        cut = False
+        keep = None
+        for _ in range(max_csteps):
+            subset = c_step(x, m, cov, h)
+            step = _cov_det(x[subset])
+            if step is None:
+                break
+            m, cov, logdet = step
+            if logdet < logdet_prev - 1e-12:
+                logdet_prev = logdet
+                keep = (m, cov, subset)
+            else:
+                break
+        else:
+            cut = True
+        if keep is None:
+            continue
+        if logdet_prev < best_logdet - 1e-14:
+            best_logdet = logdet_prev
+            best = keep
+            best_cut = cut
+    if best is None:
+        raise DegenerateData("all MCD starts hit singular subsets")
+    m, cov, subset = best
+    weights = np.zeros(n)
+    weights[subset] = 1.0 / h
+    return LocationScatter(mu=m, sigma=cov, converged=not best_cut, iterations=tried,
+                           objective=float(best_logdet), weights=weights, subset=subset)
+
+
+def mve(x, n_trials=500, seed=0):
+    n, d = x.shape
+    cover = math.ceil((n + d + 1) / 2)
+    rng = substream(seed, 0)
+    candidates = []
+    for idx in _elemental_starts(x, n_trials, rng):
+        mom = _subset_moments(x, idx)
+        if mom is not None:
+            candidates.append(mom)
+    mom = _cov_det(x)
+    if mom is not None:
+        candidates.append((mom[0], mom[1]))
+    best_logvol = np.inf
+    best = None
+    for m, cov in candidates:
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            continue
+        m2 = float(np.sort(mahalanobis_sq(x, m, cov), kind="stable")[cover - 1])
+        if m2 <= 0.0:
+            continue
+        logvol = 0.5 * logdet + 0.5 * d * math.log(m2)
+        if logvol < best_logvol - 1e-14:
+            best_logvol = logvol
+            best = (m, cov * m2)
+    if best is None:
+        raise DegenerateData("no MVE candidate covered the target count")
+    m, sigma = best
+    return LocationScatter(mu=m, sigma=sigma, converged=True, iterations=len(candidates),
+                           objective=float(math.exp(best_logvol)))

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from oplab import (ESTIMATORS, AllPointsRejected, DegenerateData, InvalidData,
                    LocationScatter, RhoSpec, calibrate_c, coord_median,
                    coord_s, m_location, m_scale, mahalanobis_sq, mcd, mve,
-                   rho, s_estimate, s_weight_bounds, sample_mean)
-from oplab.estimators import c_step
+                   rho, s_estimate, sample_mean)
+from oplab.estimators import _moments, c_step
 from oplab.rng import substream
 
 from _datasets import mcd_cluster_data, mve_small_data
 from _m_reference import estimating_residual, fixed_point_m_location
+import _subset_reference
+from _s_weight_reference import s_weight_bounds
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
 SCAL2 = RhoSpec(c=calibrate_c(2, 0.5), convention="scaled-distance")
@@ -92,6 +94,20 @@ def test_coord_s_columnwise_affine_equivariance():
     e1 = coord_s(x * a + b, spec)
     assert np.max(np.abs(e1.mu - (a * e0.mu + b))) < 1e-8
     assert np.max(np.abs(e1.scale - np.abs(a) * e0.scale)) < 1e-8
+
+
+def test_coord_s_is_scale_equivariant_at_extreme_scales():
+    # an absolute step test and brentq's absolute xtol stopped small-scale
+    # fits early: mu / a at a = 1e-6 missed mu at a = 1 by 1.3e-4 relative
+    spec = RhoSpec(c=calibrate_c(1, 0.5), convention="scaled-distance")
+    x = substream(0, 2).normal(size=(60, 2))
+    x[:6] += 6.0
+    ref = coord_s(x, spec)
+    for a in (1e-6, 1e-3, 1e6):
+        est = coord_s(a * x, spec)
+        assert np.allclose(est.mu / a, ref.mu, rtol=1e-9, atol=0.0), a
+        assert np.allclose(est.scale / a, ref.scale, rtol=1e-9, atol=0.0), a
+        assert est.converged == ref.converged
 
 
 def test_coord_s_gaussian_consistency():
@@ -379,6 +395,91 @@ def test_concentration_steps_never_raise_the_determinant(seed):
     assert np.all(np.diff(logdets) <= 1e-10)
     # a fixed point is reached well before the cap
     assert logdets[-1] == pytest.approx(logdets[-5], abs=1e-12)
+
+
+def _tie_heavy(n, d, seed):
+    """Integer-valued columns with every row duplicated once, so Mahalanobis
+    distances tie often, at the h-th place too."""
+    rng = substream(seed, 5)
+    half = rng.integers(-3, 4, size=(n // 2, d)).astype(float)
+    x = np.vstack([half, half[rng.permutation(n // 2)]])
+    return x[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_c_step_matches_the_stable_argsort_reference(n):
+    d = 3
+    x = _tie_heavy(n, d, seed=n)
+    rng = substream(n, 6)
+    ties_at_h = 0
+    for h in (d + 1, (n + d + 1) // 2, n - 1):
+        for _ in range(5):
+            m, cov = _moments(x[rng.choice(n, size=4 * d, replace=False)])
+            if np.linalg.eigvalsh(cov)[0] <= 1e-9:
+                continue
+            got = c_step(x, m, cov, h)
+            ref = _subset_reference.c_step(x, m, cov, h)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            d2 = _subset_reference.mahalanobis_sq(x, m, cov)
+            ties_at_h += np.count_nonzero(d2 == np.sort(d2)[h - 1]) > 1
+    assert ties_at_h >= 5  # the selection really had to break ties
+
+
+def test_moments_match_np_cov_bit_for_bit():
+    rng = substream(7, 0)
+    for k in range(300):
+        n, d = int(rng.integers(3, 201)), int(rng.integers(1, 16))
+        sub = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6) + rng.normal(size=d)
+        if k % 3 == 0:
+            sub = np.round(sub)  # ties and repeated values
+        m, cov = _moments(sub)
+        m_ref, cov_ref = _subset_reference.moments(sub)
+        assert np.array_equal(m, m_ref) and np.array_equal(cov, cov_ref)
+        assert np.array_equal(cov, cov.T)
+
+
+def _same_outcome(fit, reference, keys):
+    """fit() and reference() return bit-equal fields, or raise the same type."""
+    try:
+        ref = reference()
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            fit()
+        return False
+    got = fit()
+    for key in keys:
+        assert np.array_equal(getattr(got, key), getattr(ref, key)), key
+    return True
+
+
+@pytest.mark.parametrize("data", ["normal", "tie-heavy"])
+def test_subset_searches_match_the_reference(data):
+    n, d = 100, 5
+    fitted = 0
+    for seed in range(30, 38):
+        if data == "normal":
+            x = substream(seed, 0).normal(size=(n, d))
+            x[:15] += 6.0
+        else:
+            x = _tie_heavy(n, d, seed=seed)
+        for h in (None, d + 1, n - 1):
+            fitted += _same_outcome(lambda: mcd(x, h=h, n_starts=60, seed=3),
+                                    lambda: _subset_reference.mcd(x, h=h, n_starts=60, seed=3),
+                                    ("mu", "sigma", "objective", "subset", "iterations",
+                                     "converged"))
+        fitted += _same_outcome(lambda: mve(x, n_trials=200, seed=3),
+                                lambda: _subset_reference.mve(x, n_trials=200, seed=3),
+                                ("mu", "sigma", "objective", "iterations"))
+    assert fitted >= 8  # most cases fit rather than raise
+
+
+def test_mcd_matches_the_reference_on_ten_thousand_rows():
+    x = _tie_heavy(10_000, 5, seed=32)
+    got = mcd(x, n_starts=5, seed=1)
+    ref = _subset_reference.mcd(x, n_starts=5, seed=1)
+    for key in ("mu", "sigma", "objective", "subset"):
+        assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
 from oplab import (CalibrationError, EllipticalModel, RhoSpec, SingularScatter,
                    calibrate_c, chi2_truncated_expectation,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi,
-                   psi_prime, psi_sq, psi_sq_prime, rho, rho_inverse, rho_sq,
+                   psi_prime, psi_sq, psi_sq_prime, rho, rho_sq,
                    standard_model, truncation_sq, weight)
 from oplab.influence import a_psi
-from oplab.numerics import rho_sq_into
+from oplab.numerics import _dist_sq, _factor, rho_sq_into
 from oplab.rng import substream
 
 import _loss_reference
+from _s_weight_reference import rho_inverse
 
 SQRT6 = math.sqrt(6.0)
 SQ = RhoSpec(c=SQRT6, convention="squared-distance")
@@ -191,6 +192,35 @@ def test_mahalanobis_rejects_bad_scatter():
         mahalanobis_sq(np.zeros(2), np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(SingularScatter):
         mahalanobis_sq(np.zeros(2), np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
+    # asymmetric beyond the 1e-10 relative tolerance, though potrf (which
+    # reads only the lower triangle) would factor it
+    with pytest.raises(SingularScatter):
+        mahalanobis_sq(np.zeros(2), np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]]))
+    mahalanobis_sq(np.zeros(2), np.zeros(2), np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]]))
+    with pytest.raises(SingularScatter):
+        mahalanobis_sq(np.zeros(2), np.zeros(2), np.eye(3)[:2])
+    with pytest.raises(SingularScatter):
+        mahalanobis_sq(np.zeros(2), np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        mahalanobis_sq(np.array([np.nan, 0.0]), np.zeros(2), np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 15])
+def test_private_distance_path_is_the_public_one(d):
+    # _dist_sq on a _factor factor is mahalanobis_sq without its checks, and
+    # both are bit for bit scipy's checked cholesky and triangular solve
+    rng = substream(d, 11)
+    for _ in range(20):
+        a = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3, 3)
+        sigma = a @ a.T + 1e-3 * np.eye(d)
+        x, m = rng.normal(size=(50, d)), rng.normal(size=d)
+        got = _dist_sq(x, m, _factor(sigma))
+        assert np.array_equal(got, mahalanobis_sq(x, m, sigma))
+        low = linalg.cholesky(sigma, lower=True)
+        z = linalg.solve_triangular(low, (x - m).T, lower=True)
+        assert np.array_equal(got, np.einsum("ij,ij->j", z, z))
+    with pytest.raises(SingularScatter):
+        _factor(np.zeros((d, d)))
 
 
 def test_elliptical_models():
