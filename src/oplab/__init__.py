@@ -18,7 +18,7 @@ from .experiments import (ExperimentReport, bias_sweep, clean_majority_threshold
 from .influence import (GesResult, GesSearch, InfluenceContext,
                         InfluenceResult, MonteCarlo, a_psi, coord_ges,
                         coord_m_fit, ges, if_coordwise, if_fdcm, if_ficm,
-                        if_numeric, if_pcicm, if_psicm, influence,
+                        if_numeric, if_psicm, influence,
                         m_location_fit)
 from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
@@ -42,8 +42,8 @@ __all__ = [
     "clean_majority_threshold", "contaminate", "coord_ges", "coord_m_fit",
     "coord_median", "coord_s", "default_c", "empirical_breakdown",
     "epsilon0", "equicorrelated_model", "expected_rho", "ges", "ges_vs_dim",
-    "if_coordwise", "if_fdcm", "if_ficm", "if_numeric", "if_pcicm",
-    "if_psicm", "influence", "m_location", "m_location_fit", "m_scale",
+    "if_coordwise", "if_fdcm", "if_ficm", "if_numeric", "if_psicm",
+    "influence", "m_location", "m_location_fit", "m_scale",
     "mahalanobis_sq", "mcd", "mve", "outlier_from_dict", "propagation_demo",
     "psi", "psi_prime", "psi_sq", "psi_sq_prime", "read_dataset", "rho",
     "rho_sq", "row_stream", "s_estimate",

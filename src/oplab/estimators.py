@@ -296,11 +296,12 @@ def _moments(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _elemental_moments(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_moments of the rows idx of x, or None when their covariance is singular."""
+    """_moments of the rows idx of x, or None when their covariance is singular:
+    when _factor, which the searches' distances use, rejects it."""
     m, cov = _moments(x[idx])
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        _factor(cov)
+    except SingularScatter:
         return None
     return m, cov
 
@@ -494,7 +495,11 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         cut = False
         keep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for _ in range(max_csteps):
-            subset = c_step(x, m, cov, h)
+            try:
+                subset = c_step(x, m, cov, h)
+            except SingularScatter:
+                keep = None  # the chain reached a scatter _factor rejects: skip this start
+                break
             m, cov = _moments(x[subset])
             logdet = _logdet(cov)
             if logdet is None:
@@ -557,7 +562,10 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             continue
-        d2 = _dist_sq(x, m, _factor(cov))
+        try:
+            d2 = _dist_sq(x, m, _factor(cov))
+        except SingularScatter:
+            continue
         m2 = float(np.partition(d2, cover - 1)[cover - 1])
         if m2 <= 0.0:
             continue

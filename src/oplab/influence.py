@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from .contamination import MODELS, ContaminationSpec
 from .estimators import EstimationError, m_location
 from .numerics import (EllipticalModel, RhoSpec, chi2_truncated_expectation,
-                       psi_sq, psi_sq_prime, truncation_sq)
+                       psi_sq, psi_sq_prime, rho_sq_into, truncation_sq)
 from .rng import substream
 
 # substream branch labels, one per consumer of the master seed
@@ -71,7 +71,9 @@ class InfluenceContext:
 
     kind selects the contamination path; gamma is only meaningful for
     pcicm-i.  The context caches the z-independent parts of the Monte Carlo
-    state (draws, precision products) for reuse across a z-grid.
+    state (draws, precision products) for reuse across a z-grid, together
+    with the scratch buffers every cellwise evaluation writes into.  So a
+    context must not be shared across threads: give each thread its own.
     """
 
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
@@ -92,7 +94,8 @@ class InfluenceContext:
         self._cache_val = None
 
     def _draws(self, path: int):
-        """Model draws plus precision products, cached for the last path."""
+        """Model draws plus precision products, cached for the last path, and
+        three n x d scratch buffers for _ficm_core with the same lifetime."""
         key = (path, self.mc.n_draws, self.mc.seed)
         if self._cache_key != key:
             rng = substream(self.mc.seed, path)
@@ -101,7 +104,7 @@ class InfluenceContext:
             proj = ydev @ self._sigma_inv
             d2y = np.einsum("ij,ij->i", ydev, proj)
             self._cache_key = key
-            self._cache_val = (y, ydev, proj, d2y)
+            self._cache_val = (y, ydev, proj, d2y, np.empty((3,) + y.shape))
         return self._cache_val
 
 
@@ -140,19 +143,34 @@ def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResu
     Pinning coordinate k shifts the squared distance by
     2 (z_k - Y_k) proj_k + (z_k - Y_k)^2 (Sigma^-1)_kk, so one draw set prices
     every pattern in O(n d).  Per-draw totals keep the stderr honest.
+
+    Every n x d intermediate lives in the context's scratch buffers.  The
+    float operations run in the order of the plain expressions (psi_sq on
+    the pinned distances, numpy's mean and std(ddof=1) of the per-draw
+    totals), so the result is bit for bit the same.  Nothing returned is a
+    view of a buffer.
     """
-    model = ctx.model
-    y, ydev, proj, d2y = ctx._draws(path)
-    inv_diag = np.diag(ctx._sigma_inv)
-    delta = z[None, :] - y
-    d2k = d2y[:, None] + 2.0 * delta * proj + delta**2 * inv_diag[None, :]
-    psik = np.asarray(psi_sq(ctx.rho, d2k))
-    row_sum = psik.sum(axis=1)
-    per_draw = (row_sum[:, None] - psik) * ydev + psik * (z - model.mu0)[None, :]
-    n = per_draw.shape[0]
-    value = per_draw.mean(axis=0) / ctx.a_psi
-    stderr = per_draw.std(axis=0, ddof=1) / math.sqrt(n) / ctx.a_psi
-    return InfluenceResult(z=z, value=value, stderr=stderr)
+    y, ydev, proj, d2y, (a, b, c) = ctx._draws(path)
+    n = y.shape[0]
+    np.subtract(z, y, out=a)  # delta
+    np.multiply(a, 2.0, out=b)  # d2k = (d2y + (2 delta) proj) + delta^2 inv_diag
+    b *= proj
+    b += d2y[:, None]
+    np.square(a, out=c)
+    c *= np.diag(ctx._sigma_inv)
+    b += c
+    rho_sq_into(ctx.rho, b, c, a, derivative=1)  # psi into c, p into a
+    c[a == 0.0] = 0.0  # as psi_sq: zero beyond the truncation, not 0 * inf
+    np.subtract(c.sum(axis=1)[:, None], c, out=a)  # per-draw totals
+    a *= ydev
+    c *= z - ctx.model.mu0
+    a += c
+    mean = a.sum(axis=0) / n
+    np.subtract(a, mean, out=b)
+    np.square(b, out=b)
+    var = b.sum(axis=0) / (n - 1)
+    return InfluenceResult(z=z, value=mean / ctx.a_psi,
+                           stderr=np.sqrt(var) / math.sqrt(n) / ctx.a_psi)
 
 
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:
@@ -175,18 +193,14 @@ def if_psicm(z, ctx: InfluenceContext) -> InfluenceResult:
                            stderr=0.5 * cell.stderr)
 
 
-def if_pcicm(z, ctx: InfluenceContext) -> InfluenceResult:
-    """Partially clean models: the limit drops the structural row mass, so
-    the influence coincides with the independent-cell one (alias)."""
-    return if_ficm(z, ctx)
-
-
+# Partially clean models: the limit drops the structural row mass, so their
+# influence is the independent-cell one.
 _DISPATCH = {
     "fdcm": if_fdcm,
     "ficm": if_ficm,
     "psicm": if_psicm,
-    "pcicm-i": if_pcicm,
-    "pcicm-ii": if_pcicm,
+    "pcicm-i": if_ficm,
+    "pcicm-ii": if_ficm,
 }
 
 

@@ -5,7 +5,9 @@ The package builds subset moments with one rank-k update, factors each
 candidate scatter once through LAPACK without scipy's wrapper checks, picks a
 C-step's h closest points by partition and reads MVE's coverage order
 statistic by partition.  This module keeps the slow and obvious forms, so the
-two can be checked against each other bit for bit.
+two can be checked against each other bit for bit.  Both skip an elemental
+start, a concentration chain or an MVE candidate whose scatter the Cholesky
+factorization rejects.
 """
 
 import math
@@ -35,8 +37,8 @@ def moments(sub):
 def _subset_moments(x, idx):
     m, cov = moments(x[idx])
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        linalg.cholesky(cov, lower=True)
+    except linalg.LinAlgError:
         return None
     return m, cov
 
@@ -77,7 +79,11 @@ def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
         cut = False
         keep = None
         for _ in range(max_csteps):
-            subset = c_step(x, m, cov, h)
+            try:
+                subset = c_step(x, m, cov, h)
+            except SingularScatter:
+                keep = None
+                break
             step = _cov_det(x[subset])
             if step is None:
                 break
@@ -122,7 +128,10 @@ def mve(x, n_trials=500, seed=0):
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             continue
-        m2 = float(np.sort(mahalanobis_sq(x, m, cov), kind="stable")[cover - 1])
+        try:
+            m2 = float(np.sort(mahalanobis_sq(x, m, cov), kind="stable")[cover - 1])
+        except SingularScatter:
+            continue
         if m2 <= 0.0:
             continue
         logvol = 0.5 * logdet + 0.5 * d * math.log(m2)

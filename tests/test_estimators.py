@@ -474,6 +474,16 @@ def test_subset_searches_match_the_reference(data):
     assert fitted >= 8  # most cases fit rather than raise
 
 
+def test_subset_searches_skip_scatters_the_factorization_rejects():
+    # duplicated rows make elemental covariances singular in exact arithmetic;
+    # some pass numpy's Cholesky and then fail the searches' own, so the
+    # search must skip them rather than raise out of the fit
+    x = _tie_heavy(100, 5, seed=31)
+    est = mcd(x, n_starts=60, seed=3)
+    assert np.all(np.isfinite(est.sigma)) and est.iterations == 60
+    assert np.all(np.isfinite(mve(x, n_trials=200, seed=3).sigma))
+
+
 def test_mcd_matches_the_reference_on_ten_thousand_rows():
     x = _tie_heavy(10_000, 5, seed=32)
     got = mcd(x, n_starts=5, seed=1)

@@ -7,9 +7,12 @@ import pytest
 
 from oplab import (GesSearch, InfluenceContext, MonteCarlo, RhoSpec, a_psi,
                    calibrate_c, coord_ges, equicorrelated_model, ges,
-                   if_coordwise, if_fdcm, if_ficm, if_numeric, if_pcicm,
-                   if_psicm, influence, mahalanobis_sq, psi_sq, standard_model)
+                   if_coordwise, if_fdcm, if_ficm, if_numeric, if_psicm,
+                   influence, mahalanobis_sq, psi_sq, standard_model,
+                   truncation_sq)
+from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core
 
+import _ficm_reference
 from _patterns import PatternSampler, g_function
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
@@ -226,11 +229,52 @@ def test_if_psicm_far_rows_leave_half_the_cell_value():
 
 def test_if_pcicm_is_the_cellwise_path():
     kw = dict(n_draws=30_000, seed=5)
-    a = if_pcicm([1.0, 0.3], _ctx("pcicm-i", **kw))
+    a = influence([1.0, 0.3], _ctx("pcicm-i", **kw))
     b = if_ficm([1.0, 0.3], _ctx("ficm", **kw))
     assert np.array_equal(a.value, b.value)
     c = influence([1.0, 0.3], _ctx("pcicm-ii", **kw))
     assert np.array_equal(c.value, b.value)
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 15])
+def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
+    rho = RhoSpec(c=calibrate_c(d, 0.5, convention=convention), convention=convention)
+    r = math.sqrt(truncation_sq(rho))
+    ones = np.ones(d) / math.sqrt(d)
+    axis = np.eye(d)[0]
+    points = [0.3 * r * ones, 0.8 * r * axis, r * axis, r * ones, 3.0 * r * ones,
+              np.full(d, 50.0 * r), -0.6 * r * ones + 40.0 * r * axis,
+              np.full(d, 1e200), np.full(d, -1e200), 1e200 * axis + 0.2 * ones]
+    mc = MonteCarlo(n_draws=3_000, seed=d)
+    for model in (standard_model(d), equicorrelated_model(d, 0.5)):
+        ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
+        for z in points:
+            for path in (_PATH_FICM, _PATH_PSICM):
+                with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
+                    got = _ficm_core(z, ctx, path)
+                    ref = _ficm_reference.ficm_core(z, ctx, path)
+                assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.stderr))
+                assert np.array_equal(got.value, ref.value), (z, path)
+                assert np.array_equal(got.stderr, ref.stderr), (z, path)
+        # the psicm path end to end, through its own context
+        ctx = InfluenceContext(model, rho, kind="psicm", mc=mc)
+        z = 0.5 * r * ones
+        got = influence(z, ctx)
+        row = if_fdcm(z, ctx)
+        cell = _ficm_reference.ficm_core(z, ctx, _PATH_PSICM)
+        assert np.array_equal(got.value, 0.5 * (row.value + cell.value))
+        assert np.array_equal(got.stderr, 0.5 * cell.stderr)
+
+
+def test_ficm_results_are_not_views_of_the_scratch_buffers():
+    ctx = _ctx("ficm", d=3, n_draws=5_000, seed=8)
+    first = if_ficm([0.9, -0.4, 0.2], ctx)
+    value, stderr = first.value.copy(), first.stderr.copy()
+    second = if_ficm([1.5, 0.7, -1.1], ctx)
+    assert not np.array_equal(second.value, value)
+    assert np.array_equal(first.value, value)
+    assert np.array_equal(first.stderr, stderr)
 
 
 def test_influence_dispatch():
