@@ -113,13 +113,15 @@ def _threads(args) -> int:
 
 
 def _resolve_c(c, convention: str, bp: float, d: int) -> float:
-    """Explicit c wins; otherwise the truncation-at-sqrt(6) constant on the
-    squared-distance convention and the breakdown-calibrated constant on the
-    scaled one."""
+    """The influence and ges constant.  Explicit c wins; otherwise the
+    truncation-at-sqrt(6) constant on the squared-distance convention and the
+    breakdown-calibrated constant on the scaled one."""
     if c is not None:
         if not c > 0:
             raise _UsageError("--c must be positive")
         return float(c)
+    if convention == "squared-distance":
+        return math.sqrt(6.0)
     return default_c(convention, bp, d)
 
 
@@ -471,7 +473,7 @@ def _add_rho_flags(sp, default_convention: str | None) -> None:
     sp.add_argument("--c", type=float, default=None,
                     help="loss truncation constant; default derives from the convention")
     sp.add_argument("--bp", type=float, default=0.5,
-                    help="breakdown target used to calibrate c on the scaled convention")
+                    help="breakdown target used where c is calibrated")
 
 
 def _add_search_flags(sp) -> None:

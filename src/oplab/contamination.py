@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import EllipticalModel, InvalidData
-from .rng import row_stream
+from .rng import row_streams
 
 MODELS = ("fdcm", "ficm", "psicm", "pcicm-i", "pcicm-ii")
 
@@ -224,8 +224,8 @@ def contaminate(y: np.ndarray, spec: ContaminationSpec, seed: int) -> Contaminat
     n, d = y.shape
     x = np.empty_like(y)
     b = np.zeros((n, d), dtype=np.int8)
-    for i in range(n):
-        x[i], b[i] = _contaminate_row(y[i], spec, row_stream(seed, i))
+    for i, rng in enumerate(row_streams(seed, range(n))):
+        x[i], b[i] = _contaminate_row(y[i], spec, rng)
     return ContaminatedData(x=x, b=b)
 
 
@@ -241,8 +241,7 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
     d = model.dim
     x = np.empty((int(n), d))
     b = np.zeros((int(n), d), dtype=np.int8)
-    for i in range(int(n)):
-        rng = row_stream(seed, i)
+    for i, rng in enumerate(row_streams(seed, range(int(n)))):
         y_row = model.sample(1, rng)[0]
         x[i], b[i] = _contaminate_row(y_row, spec, rng)
     return ContaminatedData(x=x, b=b)

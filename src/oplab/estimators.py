@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .numerics import (InvalidData, RhoSpec, SingularScatter, _dist_sq, _factor,
-                       default_c, mahalanobis_sq, rho, rho_sq_into,
+from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_into,
+                       _dist_sq, _factor, default_c, mahalanobis_sq, rho, rho_sq_into,
                        spd_cholesky, truncation_sq, weight)
 from .rng import substream
 
@@ -98,27 +98,46 @@ def coord_median(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # M-scale: solve mean rho(r / s) = b for s > 0 on nonnegative residuals r.
 
+def _scale_excess(s: float, r: np.ndarray, c: float, b: float, t: np.ndarray,
+                  work: np.ndarray, values: dict) -> float:
+    """mean rho(r / s) - b on the buffers t and work, evaluated once per s:
+    values keeps what each s gave."""
+    if s not in values:
+        np.divide(r, s, out=t)
+        values[s] = float(np.mean(_bisquare_into(c, "squared-distance", t, t, work, 0))) - b
+    return values[s]
+
+
 def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> float:
     r = np.asarray(r, dtype=float)
     pos = r[r > 0.0]
     # as s -> 0 the mean tends to the fraction of nonzero residuals
     if pos.size <= b * r.size:
         raise DegenerateData("too many zero residuals for the scale constraint")
-
-    def excess(s: float) -> float:
-        return float(np.mean(rho(spec, r / s))) - b
-
-    lo = hi = float(np.median(pos)) / spec.c
+    # np.median's value: the middle order statistic, or the mean of the two
+    k = pos.size // 2
+    if pos.size % 2:
+        median = float(np.partition(pos, k)[k])
+    else:
+        part = np.partition(pos, (k - 1, k))
+        median = float((part[k - 1] + part[k]) / 2.0)
+    # the dict in args keeps each scale's value: brentq evaluates the bracket
+    # ends again, and both bracket searches start from one point.  The arrays
+    # go in args, not in a closure: brentq's wrapper of the function is a
+    # reference cycle, which would hold them until the garbage collector runs
+    args = (r, spec.c, b, np.empty_like(r), np.empty_like(r), {})
+    lo = hi = median / spec.c
     for _ in range(200):
-        if excess(lo) > 0.0:
+        if _scale_excess(lo, *args) > 0.0:
             break
         lo /= 2.0
     for _ in range(200):
-        if excess(hi) < 0.0:
+        if _scale_excess(hi, *args) < 0.0:
             break
         hi *= 2.0
     # a relative xtol, so that the solve does not depend on the units of r
-    return float(brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200))
+    return float(brentq(_scale_excess, lo, hi, args=args, xtol=rtol * lo, rtol=rtol,
+                        maxiter=200))
 
 
 def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
@@ -361,36 +380,45 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     return best
 
 
-def _step_below(step: np.ndarray, m: np.ndarray, sigma: np.ndarray, tol: float) -> bool:
-    """|step| < tol (1 + |m|), both in the Mahalanobis norm of sigma, which
-    does not change when x scales by a and sigma by a^2."""
-    bound = tol * (1.0 + math.sqrt(mahalanobis_sq(m, 0.0, sigma)))
-    return mahalanobis_sq(step, 0.0, sigma) < bound * bound
+def _step_below(step: np.ndarray, m: np.ndarray, low: np.ndarray, tol: float) -> bool:
+    """|step| < tol (1 + |m|), both in the Mahalanobis norm of the scatter
+    whose Cholesky factor is low, which does not change when x scales by a
+    and the scatter by a^2."""
+    m2, step2 = _dist_sq(np.stack((m, step)), 0.0, low)
+    bound = tol * (1.0 + math.sqrt(m2))
+    return step2 < bound * bound
 
 
 def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None:
     """The S fixed point from one start, or None; raises SingularScatter or
-    DegenerateData when the scatter goes singular on the way."""
+    DegenerateData when the scatter goes singular on the way.
+
+    Past the checked first distances, the iterations use the private distance
+    path: each shape is one symmetric rank-k update, so exactly symmetric, and
+    is factored once; the distances under shape * s^2 are those under the
+    shape divided by s."""
     dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
-    sigma = sigma * m_scale(dist, spec, b)**2
+    s = m_scale(dist, spec, b)
+    sigma = sigma * s**2
+    dist /= s
     logdet_prev = float(np.linalg.slogdet(sigma)[1])
     it = 0
     for it in range(1, max_iter + 1):
-        dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
         w = weight(spec, dist)
         wsum = w.sum()
         if not wsum > 0.0:
             return None
         m_new = (w[:, None] * x).sum(axis=0) / wsum
-        dev = x - m_new
-        shape = (w[:, None] * dev).T @ dev
-        dist_shape = np.sqrt(np.maximum(mahalanobis_sq(x, m_new, shape), 0.0))
-        s = m_scale(dist_shape, spec, b)
+        u = (np.sqrt(w)[:, None] * (x - m_new)).T
+        shape = np.dot(u, u.T)
+        dist = np.sqrt(np.maximum(_dist_sq(x, m_new, _factor(shape)), 0.0))
+        s = m_scale(dist, spec, b)
+        dist /= s
         sigma_new = shape * s**2
         logdet = float(np.linalg.slogdet(sigma_new)[1])
         if logdet > logdet_prev + 1e-10:
             break  # determinant rose past float noise: fixed point reached
-        small_step = _step_below(m_new - m, m_new, sigma_new, tol)
+        small_step = _step_below(m_new - m, m_new, _factor(sigma_new), tol)
         drop = logdet_prev - logdet
         m, sigma, logdet_prev = m_new, sigma_new, logdet
         if small_step and drop < 1e-11:
@@ -398,10 +426,12 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
 
     # polish: enforce the scale constraint exactly, then refresh the
     # weighted-mean identity until both residuals sit at solver precision
+    low = _factor(sigma)
     for _ in range(60):
-        dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
+        dist = np.sqrt(np.maximum(_dist_sq(x, m, low), 0.0))
         s = m_scale(dist, spec, b)
         sigma = sigma * s**2
+        low = _factor(sigma)
         w = weight(spec, dist / s)
         wsum = w.sum()
         if not wsum > 0.0:
@@ -409,7 +439,7 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
         m_new = (w[:, None] * x).sum(axis=0) / wsum
         step = m_new - m
         m = m_new
-        if _step_below(step, m, sigma, 1e-12):
+        if _step_below(step, m, low, 1e-12):
             break
     dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
     w = weight(spec, dist)

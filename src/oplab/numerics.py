@@ -338,7 +338,5 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
 
 
 def default_c(convention: str, bp: float, d: int) -> float:
-    """sqrt(6) on the squared-distance convention, else calibrate_c(d, bp)."""
-    if convention == "squared-distance":
-        return math.sqrt(6.0)
-    return calibrate_c(d, bp, convention="scaled-distance")
+    """The registry's loss constant: calibrate_c(d, bp) on either convention."""
+    return calibrate_c(d, bp, convention=convention)

@@ -9,9 +9,13 @@ derivation schemes cover every use:
   row ``i`` owns the Philox counter block ``[i * 2^64, (i+1) * 2^64)`` under
   a key derived from the master seed, so any subset of rows can be produced
   independently of schedule and still match a serial pass bit for bit.
+  :func:`row_streams` yields the same streams for many rows from one bit
+  generator, by resetting its counter to each row's block.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +34,19 @@ def substream_seed(seed: int, *path: int) -> int:
 
 def row_stream(seed: int, row: int) -> np.random.Generator:
     """Counter-based generator for one data row."""
+    return next(row_streams(seed, (row,)))
+
+
+def row_streams(seed: int, rows: Iterable[int]) -> Iterator[np.random.Generator]:
+    """row_stream(seed, i) for each i in rows, as one generator: each step
+    resets its Philox to the state a fresh Philox(key=seed) advanced by
+    i * 2^64 has (counter [0, i, 0, 0], empty output buffers), so a yielded
+    generator is valid only until the next one is taken.  0 <= i < 2^64."""
     bg = np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
-    bg.advance(int(row) << 64)
-    return np.random.Generator(bg)
+    gen = np.random.Generator(bg)
+    state = bg.state  # a fresh Philox: the buffers are empty
+    counter = state["state"]["counter"]
+    for row in rows:
+        counter[1] = row  # the setter copies the counter, so reusing it is safe
+        bg.state = state
+        yield gen

@@ -1,0 +1,39 @@
+"""Data generation with one freshly built generator per row.
+
+The package draws every row of a dataset from one Philox bit generator whose
+counter it resets to the row's block (oplab.rng.row_streams).  This module
+keeps the direct form: a new Philox(key=seed) advanced by row * 2^64 for each
+row, so the two can be checked against each other bit for bit.
+"""
+
+import numpy as np
+
+from oplab.contamination import ContaminatedData, _contaminate_row
+
+
+def fresh_row_stream(seed, row):
+    bg = np.random.Philox(key=np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    bg.advance(int(row) << 64)
+    return np.random.Generator(bg)
+
+
+def sample_row(model, spec, rng):
+    """One generated row in the package's draw order: clean row, indicators,
+    replacement values."""
+    return _contaminate_row(model.sample(1, rng)[0], spec, rng)
+
+
+def sample_contaminated(model, spec, n, seed):
+    x = np.empty((n, model.dim))
+    b = np.zeros((n, model.dim), dtype=np.int8)
+    for i in range(n):
+        x[i], b[i] = sample_row(model, spec, fresh_row_stream(seed, i))
+    return ContaminatedData(x=x, b=b)
+
+
+def contaminate(y, spec, seed):
+    x = np.empty_like(y)
+    b = np.zeros(y.shape, dtype=np.int8)
+    for i in range(y.shape[0]):
+        x[i], b[i] = _contaminate_row(y[i], spec, fresh_row_stream(seed, i))
+    return ContaminatedData(x=x, b=b)

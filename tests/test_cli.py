@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from oplab import calibrate_c
 from oplab.cli import _merge_negative_payloads, _parse_grid, _UsageError, main
 
 
@@ -201,6 +202,22 @@ def test_estimate_writes_result_and_config(dataset, tmp_path, capsys):
     assert cfg["command"] == "estimate"
     assert cfg["estimator"] == "mcd"
     assert cfg["starts"] == 500  # default resolved into the config
+
+
+def test_estimate_m_calibrates_its_default_loss_at_the_data_dimension(tmp_path, capsys):
+    # a fixed sqrt(6) on squared distances put every point of a 100 x 15 sample
+    # beyond the truncation, and the command exited 2
+    data = tmp_path / "psicm.csv"
+    assert main(["simulate", "--model", "psicm", "--eps", "0.1", "--d", "15",
+                 "--n", "100", "--seed", "3", "--out", str(data)]) == 0
+    for scatter in ("mcd", "identity"):
+        out = tmp_path / f"m_{scatter}.json"
+        assert main(["estimate", "--estimator", "m", "--in", str(data),
+                     "--scatter", scatter, "--out", str(out)]) == 0, scatter
+        cfg = json.loads((tmp_path / f"m_{scatter}.config.json").read_text())
+        assert cfg["c"] == calibrate_c(15, 0.5, convention="squared-distance")
+        assert json.loads(out.read_text())["converged"]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

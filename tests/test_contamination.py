@@ -12,7 +12,10 @@ from oplab import (MODELS, AdditiveShift, ContaminationError,
                    cell_count_pmf, clean_case_prob, contaminate,
                    outlier_from_dict, read_dataset, sample_contaminated,
                    sample_replacement, standard_model, write_dataset)
-from oplab.rng import substream
+from oplab.cli import main
+from oplab.rng import row_stream, row_streams, substream
+
+import _generation_reference as gen_ref
 
 
 def _spec(model, eps, **kw):
@@ -217,6 +220,63 @@ def test_sample_contaminated_deterministic():
     assert np.array_equal(a.x, b.x)
     c = sample_contaminated(model, spec, 50, seed=9)
     assert not np.array_equal(a.x, c.x)
+
+
+OUTLIERS = (AdditiveShift(t=10.0), PointMass((4.0, -3.0, 2.0)),
+            GaussianShift(mean=5.0, var=2.0))
+FAR_ROWS = (0, 5, 123456, 2**40, 2**63 + 7)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_row_streams_reset_to_the_fresh_row_generators(model):
+    # a reset Philox must equal a fresh one advanced to the row, at small and
+    # huge row indices; this fails if numpy changes Philox's state layout
+    normal = standard_model(3)
+    for outlier in OUTLIERS:
+        spec = _spec(model, 0.6, outlier=outlier)
+        for seed in (0, 11, 2**64 + 5):
+            got = [gen_ref.sample_row(normal, spec, rng)
+                   for rng in row_streams(seed, FAR_ROWS)]
+            for row, (x, b) in zip(FAR_ROWS, got):
+                x_ref, b_ref = gen_ref.sample_row(normal, spec,
+                                                  gen_ref.fresh_row_stream(seed, row))
+                assert np.array_equal(x, x_ref), (outlier, seed, row)
+                assert np.array_equal(b, b_ref), (outlier, seed, row)
+    for row in FAR_ROWS:
+        assert np.array_equal(row_stream(7, row).random(9),
+                              gen_ref.fresh_row_stream(7, row).random(9))
+
+
+def test_row_streams_clear_the_buffered_half_word():
+    # a 32-bit draw leaves half a 64-bit word buffered; the next row must not see it
+    rows = (3, 4, 2**40)
+    for row, rng in zip(rows, row_streams(5, rows)):
+        ref = gen_ref.fresh_row_stream(5, row)
+        assert np.array_equal(rng.integers(0, 2**31, size=3, dtype=np.uint32),
+                              ref.integers(0, 2**31, size=3, dtype=np.uint32))
+        assert np.array_equal(rng.normal(size=4), ref.normal(size=4))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_generation_matches_the_per_row_generators(model, tmp_path):
+    normal = standard_model(3)
+    y = substream(3, 2).normal(size=(200, 3))
+    for k, outlier in enumerate(OUTLIERS):
+        spec = _spec(model, 0.3, outlier=outlier)
+        got, ref = sample_contaminated(normal, spec, 300, seed=k), \
+            gen_ref.sample_contaminated(normal, spec, 300, seed=k)
+        assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
+        got, ref = contaminate(y, spec, seed=k), gen_ref.contaminate(y, spec, seed=k)
+        assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
+    # the simulate CSV is the per-row generators' dataset, byte for byte
+    argv = ["simulate", "--model", model, "--eps", "0.3", "--d", "3", "--n", "400",
+            "--seed", "9", "--point", "4,-3,2", "--out", str(tmp_path / "sim.csv")]
+    if model == "pcicm-i":
+        argv += ["--gamma", "0.5"]
+    assert main(argv) == 0
+    spec = _spec(model, 0.3, outlier=PointMass((4.0, -3.0, 2.0)))
+    write_dataset(tmp_path / "ref.csv", gen_ref.sample_contaminated(normal, spec, 400, seed=9))
+    assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_sample_replacement():

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import (ESTIMATORS, AllPointsRejected, DegenerateData, InvalidData,
-                   LocationScatter, RhoSpec, calibrate_c, coord_median,
-                   coord_s, m_location, m_scale, mahalanobis_sq, mcd, mve,
-                   rho, s_estimate, sample_mean)
+from oplab import (ESTIMATORS, AdditiveShift, AllPointsRejected, ContaminationSpec,
+                   DegenerateData, InvalidData, LocationScatter, RhoSpec,
+                   calibrate_c, coord_median, coord_s, m_location, m_scale,
+                   mahalanobis_sq, mcd, mve, rho, s_estimate,
+                   sample_contaminated, sample_mean, standard_model)
+from oplab import estimators
 from oplab.estimators import _moments, c_step
+from oplab.numerics import _factor
 from oplab.rng import substream
 
 from _datasets import mcd_cluster_data, mve_small_data
 from _m_reference import estimating_residual, fixed_point_m_location
+import _s_reference
 import _subset_reference
 from _s_weight_reference import s_weight_bounds
 
@@ -68,6 +72,25 @@ def test_m_scale_solves_the_constraint(seed, b):
     s = m_scale(r, spec, b)
     assert s > 0.0
     assert float(np.mean(rho(spec, r / s))) == pytest.approx(b, abs=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=3000),
+       st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=-6.0, max_value=6.0),
+       st.sampled_from((1, 2, 5)), st.booleans())
+def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, ties):
+    # the median by partition, odd and even sizes, and each scale evaluated once
+    spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
+    rng = substream(seed, 5)
+    r = np.abs(rng.normal(size=n)) * 10.0 ** log_a
+    if ties:
+        r = np.round(r / 10.0 ** log_a, 1) * 10.0 ** log_a
+    r[rng.random(n) < zeros] = 0.0
+    if np.count_nonzero(r) <= 0.5 * n:
+        with pytest.raises(DegenerateData):
+            m_scale(r, spec, 0.5)
+        return
+    assert m_scale(r, spec, 0.5) == _s_reference.m_scale(r, spec, 0.5)
 
 
 def test_m_scale_rejects_mostly_zero_residuals():
@@ -305,6 +328,39 @@ def test_s_estimate_is_scale_equivariant_at_extreme_scales():
         est = s_estimate(a * x, SCAL2, seed=4, n_starts=5)
         assert np.allclose(est.mu / a, ref.mu, rtol=1e-9, atol=0.0), a
         assert np.allclose(est.sigma / a**2, ref.sigma, rtol=1e-9, atol=0.0), a
+
+
+def test_s_estimate_matches_the_checked_reference():
+    # the iterations rescale distances instead of recomputing them, so the
+    # fit moves within the stopping tolerance: 1e-9 of the largest entry
+    c09 = substream(301, 0).normal(size=(80, 3))
+    c09[:8] += 5.0
+    ficm = ContaminationSpec("ficm", 0.05, outlier=AdditiveShift(t=10.0))
+    big = sample_contaminated(standard_model(5), ficm, 10_000, seed=2).x
+    for name, x, seed in (("s_fixture", _s_fixture(), 4), ("criterion 09", c09, 4),
+                          ("ficm 10k x 5", big, 2)):
+        spec = RhoSpec(c=calibrate_c(x.shape[1], 0.5), convention="scaled-distance")
+        for a in (1.0, 1e-6, 1e6):
+            est = s_estimate(a * x, spec, seed=seed)
+            ref = _s_reference.s_estimate(a * x, spec, seed=seed)
+            assert np.max(np.abs(est.mu - ref.mu)) <= 1e-9 * np.max(np.abs(ref.mu)), (name, a)
+            assert np.max(np.abs(est.sigma - ref.sigma)) <= 1e-9 * np.max(np.abs(ref.sigma)), \
+                (name, a)
+            assert est.converged == ref.converged, (name, a)
+            assert est.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-12), (name, a)
+
+
+def test_s_iterations_factor_exactly_symmetric_shapes(monkeypatch):
+    factored = []
+
+    def factor(sigma):
+        factored.append(np.array_equal(sigma, sigma.T))
+        return _factor(sigma)
+
+    monkeypatch.setattr(estimators, "_factor", factor)
+    est = s_estimate(_s_fixture(), SCAL2, seed=4)
+    assert len(factored) > 100 and all(factored)
+    assert np.array_equal(est.sigma, est.sigma.T)
 
 
 def test_s_estimate_resists_the_shifted_block():
@@ -601,7 +657,7 @@ def test_registry_fits_every_estimator():
     assert ESTIMATORS["coord_s"](x, rho=ESTIMATORS["coord_s"].rho(2)).scale.shape == (2,)
     assert ESTIMATORS["coord_s"].rho(5).c == calibrate_c(1, 0.5)
     assert ESTIMATORS["s"].rho(5).c == calibrate_c(5, 0.5)
-    assert ESTIMATORS["m"].rho(5).c == math.sqrt(6.0)
+    assert ESTIMATORS["m"].rho(5).c == calibrate_c(5, 0.5, convention="squared-distance")
     assert ESTIMATORS["mcd"].rho(2) is None
     with pytest.raises(ValueError):
         ESTIMATORS["s"](x)  # a loss is required
