@@ -5,9 +5,9 @@ built on top of them."""
 from .contamination import (MODELS, AdditiveShift, ContaminatedData,
                             ContaminationError, ContaminationSpec,
                             GaussianShift, PointMass, cell_count_pmf,
-                            clean_case_prob, contaminate, outlier_from_dict,
-                            read_dataset, sample_contaminated,
-                            sample_replacement, write_dataset)
+                            contaminate, outlier_from_dict, read_dataset,
+                            sample_contaminated, sample_replacement,
+                            write_dataset)
 from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
                          EstimationError, Estimator, LocationScatter,
                          coord_median, coord_s, m_location, m_scale, mcd, mve,
@@ -23,9 +23,8 @@ from .influence import (GesResult, GesSearch, InfluenceContext,
 from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
                        default_c, equicorrelated_model, expected_rho,
-                       mahalanobis_sq, psi, psi_prime, psi_sq, psi_sq_prime,
-                       rho, rho_sq, standard_model, truncation_sq,
-                       weight)
+                       mahalanobis_sq, psi, psi_sq, psi_sq_prime, rho,
+                       rho_sq, standard_model, truncation_sq, weight)
 from .rng import row_stream, substream, substream_seed
 
 __version__ = "0.1.0"
@@ -37,17 +36,15 @@ __all__ = [
     "EstimationError", "Estimator", "ExperimentReport", "GaussianShift",
     "GesResult", "GesSearch", "InfluenceContext", "InfluenceResult",
     "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
-    "SingularScatter", "a_psi", "bias_sweep", "calibrate_c",
-    "cell_count_pmf", "chi2_truncated_expectation", "clean_case_prob",
-    "clean_majority_threshold", "contaminate", "coord_ges", "coord_m_fit",
-    "coord_median", "coord_s", "default_c", "empirical_breakdown",
-    "epsilon0", "equicorrelated_model", "expected_rho", "ges", "ges_vs_dim",
-    "if_coordwise", "if_fdcm", "if_ficm", "if_numeric", "if_psicm",
-    "influence", "m_location", "m_location_fit", "m_scale",
+    "SingularScatter", "a_psi", "bias_sweep", "calibrate_c", "cell_count_pmf",
+    "chi2_truncated_expectation", "clean_majority_threshold", "contaminate",
+    "coord_ges", "coord_m_fit", "coord_median", "coord_s", "default_c",
+    "empirical_breakdown", "epsilon0", "equicorrelated_model", "expected_rho",
+    "ges", "ges_vs_dim", "if_coordwise", "if_fdcm", "if_ficm", "if_numeric",
+    "if_psicm", "influence", "m_location", "m_location_fit", "m_scale",
     "mahalanobis_sq", "mcd", "mve", "outlier_from_dict", "propagation_demo",
-    "psi", "psi_prime", "psi_sq", "psi_sq_prime", "read_dataset", "rho",
-    "rho_sq", "row_stream", "s_estimate",
-    "sample_contaminated", "sample_mean", "sample_replacement",
-    "standard_model", "substream", "substream_seed", "table1",
-    "truncation_sq", "weight", "write_dataset",
+    "psi", "psi_sq", "psi_sq_prime", "read_dataset", "rho", "rho_sq",
+    "row_stream", "s_estimate", "sample_contaminated", "sample_mean",
+    "sample_replacement", "standard_model", "substream", "substream_seed",
+    "table1", "truncation_sq", "weight", "write_dataset",
 ]

@@ -186,11 +186,6 @@ def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
     return (1.0 - p_struct) * base + (p_struct if k == 0 else 0.0)
 
 
-def clean_case_prob(spec: ContaminationSpec, d: int) -> float:
-    """Probability that a row is entirely clean."""
-    return cell_count_pmf(spec, d, 0)
-
-
 # ---------------------------------------------------------------------------
 # Dataset generation.
 

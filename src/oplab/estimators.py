@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_into,
-                       _dist_sq, _factor, default_c, mahalanobis_sq, rho, rho_sq_into,
-                       spd_cholesky, truncation_sq, weight)
+                       _brentq, _dist_sq, _factor, default_c, mahalanobis_sq, rho,
+                       rho_sq_into, spd_cholesky, truncation_sq, weight)
 from .rng import substream
 
 
@@ -98,16 +97,6 @@ def coord_median(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # M-scale: solve mean rho(r / s) = b for s > 0 on nonnegative residuals r.
 
-def _scale_excess(s: float, r: np.ndarray, c: float, b: float, t: np.ndarray,
-                  work: np.ndarray, values: dict) -> float:
-    """mean rho(r / s) - b on the buffers t and work, evaluated once per s:
-    values keeps what each s gave."""
-    if s not in values:
-        np.divide(r, s, out=t)
-        values[s] = float(np.mean(_bisquare_into(c, "squared-distance", t, t, work, 0))) - b
-    return values[s]
-
-
 def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> float:
     r = np.asarray(r, dtype=float)
     pos = r[r > 0.0]
@@ -121,23 +110,31 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> floa
     else:
         part = np.partition(pos, (k - 1, k))
         median = float((part[k - 1] + part[k]) / 2.0)
-    # the dict in args keeps each scale's value: brentq evaluates the bracket
-    # ends again, and both bracket searches start from one point.  The arrays
-    # go in args, not in a closure: brentq's wrapper of the function is a
-    # reference cycle, which would hold them until the garbage collector runs
-    args = (r, spec.c, b, np.empty_like(r), np.empty_like(r), {})
+    # excess keeps each scale's value: _brentq evaluates the bracket ends again,
+    # and both bracket searches start from one point.  No reference cycle runs
+    # through the closure, so its two residual-sized buffers are freed when
+    # m_scale returns; held until a garbage collection, as in a cycle, they
+    # raised the pipeline benchmark's peak memory by about 8 MB
+    t, work, values = np.empty_like(r), np.empty_like(r), {}
+
+    def excess(s: float) -> float:
+        if s not in values:
+            np.divide(r, s, out=t)
+            loss = _bisquare_into(spec.c, "squared-distance", t, t, work, 0)
+            values[s] = float(np.mean(loss)) - b
+        return values[s]
+
     lo = hi = median / spec.c
     for _ in range(200):
-        if _scale_excess(lo, *args) > 0.0:
+        if excess(lo) > 0.0:
             break
         lo /= 2.0
     for _ in range(200):
-        if _scale_excess(hi, *args) < 0.0:
+        if excess(hi) < 0.0:
             break
         hi *= 2.0
     # a relative xtol, so that the solve does not depend on the units of r
-    return float(brentq(_scale_excess, lo, hi, args=args, xtol=rtol * lo, rtol=rtol,
-                        maxiter=200))
+    return _brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200)
 
 
 def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .contamination import MODELS, ContaminationSpec
 from .estimators import EstimationError, m_location
@@ -347,15 +346,14 @@ class GesResult:
 
 def _radial_profile(rho: RhoSpec) -> float:
     """Radius maximizing psi(r^2) r, the norm of the row-replacement influence
-    along a unit Mahalanobis direction (times 1/a_psi)."""
-    t_max = math.sqrt(truncation_sq(rho))
+    along a unit Mahalanobis direction (times 1/a_psi).
 
-    def neg(t: float) -> float:
-        return -float(psi_sq(rho, t * t)) * t
-
-    res = minimize_scalar(neg, bounds=(1e-9, t_max), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+    The bisquare gives it in closed form.  Scaled distances: r (1 - r^2/c^2)^2
+    peaks where r^2/c^2 = 1/5.  Squared distances: r^3 (1 - r^4/c^2)^2 peaks
+    where r^4/c^2 = 3/11."""
+    if rho.convention == "scaled-distance":
+        return rho.c / math.sqrt(5.0)
+    return math.sqrt(math.sqrt(3.0 * rho.c * rho.c / 11.0))
 
 
 def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:

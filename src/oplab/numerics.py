@@ -15,6 +15,7 @@ chain rule gives psi = (3/c^2) p^2 and psi' = -(6/c^4) p.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -22,7 +23,6 @@ from typing import Callable
 import numpy as np
 from scipy import special
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import brentq
 
 RHO_FAMILIES = ("tukey-bisquare",)
 CONVENTIONS = ("squared-distance", "scaled-distance")
@@ -32,6 +32,9 @@ DEFAULT_QUAD_NODES = 256
 
 # bracket-widening cap for calibrate_c, in doublings of the initial bracket
 _BRACKET_DOUBLINGS = 24
+
+# the smallest relative tolerance _brentq accepts: four machine epsilons
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 class SingularScatter(ValueError):
@@ -122,11 +125,6 @@ def rho(spec: RhoSpec, t) -> np.ndarray | float:
 def psi(spec: RhoSpec, t) -> np.ndarray | float:
     """First derivative of the loss; identically zero for |t| >= c."""
     return _loss(spec.c, "squared-distance", t, 1)
-
-
-def psi_prime(spec: RhoSpec, t) -> np.ndarray | float:
-    """Second derivative of the loss; identically zero for |t| >= c."""
-    return _loss(spec.c, "squared-distance", t, 2)
 
 
 def weight(spec: RhoSpec, t) -> np.ndarray | float:
@@ -266,6 +264,75 @@ def equicorrelated_model(d: int, r: float) -> EllipticalModel:
 
 
 # ---------------------------------------------------------------------------
+# Scalar root finding.
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+            rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """Root of f(x) = 0 in the bracket [a, b] by Brent's method (Brent
+    1973, ch. 4): inverse quadratic or secant steps, bisection when they stall.
+
+    The float operations, their order, the stopping rule |step| < (xtol +
+    rtol |x|) / 2 and the errors are those of scipy's brentq:
+    ValueError for a bracket whose ends share a sign or for a NaN value of f,
+    RuntimeError when maxiter iterations do not converge."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep xcur the best point
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a step that bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # in C the step is then infinite or NaN, and bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # a good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+# ---------------------------------------------------------------------------
 # Deterministic expectations against the chi-square(d) radial law.
 
 @lru_cache(maxsize=8)
@@ -331,7 +398,7 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
     else:
         raise CalibrationError("no lower bracket for the tuning constant")
 
-    c = float(brentq(excess, lo, hi, xtol=1e-10, maxiter=200))
+    c = _brentq(excess, lo, hi, xtol=1e-10, maxiter=200)
     if abs(excess(c)) > 1e-8:
         raise CalibrationError(f"calibration residual {excess(c):.3e} exceeds 1e-8")
     return c

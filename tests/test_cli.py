@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oplab
 from oplab import calibrate_c
 from oplab.cli import _merge_negative_payloads, _parse_grid, _UsageError, main
 
@@ -355,3 +360,34 @@ def test_influence_sees_the_correlation(tmp_path):
     assert if2 > 3.0 * se2
     if2_flat, se2_flat = _cross_coordinate_stats(tmp_path, 0.0, "flat")
     assert if2_flat <= 3.0 * se2_flat
+
+
+# ---------------------------------------------------------------------------
+# the import graph: the scalar solves are oplab's own, so no command loads
+# scipy.optimize (about 200 modules and 17 MB)
+
+_NO_OPTIMIZE = """
+import sys
+from oplab.cli import main
+
+out = sys.argv[1]
+data = out + "/data.csv"
+for argv in (["simulate", "--model", "ficm", "--d", "3", "--n", "300", "--seed", "4",
+              "--out", data],
+             ["estimate", "--estimator", "s", "--in", data],
+             ["estimate", "--estimator", "coord_s", "--in", data],
+             ["fig2", "--d-grid", "1,2", "--draws", "2000", "--out", out + "/fig2"]):
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+assert not loaded, loaded
+"""
+
+
+def test_commands_never_load_scipy_optimize(tmp_path):
+    src = str(Path(oplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fig2" / "ges_vs_dim" / "results.csv").is_file()

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from oplab import (MODELS, AdditiveShift, ContaminationError,
                    ContaminationSpec, GaussianShift, InvalidData, PointMass,
-                   cell_count_pmf, clean_case_prob, contaminate,
-                   outlier_from_dict, read_dataset, sample_contaminated,
+                   cell_count_pmf, contaminate, outlier_from_dict,
+                   read_dataset, sample_contaminated,
                    sample_replacement, standard_model, write_dataset)
 from oplab.cli import main
 from oplab.rng import row_stream, row_streams, substream
@@ -102,13 +102,13 @@ def test_cell_count_pmf_normalizes_with_mean_d_eps(model, d, eps):
 
 
 def test_clean_case_probabilities():
-    assert clean_case_prob(_spec("fdcm", 0.3), 9) == pytest.approx(0.7)
-    p14 = clean_case_prob(_spec("ficm", 0.05), 14)
+    assert cell_count_pmf(_spec("fdcm", 0.3), 9, 0) == pytest.approx(0.7)
+    p14 = cell_count_pmf(_spec("ficm", 0.05), 14, 0)
     assert p14 == pytest.approx(0.95**14, abs=1e-12)
-    assert p14 < 0.5 < clean_case_prob(_spec("ficm", 0.05), 13)
-    p69 = clean_case_prob(_spec("ficm", 0.01), 69)
+    assert p14 < 0.5 < cell_count_pmf(_spec("ficm", 0.05), 13, 0)
+    p69 = cell_count_pmf(_spec("ficm", 0.01), 69, 0)
     assert p69 == pytest.approx(0.99**69, abs=1e-12)
-    assert p69 < 0.5 < clean_case_prob(_spec("ficm", 0.01), 68)
+    assert p69 < 0.5 < cell_count_pmf(_spec("ficm", 0.01), 68, 0)
 
 
 def test_indicator_frequencies_psicm():

@@ -1,5 +1,6 @@
 """Location/scatter estimators: fixed points, frozen search results, equivariance."""
 
+import gc
 import math
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, tie
             m_scale(r, spec, 0.5)
         return
     assert m_scale(r, spec, 0.5) == _s_reference.m_scale(r, spec, 0.5)
+
+
+def test_m_scale_frees_its_buffers_on_return():
+    # nothing the solve builds is a reference cycle, so the two residual-sized
+    # buffers go when m_scale returns, not when the garbage collector next runs
+    r = np.abs(substream(3, 0).normal(size=5000))
+    gc.collect()
+    gc.disable()
+    try:
+        m_scale(r, SCAL2, 0.5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_m_scale_rejects_mostly_zero_residuals():

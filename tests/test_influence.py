@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from oplab import (GesSearch, InfluenceContext, MonteCarlo, RhoSpec, a_psi,
                    calibrate_c, coord_ges, equicorrelated_model, ges,
                    if_coordwise, if_fdcm, if_ficm, if_numeric, if_psicm,
                    influence, mahalanobis_sq, psi_sq, standard_model,
                    truncation_sq)
-from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core
+from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core, _radial_profile
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
@@ -304,6 +305,32 @@ def test_if_numeric_validates_the_rate_grid():
 
 # ---------------------------------------------------------------------------
 # gross-error sensitivity
+
+@pytest.mark.parametrize("conv", ["scaled-distance", "squared-distance"])
+@pytest.mark.parametrize("c", ["sqrt6", "d1", "d5", "d10", "32.5"])
+def test_radial_profile_is_the_exact_maximiser(conv, c):
+    if c.startswith("d"):
+        c = calibrate_c(int(c[1:]), 0.5, convention=conv)
+    else:
+        c = math.sqrt(6.0) if c == "sqrt6" else float(c)
+    spec = RhoSpec(c=c, convention=conv)
+    t_star = _radial_profile(spec)
+    t_max = math.sqrt(truncation_sq(spec))
+    assert 0.0 < t_star < t_max
+    peak = float(psi_sq(spec, t_star**2)) * t_star
+    ulps = 4 * np.finfo(float).eps * peak
+    # on a fine grid the best point is a neighbour of t_star and no higher
+    grid = np.linspace(0.0, t_max, 200_001)
+    profile = psi_sq(spec, grid**2) * grid
+    k = int(np.argmax(profile))
+    assert abs(grid[k] - t_star) <= grid[1]
+    assert profile[k] <= peak + ulps
+    # scipy's bounded search stops within its own tolerance of t_star
+    res = optimize.minimize_scalar(lambda t: -float(psi_sq(spec, t * t)) * t,
+                                   bounds=(1e-9, t_max), method="bounded",
+                                   options={"xatol": 1e-12})
+    assert abs(res.x - t_star) <= 2.0 * (math.sqrt(np.finfo(float).eps) * res.x + 1e-12 / 3.0)
+    assert -res.fun <= peak + ulps
 
 def test_ges_row_replacement_golden():
     ctx = InfluenceContext(standard_model(2), RHO2, kind="fdcm")

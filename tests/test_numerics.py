@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg, stats
+from scipy import linalg, optimize, stats
 
+from oplab import estimators, numerics
 from oplab import (CalibrationError, EllipticalModel, RhoSpec, SingularScatter,
                    calibrate_c, chi2_truncated_expectation,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi,
-                   psi_prime, psi_sq, psi_sq_prime, rho, rho_sq,
-                   standard_model, truncation_sq, weight)
+                   psi_sq, psi_sq_prime, rho, rho_sq, standard_model,
+                   truncation_sq, weight)
 from oplab.influence import a_psi
-from oplab.numerics import _dist_sq, _factor, rho_sq_into
+from oplab.numerics import CONVENTIONS, _brentq, _dist_sq, _factor, rho_sq_into
 from oplab.rng import substream
 
 import _loss_reference
@@ -22,6 +23,11 @@ from _s_weight_reference import rho_inverse
 
 SQRT6 = math.sqrt(6.0)
 SQ = RhoSpec(c=SQRT6, convention="squared-distance")
+
+
+def psi_prime(spec, t):
+    """Second derivative of the loss in t: psi_sq_prime on the squared-distance law."""
+    return psi_sq_prime(RhoSpec(c=spec.c, convention="squared-distance"), t)
 
 # Frozen by tests/make_oracles.py (scipy adaptive quadrature, brentq on quad).
 A_PSI_GOLDEN = {
@@ -338,3 +344,102 @@ def test_calibrate_then_constraint_roundtrip(d, bp):
     c = calibrate_c(d, bp)
     spec = RhoSpec(c=c, convention="scaled-distance")
     assert expected_rho(spec, d) == pytest.approx(bp, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Brent root finding, against scipy's brentq as the oracle
+
+def _brent_runs(f, a, b, **kw):
+    """(outcome, evaluation points) of _brentq and of scipy's brentq on f; the
+    outcome is the root, or the type and message of the error raised."""
+    runs = []
+    for solve in (_brentq, optimize.brentq):
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return f(x)
+
+        try:
+            outcome = solve(g, a, b, **kw)
+            assert type(outcome) is float
+        except (ValueError, RuntimeError) as err:
+            outcome = (type(err), str(err))
+        runs.append((outcome, xs))
+    return runs
+
+
+def _assert_same_solve(f, a, b, **kw):
+    ours, theirs = _brent_runs(f, a, b, **kw)
+    assert ours == theirs
+
+
+class _Twin:
+    """Stands in for _brentq: runs both solvers on each problem it is given."""
+
+    def __init__(self):
+        self.solves = 0
+
+    def __call__(self, f, a, b, **kw):
+        self.solves += 1
+        _assert_same_solve(f, a, b, **kw)
+        return _brentq(f, a, b, **kw)
+
+
+def test_brentq_matches_scipy_on_the_m_scale_solve(monkeypatch):
+    twin = _Twin()
+    monkeypatch.setattr(estimators, "_brentq", twin)
+    rng = np.random.default_rng(77)
+    spec = RhoSpec(c=calibrate_c(1, 0.5), convention="scaled-distance")
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for n in (7, 50, 1001, 4000):
+            r = scale * np.abs(rng.standard_normal(n) * rng.exponential(size=n))
+            r[rng.random(n) < 0.1] = 0.0
+            for b in (0.5, 0.25):
+                s = estimators.m_scale(r, spec, b)
+                assert np.mean(rho(spec, r / s)) == pytest.approx(b, abs=1e-12)
+    assert twin.solves == 40
+
+
+@pytest.mark.parametrize("conv", CONVENTIONS)
+def test_brentq_matches_scipy_on_calibration(monkeypatch, conv):
+    twin = _Twin()
+    monkeypatch.setattr(numerics, "_brentq", twin)
+    for d in range(1, 21):
+        calibrate_c(d, 0.5, convention=conv)
+    assert twin.solves == 20
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: x * x - 2.0, 2.0, 0.0),  # reversed bracket
+    (lambda x: math.cos(x) - x, -1.0, 3.0),
+    (lambda x: math.exp(x) - 1e6, -5.0, 40.0),
+    (lambda x: (x - 0.3) ** 3, -1.0, 1.0),  # flat triple root: bisection steps
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0),  # a step in disguise
+    (lambda x: 1.0 if x > 1e-3 else -1.0, 0.0, 1.0),  # a true step
+    (lambda x: x - 1e-300, -1.0, 1.0),  # a root near zero
+    (lambda x: x, 0.0, 1.0),  # a root at the bracket end
+])
+@pytest.mark.parametrize("tol", [dict(), dict(xtol=5e-324, rtol=4 * np.finfo(float).eps),
+                                 dict(xtol=1e-4, rtol=1e-6, maxiter=500)])
+def test_brentq_matches_scipy_on_synthetic_functions(f, a, b, tol):
+    _assert_same_solve(f, a, b, **tol)
+
+
+def test_brentq_raises_what_scipy_raises():
+    cases = [
+        (lambda x: x + 3.0, 0.0, 1.0, {}),  # same sign at both ends
+        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, {}),  # NaN inside
+        (lambda x: math.nan, 0.0, 1.0, {}),  # NaN at the bracket end
+        (lambda x: x * x - 2.0, 0.0, 2.0, dict(maxiter=3)),  # out of iterations
+        (lambda x: x * x - 2.0, 0.0, 2.0, dict(maxiter=0)),
+        (lambda x: x * x - 2.0, 0.0, 2.0, dict(maxiter=-1)),
+        (lambda x: x * x - 2.0, 0.0, 2.0, dict(xtol=0.0)),
+        (lambda x: x * x - 2.0, 0.0, 2.0, dict(rtol=1e-17)),
+    ]
+    for f, a, b, kw in cases:
+        ours, theirs = _brent_runs(f, a, b, **kw)
+        assert isinstance(ours[0], tuple)  # an error, not a root
+        assert ours == theirs
+    assert _brentq(lambda x: x - 0.5, 0.5, 1.0, maxiter=0) == 0.5
