@@ -6,8 +6,7 @@ from .contamination import (MODELS, AdditiveShift, ContaminatedData,
                             ContaminationError, ContaminationSpec,
                             GaussianShift, PointMass, cell_count_pmf,
                             contaminate, outlier_from_dict, read_dataset,
-                            sample_contaminated, sample_replacement,
-                            write_dataset)
+                            sample_contaminated, write_dataset)
 from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
                          EstimationError, Estimator, LocationScatter,
                          coord_median, coord_s, m_location, m_scale, mcd, mve,
@@ -45,6 +44,6 @@ __all__ = [
     "mahalanobis_sq", "mcd", "mve", "outlier_from_dict", "propagation_demo",
     "psi", "psi_sq", "psi_sq_prime", "read_dataset", "rho", "rho_sq",
     "row_stream", "s_estimate", "sample_contaminated", "sample_mean",
-    "sample_replacement", "standard_model", "substream", "substream_seed",
+    "standard_model", "substream", "substream_seed",
     "table1", "truncation_sq", "weight", "write_dataset",
 ]

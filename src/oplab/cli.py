@@ -15,6 +15,8 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +26,8 @@ from .contamination import (MODELS, ContaminationError, ContaminationSpec,
                             outlier_from_dict, read_dataset,
                             sample_contaminated, write_dataset)
 from .estimators import ESTIMATORS, EstimationError
-from .experiments import (PROPAGATION_TRANSFORM, ExperimentReport, bias_sweep,
-                          empirical_breakdown, ges_vs_dim, propagation_demo,
-                          table1, write_json)
+from . import experiments
+from .experiments import PROPAGATION_TRANSFORM, ExperimentReport, write_json
 from .influence import GesSearch, InfluenceContext, MonteCarlo, ges, influence
 from .numerics import (CONVENTIONS, CalibrationError, InvalidData, RhoSpec,
                        SingularScatter, default_c, equicorrelated_model,
@@ -37,9 +38,6 @@ from .svg import write_line_chart
 _NUMERIC_FAILURES = (EstimationError, CalibrationError, SingularScatter,
                      ContaminationError, ArithmeticError, ValueError,
                      np.linalg.LinAlgError)
-
-_SEED_DEFAULTS = {"simulate": 7, "estimate": 0, "influence": 2024, "ges": 31,
-                  "fig2": 31, "fig3": 2045, "fig4": 7, "breakdown": 11}
 
 
 class _UsageError(Exception):
@@ -92,16 +90,24 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     return out
 
 
-def _resolve_seed(args, command: str) -> int:
-    if getattr(args, "seed", None) is not None:
+def _parse_estimators(text: str) -> list[str]:
+    ests = [e.strip() for e in text.split(",") if e.strip()]
+    bad = [e for e in ests if e not in ESTIMATORS]
+    if bad or not ests:
+        raise _UsageError(f"--estimators must be among {tuple(ESTIMATORS)}, got {bad}")
+    return ests
+
+
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
         return int(args.seed)
-    env = os.environ.get("OPL_SEED")
+    env = None if args.config else os.environ.get("OPL_SEED")  # a replay's seed is in its config
     if env:
         try:
             return int(env)
         except ValueError:
             raise _UsageError(f"OPL_SEED must be an integer, got {env!r}") from None
-    return _SEED_DEFAULTS[command]
+    return _COMMANDS[args.command].seed
 
 
 def _threads(args) -> int:
@@ -125,19 +131,36 @@ def _resolve_c(c, convention: str, bp: float, d: int) -> float:
     return default_c(convention, bp, d)
 
 
-def _prepare_run_dir(out: str, name: str, params: dict) -> str:
-    """Create out/name and persist the resolved config before computing."""
-    run_dir = os.path.join(out, name)
-    os.makedirs(run_dir, exist_ok=True)
-    write_json(os.path.join(run_dir, "config.json"), params)
-    return run_dir
+def _flags(args) -> dict:
+    """A command's config: its flags by name, with the seed, the pool size
+    and a run directory's parent resolved.  --out is None in the parser, so
+    that a replay can tell an explicit --out runs from no --out at all."""
+    cmd = _COMMANDS[args.command]
+    p = {k: v for k, v in vars(args).items() if k not in ("config", "seed")}
+    if cmd.seed is not None:
+        p["seed"] = _resolve_seed(args)
+    if "threads" in p:
+        p["threads"] = _threads(args)
+    if cmd.run_dir is not None and p["out"] is None:
+        p["out"] = "runs"
+    return p
 
 
-def _write_sidecar_config(path: str, params: dict) -> None:
-    """Persist the resolved config as <stem>.config.json beside a file output."""
+def _kwargs(p: dict) -> dict:
+    """The config as an experiment's keyword arguments."""
+    return {k: v for k, v in p.items() if k not in ("command", "out", "svg")}
+
+
+def _write_config(path, p: dict) -> None:
+    """Persist a run's resolved config; the one writer of config files."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_json(str(path), p)
+
+
+def _sidecar(path: str) -> Path:
+    """<stem>.config.json beside a file output."""
     out = Path(path)
-    os.makedirs(out.parent, exist_ok=True)
-    write_json(str(out.with_name(out.stem + ".config.json")), params)
+    return out.with_name(out.stem + ".config.json")
 
 
 def _announce(report: ExperimentReport, run_dir: str) -> None:
@@ -153,28 +176,23 @@ def _announce(report: ExperimentReport, run_dir: str) -> None:
 # simulate
 
 def _build_simulate(args) -> dict:
-    if args.out is None:
-        raise _UsageError("simulate requires --out")
-    d = int(args.d)
-    if d < 1 or int(args.n) < 1:
+    p = _flags(args)
+    shift, point, gauss = p.pop("shift"), p.pop("point"), p.pop("gauss")
+    d = p["d"]
+    if d < 1 or p["n"] < 1:
         raise _UsageError("--d and --n must be positive")
-    if args.point is not None:
-        z = _parse_floats(args.point, "--point")
+    if point is not None:
+        z = _parse_floats(point, "--point")
         if len(z) != d:
             raise _UsageError(f"--point needs {d} coordinates, got {len(z)}")
-        outlier = PointMass(tuple(z)).to_dict()
-    elif args.gauss is not None:
-        mv = _parse_floats(args.gauss, "--gauss")
+        p["outlier"] = PointMass(tuple(z)).to_dict()
+    elif gauss is not None:
+        mv = _parse_floats(gauss, "--gauss")
         if len(mv) not in (1, 2):
             raise _UsageError("--gauss expects mean or mean,var")
-        outlier = GaussianShift(mv[0], mv[1] if len(mv) == 2 else 1.0).to_dict()
+        p["outlier"] = GaussianShift(mv[0], mv[1] if len(mv) == 2 else 1.0).to_dict()
     else:
-        shift = 10.0 if args.shift is None else float(args.shift)
-        outlier = AdditiveShift(shift).to_dict()
-    p = {"command": "simulate", "model": args.model, "eps": float(args.eps),
-         "gamma": None if args.gamma is None else float(args.gamma),
-         "d": d, "n": int(args.n), "outlier": outlier,
-         "seed": _resolve_seed(args, "simulate"), "out": args.out}
+        p["outlier"] = AdditiveShift(10.0 if shift is None else shift).to_dict()
     try:
         _contamination_spec(p)
     except ContaminationError as exc:
@@ -187,9 +205,11 @@ def _contamination_spec(p: dict) -> ContaminationSpec:
                              outlier=outlier_from_dict(p["outlier"]))
 
 
-def _run_simulate(p: dict) -> None:
+def _simulate(p: dict) -> None:
+    if p["out"] is None:
+        raise _UsageError("simulate requires --out")
     spec = _contamination_spec(p)
-    _write_sidecar_config(p["out"], p)
+    _write_config(_sidecar(p["out"]), p)
     data = sample_contaminated(standard_model(p["d"]), spec, p["n"], p["seed"])
     out = Path(p["out"])
     write_dataset(out, data, spec=spec, seed=p["seed"])
@@ -200,21 +220,18 @@ def _run_simulate(p: dict) -> None:
 # estimate
 
 def _build_estimate(args) -> dict:
-    if args.input is None:
+    p = _flags(args)
+    fit = ESTIMATORS[p["estimator"]]
+    if p["convention"] is None:
+        p["convention"] = fit.convention
+    if p["starts"] is None:
+        p["starts"] = fit.starts
+    return p
+
+
+def _estimate(p: dict) -> None:
+    if p["input"] is None:
         raise _UsageError("estimate requires --in")
-    est = args.estimator
-    fit = ESTIMATORS[est]
-    convention = fit.convention if args.convention is None else args.convention
-    starts = fit.starts if args.starts is None else args.starts
-    return {"command": "estimate", "estimator": est, "input": args.input,
-            "scatter": args.scatter, "bp": float(args.bp),
-            "convention": convention,
-            "c": None if args.c is None else float(args.c),
-            "starts": starts, "seed": _resolve_seed(args, "estimate"),
-            "out": args.out}
-
-
-def _run_estimate(p: dict) -> None:
     try:
         x, _, _ = read_dataset(p["input"])
     except OSError as exc:
@@ -227,7 +244,7 @@ def _run_estimate(p: dict) -> None:
     if rho is not None:
         p["c"] = rho.c
     if p["out"]:
-        _write_sidecar_config(p["out"], p)
+        _write_config(_sidecar(p["out"]), p)
 
     result = fit(x, rho=rho, bp=p["bp"], starts=p["starts"], seed=seed,
                  scatter=p["scatter"]).to_dict(est, seed)
@@ -245,23 +262,13 @@ def _run_estimate(p: dict) -> None:
 # influence
 
 def _build_influence(args) -> dict:
-    d = int(args.d)
-    if d < 1:
-        raise _UsageError("--d must be positive")
-    if not -1.0 < float(args.r) < 1.0:
+    p = _build_ges(args)
+    if not -1.0 < p["r"] < 1.0:
         raise _UsageError("--r must lie in (-1, 1)")
-    seed = _resolve_seed(args, "influence")
-    return {"command": "influence", "kind": args.kind, "d": d,
-            "r": float(args.r), "grid": _parse_grid(args.grid),
-            "draws": int(args.draws), "convention": args.convention,
-            "c": _resolve_c(args.c, args.convention, args.bp, d),
-            "bp": float(args.bp),
-            "gamma": None if args.gamma is None else float(args.gamma),
-            "seed": seed, "out": args.out}
+    return p
 
 
-def _run_influence(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "influence", p)
+def _influence(p: dict) -> ExperimentReport:
     d, grid = p["d"], p["grid"]
     model = standard_model(d) if p["r"] == 0.0 else equicorrelated_model(d, p["r"])
     ctx = InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
@@ -281,37 +288,28 @@ def _run_influence(p: dict) -> None:
             best = (res.norm, z)
     header = ([f"z{j + 1}" for j in range(d)] + [f"if{j + 1}" for j in range(d)]
               + [f"se{j + 1}" for j in range(d)])
-    report = ExperimentReport(
-        name="influence", config=p,
-        tables={"results": (header, rows)},
+    return ExperimentReport(
+        name="influence", tables={"results": (header, rows)},
         summary={"kind": p["kind"], "d": d, "c": p["c"], "a_psi": ctx.a_psi,
                  "n_points": len(points), "max_norm": best[0],
                  "argmax_z": list(best[1])})
-    report.write(p["out"], include_config=False)
-    print(f"influence: {len(points)} points, max |IF| = {best[0]:.4f}; wrote {run_dir}")
 
 
 # ---------------------------------------------------------------------------
 # ges
 
 def _build_ges(args) -> dict:
-    d = int(args.d)
-    if d < 1:
+    """Also builds influence's config: both resolve the loss constant at d."""
+    p = _flags(args)
+    if p["d"] < 1:
         raise _UsageError("--d must be positive")
-    seed = _resolve_seed(args, "ges")
-    return {"command": "ges", "kind": args.kind, "d": d, "bp": float(args.bp),
-            "convention": args.convention,
-            "c": _resolve_c(args.c, args.convention, args.bp, d),
-            "gamma": None if args.gamma is None else float(args.gamma),
-            "draws": int(args.draws), "rays": args.rays,
-            "n_random": int(args.n_random), "n_radial": int(args.n_radial),
-            "refine": int(args.refine), "seed": seed, "out": args.out}
+    p["c"] = _resolve_c(p["c"], p["convention"], p["bp"], p["d"])
+    return p
 
 
-def _run_ges(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "ges", p)
-    model = standard_model(p["d"])
-    ctx = InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
+def _ges(p: dict) -> ExperimentReport:
+    ctx = InfluenceContext(standard_model(p["d"]),
+                           RhoSpec(c=p["c"], convention=p["convention"]),
                            kind=p["kind"],
                            mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]),
                            gamma=p.get("gamma"))
@@ -319,150 +317,110 @@ def _run_ges(p: dict) -> None:
                        n_radial=p["n_radial"], refine=p["refine"],
                        seed=p["seed"])
     res = ges(ctx, search)
-    report = ExperimentReport(
-        name="ges", config=p,
+    return ExperimentReport(
+        name="ges",
         tables={"results": (["d", "kind", "ges"], [(p["d"], p["kind"], res.value)]),
                 "rays": (["ray", "best_t", "best_norm"], list(res.rays))},
         summary={"ges": res.value, "kind": p["kind"], "d": p["d"],
                  "argmax_z": [float(v) for v in res.argmax_z]})
-    report.write(p["out"], include_config=False)
-    print(f"ges[{p['kind']}, d={p['d']}] = {res.value:.6f}; wrote {run_dir}")
 
 
 # ---------------------------------------------------------------------------
-# experiment wrappers
+# the canned experiments; table1, fig3, fig4 and breakdown configs are their
+# experiment's keyword arguments
 
-def _build_table1(args) -> dict:
-    return {"command": "table1", "d_grid": _parse_ints(args.d_grid, "--d-grid"),
-            "delta": float(args.delta), "out": args.out}
-
-
-def _run_table1(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "table1", p)
-    report = table1(d_grid=tuple(p["d_grid"]), delta=p["delta"])
-    report.write(p["out"], include_config=False)
-    _announce(report, run_dir)
-
-
-def _build_fig2(args) -> dict:
-    return {"command": "fig2", "d_grid": _parse_ints(args.d_grid, "--d-grid"),
-            "bp": float(args.bp), "draws": int(args.draws), "rays": args.rays,
-            "n_random": int(args.n_random), "n_radial": int(args.n_radial),
-            "refine": int(args.refine), "threads": _threads(args),
-            "seed": _resolve_seed(args, "fig2"), "svg": bool(args.svg),
-            "out": args.out}
-
-
-def _run_fig2(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "ges_vs_dim", p)
+def _fig2(p: dict) -> ExperimentReport:
     search = GesSearch(axes=p["rays"], n_random=p["n_random"],
                        n_radial=p["n_radial"], refine=p["refine"])
-    report = ges_vs_dim(d_grid=tuple(p["d_grid"]), bp=p["bp"],
-                        n_draws=p["draws"], seed=p["seed"],
-                        threads=p["threads"], search=search)
-    report.write(p["out"], include_config=False)
-    if p["svg"]:
-        _, rows = report.tables["results"]
-        series = []
-        for est in ("multivariate-s", "coordinatewise-s"):
-            for kind in ("fdcm", "ficm"):
-                pts = [(r[0], r[3]) for r in rows if r[1] == est and r[2] == kind]
-                series.append((f"{est} {kind}", [q[0] for q in pts],
-                               [q[1] for q in pts]))
-        write_line_chart(os.path.join(run_dir, "figure.svg"), series,
-                         title="gross-error sensitivity by dimension",
-                         x_label="d", y_label="GES")
-    _announce(report, run_dir)
+    return experiments.ges_vs_dim(d_grid=tuple(p["d_grid"]), bp=p["bp"],
+                                  n_draws=p["draws"], seed=p["seed"],
+                                  threads=p["threads"], search=search)
 
 
-def _build_fig3(args) -> dict:
-    return {"command": "fig3", "n": int(args.n), "eps": float(args.eps),
-            "shift_mean": float(args.shift_mean),
-            "shift_var": float(args.shift_var),
-            "transform": [list(r) for r in PROPAGATION_TRANSFORM],
-            "figure_n": 20, "seed": _resolve_seed(args, "fig3"),
-            "svg": bool(args.svg), "out": args.out}
+def _fig2_chart(report: ExperimentReport, p: dict) -> tuple:
+    _, rows = report.tables["results"]
+    series = []
+    for est in ("multivariate-s", "coordinatewise-s"):
+        for kind in ("fdcm", "ficm"):
+            pts = [(r[0], r[3]) for r in rows if r[1] == est and r[2] == kind]
+            series.append((f"{est} {kind}", [q[0] for q in pts], [q[1] for q in pts]))
+    return series, "gross-error sensitivity by dimension", "d", "GES"
 
 
-def _run_fig3(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "propagation", p)
-    report = propagation_demo(n=p["n"], eps=p["eps"],
-                              shift_mean=p["shift_mean"],
-                              shift_var=p["shift_var"],
-                              transform=p["transform"], seed=p["seed"],
-                              figure_n=p["figure_n"])
-    report.write(p["out"], include_config=False)
-    if p["svg"]:
-        _, rows = report.tables["histogram"]
-        centers = [(r[0] + r[1]) / 2.0 for r in rows]
-        series = [("x1", centers, [float(r[2]) for r in rows]),
-                  ("l1", centers, [float(r[3]) for r in rows])]
-        write_line_chart(os.path.join(run_dir, "figure.svg"), series,
-                         title="marginal before and after mixing columns",
-                         x_label="value", y_label="count")
-    _announce(report, run_dir)
+def _fig3_chart(report: ExperimentReport, p: dict) -> tuple:
+    _, rows = report.tables["histogram"]
+    centers = [(r[0] + r[1]) / 2.0 for r in rows]
+    series = [("x1", centers, [float(r[2]) for r in rows]),
+              ("l1", centers, [float(r[3]) for r in rows])]
+    return series, "marginal before and after mixing columns", "value", "count"
 
 
-def _build_fig4(args) -> dict:
-    ests = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    bad = [e for e in ests if e not in ESTIMATORS]
-    if bad or not ests:
-        raise _UsageError(f"--estimators must be among {tuple(ESTIMATORS)}, got {bad}")
-    return {"command": "fig4", "d": int(args.d), "n": int(args.n),
-            "eps": float(args.eps), "t_grid": _parse_grid(args.t_grid),
-            "estimators": ests, "replications": int(args.reps),
-            "mcd_starts": int(args.mcd_starts),
-            "mve_trials": int(args.mve_trials), "threads": _threads(args),
-            "seed": _resolve_seed(args, "fig4"), "svg": bool(args.svg),
-            "out": args.out}
+def _fig4_chart(report: ExperimentReport, p: dict) -> tuple:
+    _, rows = report.tables["curves"]
+    series = []
+    for est in p["estimators"]:
+        pts = [(r[0], r[2]) for r in rows if r[1] == est]
+        series.append((est, [q[0] for q in pts], [q[1] for q in pts]))
+    return series, "max componentwise bias by outlier size", "t", "bias"
 
 
-def _run_fig4(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "bias_sweep", p)
-    report = bias_sweep(d=p["d"], n=p["n"], eps=p["eps"],
-                        t_grid=tuple(p["t_grid"]),
-                        estimators=tuple(p["estimators"]),
-                        replications=p["replications"], seed=p["seed"],
-                        threads=p["threads"], mcd_starts=p["mcd_starts"],
-                        mve_trials=p["mve_trials"])
-    report.write(p["out"], include_config=False)
-    if p["svg"]:
-        _, rows = report.tables["curves"]
-        series = []
-        for est in p["estimators"]:
-            pts = [(r[0], r[2]) for r in rows if r[1] == est]
-            series.append((est, [q[0] for q in pts], [q[1] for q in pts]))
-        write_line_chart(os.path.join(run_dir, "figure.svg"), series,
-                         title="max componentwise bias by outlier size",
-                         x_label="t", y_label="bias")
-    _announce(report, run_dir)
+# ---------------------------------------------------------------------------
+# the command table, and the one function that runs a command
+
+@dataclass(frozen=True)
+class _Command:
+    """build: flags -> config with every default resolved; _flags keeps each
+    flag under its own name.  run: config ->
+    the report written under out/run_dir, or, with no run_dir, the command
+    writes its own file and <stem>.config.json.  chart: figure.svg's series,
+    title and axis labels.  line: printed from the config and summary before
+    the check count.  run looks experiments up in their module at call time,
+    so wrappers installed later (the benchmark's tracer) see every call."""
+
+    run: Callable[[dict], ExperimentReport | None]
+    build: Callable[[argparse.Namespace], dict] = _flags
+    seed: int | None = None
+    run_dir: str | None = None
+    chart: Callable[[ExperimentReport, dict], tuple] | None = None
+    line: str = ""
 
 
-def _build_breakdown(args) -> dict:
-    return {"command": "breakdown", "estimator": args.estimator,
-            "d": int(args.d), "eps_grid": _parse_grid(args.eps_grid),
-            "t_large": float(args.t_large), "replications": int(args.reps),
-            "n": int(args.n), "threshold": float(args.threshold),
-            "bp": float(args.bp), "mcd_starts": int(args.mcd_starts),
-            "mve_trials": int(args.mve_trials), "threads": _threads(args),
-            "seed": _resolve_seed(args, "breakdown"), "out": args.out}
+_COMMANDS = {
+    "simulate": _Command(_simulate, build=_build_simulate, seed=7),
+    "estimate": _Command(_estimate, build=_build_estimate, seed=0),
+    "influence": _Command(_influence, build=_build_influence, seed=2024, run_dir="influence",
+                          line="influence: {n_points} points, max |IF| = {max_norm:.4f}; "
+                               "wrote {run_dir}"),
+    "ges": _Command(_ges, build=_build_ges, seed=31, run_dir="ges",
+                    line="ges[{kind}, d={d}] = {ges:.6f}; wrote {run_dir}"),
+    "table1": _Command(lambda p: experiments.table1(**_kwargs(p)), run_dir="table1"),
+    "fig2": _Command(_fig2, seed=31, run_dir="ges_vs_dim", chart=_fig2_chart),
+    "fig3": _Command(lambda p: experiments.propagation_demo(**_kwargs(p)),
+                     seed=2045, run_dir="propagation", chart=_fig3_chart),
+    "fig4": _Command(lambda p: experiments.bias_sweep(**_kwargs(p)),
+                     seed=7, run_dir="bias_sweep", chart=_fig4_chart),
+    "breakdown": _Command(lambda p: experiments.empirical_breakdown(**_kwargs(p)),
+                          seed=11, run_dir="breakdown",
+                          line="breakdown[{estimator}, d={d}]: eps_star_hat = "
+                               "{eps_star_hat}, bound = {bound:.4f}"),
+}
 
 
-def _run_breakdown(p: dict) -> None:
-    run_dir = _prepare_run_dir(p["out"], "breakdown", p)
-    report = empirical_breakdown(estimator=p["estimator"], d=p["d"],
-                                 eps_grid=tuple(p["eps_grid"]),
-                                 t_large=p["t_large"],
-                                 replications=p["replications"], n=p["n"],
-                                 seed=p["seed"], threshold=p["threshold"],
-                                 threads=p["threads"], bp=p["bp"],
-                                 mcd_starts=p["mcd_starts"],
-                                 mve_trials=p["mve_trials"])
-    report.write(p["out"], include_config=False)
-    star = report.summary.get("eps_star_hat")
-    print(f"breakdown[{p['estimator']}, d={p['d']}]: eps_star_hat = {star}, "
-          f"bound = {report.summary['bound']:.4f}")
-    _announce(report, run_dir)
+def _drive(cmd: _Command, p: dict) -> None:
+    """Write config.json, compute, write the report and figure.svg, print."""
+    if cmd.run_dir is None:
+        cmd.run(p)
+        return
+    run_dir = os.path.join(p["out"], cmd.run_dir)
+    _write_config(os.path.join(run_dir, "config.json"), p)
+    report = cmd.run(p)
+    report.write(p["out"])
+    if p.get("svg"):
+        write_line_chart(os.path.join(run_dir, "figure.svg"), *cmd.chart(report, p))
+    if cmd.line:
+        print(cmd.line.format_map({**p, **report.summary, "run_dir": run_dir}))
+    if "assertions" in report.summary:
+        _announce(report, run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +445,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="oplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add(name: str, help_text: str, out_default="runs", dir_out=True):
+    def add(name: str, help_text: str,
+            out_help: str = "parent of the run directory (default: runs)"):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None,
                         help="replay a run from its config.json; other flags "
                              "except --out/--threads/--svg are ignored")
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed; OPL_SEED is the fallback")
-        if dir_out:
-            sp.add_argument("--out", default=out_default,
-                            help="output directory for the run artifacts")
+        sp.add_argument("--out", default=None, help=out_help)
         return sp
 
     sp = add("simulate", "draw a contaminated dataset and write it as CSV",
-             dir_out=False)
+             out_help="CSV path for the dataset")
     sp.add_argument("--model", choices=MODELS, default="ficm")
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--gamma", type=float, default=None)
@@ -513,10 +470,9 @@ def _build_parser() -> _Parser:
                      help="point-mass replacement, comma-separated coordinates")
     grp.add_argument("--gauss", default=None,
                      help="gaussian replacement cells, 'mean' or 'mean,var'")
-    sp.add_argument("--out", default=None, help="CSV path for the dataset")
 
     sp = add("estimate", "fit one location/scatter estimator to a CSV dataset",
-             dir_out=False)
+             out_help="optional JSON result path")
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     sp.add_argument("--in", dest="input", default=None)
     sp.add_argument("--scatter", choices=("mcd", "sample", "identity"),
@@ -524,14 +480,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--starts", type=int, default=None,
                     help="subset starts (mcd/s) or trials (mve)")
     _add_rho_flags(sp, None)
-    sp.add_argument("--out", default=None, help="optional JSON result path")
 
     sp = add("influence", "influence surface over a z grid")
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--r", type=float, default=0.0,
                     help="equicorrelation of the model scatter")
-    sp.add_argument("--grid", default="-8:8:0.5")
+    sp.add_argument("--grid", type=_parse_grid, default="-8:8:0.5")
     sp.add_argument("--draws", type=int, default=200_000)
     sp.add_argument("--gamma", type=float, default=None)
     _add_rho_flags(sp, "squared-distance")
@@ -545,11 +500,13 @@ def _build_parser() -> _Parser:
     _add_search_flags(sp)
 
     sp = add("table1", "breakdown upper bounds by dimension")
-    sp.add_argument("--d-grid", default="1,2,3,4,5,10,15,20,100")
+    sp.add_argument("--d-grid", type=lambda t: _parse_ints(t, "--d-grid"),
+                    default="1,2,3,4,5,10,15,20,100")
     sp.add_argument("--delta", type=float, default=0.0)
 
     sp = add("fig2", "sensitivity curves against dimension")
-    sp.add_argument("--d-grid", default="1,2,3,5,8,10,12,15")
+    sp.add_argument("--d-grid", type=lambda t: _parse_ints(t, "--d-grid"),
+                    default="1,2,3,5,8,10,12,15")
     sp.add_argument("--bp", type=float, default=0.5)
     sp.add_argument("--draws", type=int, default=100_000)
     _add_search_flags(sp)
@@ -563,14 +520,16 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shift-mean", type=float, default=10.0)
     sp.add_argument("--shift-var", type=float, default=1.0)
     sp.add_argument("--svg", action="store_true")
+    sp.set_defaults(transform=[list(r) for r in PROPAGATION_TRANSFORM], figure_n=20)
 
     sp = add("fig4", "componentwise bias sweep over the outlier size")
     sp.add_argument("--d", type=int, default=15)
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--eps", type=float, default=0.15)
-    sp.add_argument("--t-grid", default="0:100:5")
-    sp.add_argument("--estimators", default="mean,coord_median,mcd,mve")
-    sp.add_argument("--reps", type=int, default=20)
+    sp.add_argument("--t-grid", type=_parse_grid, default="0:100:5")
+    sp.add_argument("--estimators", type=_parse_estimators,
+                    default="mean,coord_median,mcd,mve")
+    sp.add_argument("--reps", dest="replications", type=int, default=20)
     sp.add_argument("--mcd-starts", type=int, default=100)
     sp.add_argument("--mve-trials", type=int, default=200)
     sp.add_argument("--threads", type=int, default=None)
@@ -579,9 +538,9 @@ def _build_parser() -> _Parser:
     sp = add("breakdown", "empirical breakdown rate on a contamination grid")
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), default="mcd")
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--eps-grid", default="0.02:0.40:0.02")
+    sp.add_argument("--eps-grid", type=_parse_grid, default="0.02:0.40:0.02")
     sp.add_argument("--t-large", type=float, default=1000.0)
-    sp.add_argument("--reps", type=int, default=5)
+    sp.add_argument("--reps", dest="replications", type=int, default=5)
     sp.add_argument("--n", type=int, default=200)
     sp.add_argument("--threshold", type=float, default=10.0)
     sp.add_argument("--bp", type=float, default=0.5)
@@ -592,19 +551,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_BUILDERS = {"simulate": _build_simulate, "estimate": _build_estimate,
-             "influence": _build_influence, "ges": _build_ges,
-             "table1": _build_table1, "fig2": _build_fig2,
-             "fig3": _build_fig3, "fig4": _build_fig4,
-             "breakdown": _build_breakdown}
+def _replay(args, built: dict) -> dict:
+    """The config in args.config, checked against the keys that build writes.
 
-_RUNNERS = {"simulate": _run_simulate, "estimate": _run_estimate,
-            "influence": _run_influence, "ges": _run_ges,
-            "table1": _run_table1, "fig2": _run_fig2, "fig3": _run_fig3,
-            "fig4": _run_fig4, "breakdown": _run_breakdown}
-
-
-def _load_config(args) -> dict:
+    A replay may redirect output, change the pool size or add the figure;
+    built holds those flags resolved and checked."""
     try:
         with open(args.config) as fh:
             params = json.load(fh)
@@ -614,13 +565,13 @@ def _load_config(args) -> dict:
         raise _UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(params, dict) or params.get("command") != args.command:
         raise _UsageError(f"config does not describe an '{args.command}' run")
-    # A replay may redirect output or change the pool size; nothing else.
-    if getattr(args, "out", None) not in (None, "runs"):
-        params["out"] = args.out
-    if getattr(args, "threads", None) is not None and "threads" in params:
-        params["threads"] = int(args.threads)
-    if getattr(args, "svg", False):
-        params["svg"] = True
+    missing, unknown = sorted(built.keys() - params.keys()), sorted(params.keys() - built.keys())
+    if missing or unknown:
+        raise _UsageError(f"config {args.config} has missing keys {missing} "
+                          f"and unknown keys {unknown}")
+    for key in ("out", "threads", "svg"):
+        if getattr(args, key, None) not in (None, False):
+            params[key] = built[key]
     return params
 
 
@@ -652,11 +603,11 @@ def main(argv: list[str] | None = None) -> int:
         command = getattr(args, "command", None)
         if command is None:
             raise _UsageError("a subcommand is required (see --help)")
-        if getattr(args, "config", None):
-            params = _load_config(args)
-        else:
-            params = _BUILDERS[command](args)
-        _RUNNERS[command](params)
+        cmd = _COMMANDS[command]
+        params = cmd.build(args)
+        if args.config:
+            params = _replay(args, params)
+        _drive(cmd, params)
     except (_UsageError, InvalidData) as exc:
         print(f"oplab: error: {exc}", file=sys.stderr)
         return 1

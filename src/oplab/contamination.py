@@ -152,11 +152,6 @@ class ContaminationSpec:
             d["outlier"] = self.outlier.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ContaminationSpec":
-        out = outlier_from_dict(d["outlier"]) if d.get("outlier") else None
-        return cls(model=d["model"], epsilon=d["epsilon"], gamma=d.get("gamma"), outlier=out)
-
 
 def sample_indicators(spec: ContaminationSpec, d: int, rng: np.random.Generator) -> np.ndarray:
     """One draw of the 0/1 indicator vector for a row."""
@@ -240,19 +235,6 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
         y_row = model.sample(1, rng)[0]
         x[i], b[i] = _contaminate_row(y_row, spec, rng)
     return ContaminatedData(x=x, b=b)
-
-
-def sample_replacement(coords, z, model: EllipticalModel, rng: np.random.Generator) -> np.ndarray:
-    """One draw of Y ~ model with the coordinates in `coords` overwritten by z."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != model.dim:
-        raise ContaminationError("replacement point z must have the model dimension")
-    idx = np.asarray(sorted(set(int(i) for i in coords)), dtype=int)
-    if idx.size and (idx[0] < 0 or idx[-1] >= model.dim):
-        raise ContaminationError("replacement coordinates out of range")
-    y = model.sample(1, rng)[0]
-    y[idx] = z[idx]
-    return y
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Desk-scale contamination experiments with reproducible CSV/JSON artifacts.
 
-Every experiment returns an ExperimentReport: the fully resolved parameter
-record, one or more named tables, and a summary of pass/fail assertions.
-Reports serialize deterministically (floats via repr, JSON sorted), and all
-randomness flows through per-cell substreams keyed by the master seed, so a
-rerun with the same config reproduces every byte regardless of thread count.
+Every experiment returns an ExperimentReport: one or more named tables and
+a summary of pass/fail assertions.  Reports serialize deterministically
+(floats via repr, JSON sorted), and all randomness flows through per-cell
+substreams keyed by the master seed, so a rerun with the same arguments
+reproduces every byte regardless of thread count.  The arguments themselves
+are recorded by the caller: the command line writes them to config.json
+before an experiment starts.
 """
 
 from __future__ import annotations
@@ -32,27 +34,24 @@ _FIT_FAILURES = (EstimationError, SingularScatter, np.linalg.LinAlgError)
 
 @dataclass
 class ExperimentReport:
-    """Named tables plus the config that produced them and assertion results."""
+    """Named tables and assertion results of one run.
+
+    The report holds no record of its arguments; the command line writes
+    those once, as config.json in the same run directory, before computing.
+    """
 
     name: str
-    config: dict
     tables: dict[str, tuple[list[str], list[tuple]]]
     summary: dict = field(default_factory=dict)
 
     def passed(self) -> bool:
         return all(a["passed"] for a in self.summary.get("assertions", []))
 
-    def write(self, out_dir: str, include_config: bool = True) -> str:
-        """Write config.json, results.csv, summary.json (and any extra tables)
-        under out_dir/name; returns that directory.
-
-        include_config=False leaves an existing config.json alone, for callers
-        that persist a resolved configuration before computing.
-        """
+    def write(self, out_dir: str) -> str:
+        """Write results.csv, summary.json (and any extra tables) under
+        out_dir/name; returns that directory."""
         run_dir = os.path.join(out_dir, self.name)
         os.makedirs(run_dir, exist_ok=True)
-        if include_config:
-            write_json(os.path.join(run_dir, "config.json"), self.config)
         for table, (header, rows) in self.tables.items():
             fname = "results.csv" if table == "results" else f"{table}.csv"
             write_csv(os.path.join(run_dir, fname), header, rows)
@@ -131,14 +130,13 @@ def table1(d_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 15, 20, 100),
            delta: float = 0.0) -> ExperimentReport:
     """Breakdown upper bounds over a dimension grid, with rounded display values."""
     rows = [(d, epsilon0(delta, d), round(epsilon0(delta, d), 2)) for d in d_grid]
-    config = {"name": "table1", "d_grid": list(d_grid), "delta": delta}
     expected = {1: 0.50, 2: 0.29, 3: 0.21, 4: 0.16, 5: 0.13,
                 10: 0.07, 15: 0.05, 20: 0.03, 100: 0.01}
     checks = [_assertion(f"round(eps0(0,{d}),2)=={expected[d]}",
                          abs(r - expected[d]) < 1e-12, f"got {r}")
               for d, _, r in rows if delta == 0.0 and d in expected]
     return ExperimentReport(
-        name="table1", config=config,
+        name="table1",
         tables={"results": (["d", "eps0", "eps0_2dp"], rows)},
         summary={"assertions": checks})
 
@@ -201,11 +199,8 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
                ("median_l1", med_l[0]), ("median_l2", med_l[1]),
                ("frac_0_cells", frac[0]), ("frac_1_cell", frac[1]),
                ("frac_2_cells", frac[2])]
-    config = {"name": "propagation", "n": n, "eps": eps, "shift_mean": shift_mean,
-              "shift_var": shift_var, "transform": tmat.tolist(), "seed": seed,
-              "figure_n": figure_n}
     return ExperimentReport(
-        name="propagation", config=config,
+        name="propagation",
         tables={"results": (["metric", "value"], results),
                 "histogram": (["bin_left", "bin_right", "count_x1", "count_l1"],
                               hist_rows),
@@ -311,14 +306,8 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
         worst = max(abs(bias - eps * t) / (eps * t) for bias, t in zip(biases, tail))
         checks.append(_assertion(name, worst <= 0.20, f"worst rel {worst:.4f}"))
 
-    config = {"name": "bias_sweep", "d": d, "n": n, "eps": eps,
-              "t_grid": list(t_grid), "estimators": list(estimators),
-              "replications": replications, "seed": seed,
-              "mcd_starts": mcd_starts, "mve_trials": mve_trials,
-              "common_indicators_across_t": True,
-              "outlier": "additive shift t per contaminated cell"}
     return ExperimentReport(
-        name="bias_sweep", config=config,
+        name="bias_sweep",
         tables={"results": (["t", "estimator", "replication", "max_abs_bias"],
                             results),
                 "curves": (["t", "estimator", "mean_of_max", "max_of_mean"],
@@ -380,14 +369,8 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
             checks.append(_assertion(f"ficm above fdcm at d={d}", i > f,
                                      f"ficm {i:.3f} vs fdcm {f:.3f}"))
 
-    config = {"name": "ges_vs_dim", "d_grid": list(d_grid), "bp": bp,
-              "n_draws": n_draws, "seed": seed,
-              "search": {"axes": search.axes, "n_random": search.n_random,
-                         "n_radial": search.n_radial, "overshoot": search.overshoot,
-                         "refine": search.refine, "seed": search.seed},
-              "convention": "scaled-distance"}
     return ExperimentReport(
-        name="ges_vs_dim", config=config,
+        name="ges_vs_dim",
         tables={"results": (["d", "estimator", "model", "ges", "c"], rows)},
         summary={"assertions": checks})
 
@@ -461,15 +444,9 @@ def empirical_breakdown(estimator: str = "mcd", d: int = 2,
                                  eps_star_hat <= bound + _grid_step(eps_grid) + 1e-12,
                                  f"{eps_star_hat} vs bound {bound:.4f}"))
 
-    config = {"name": "breakdown", "estimator": estimator, "d": d,
-              "eps_grid": list(eps_grid), "t_large": t_large,
-              "replications": replications, "n": n, "seed": seed,
-              "threshold": threshold, "bp": bp, "mcd_starts": mcd_starts,
-              "mve_trials": mve_trials,
-              "outlier": "additive shift t_large per contaminated cell"}
     header = ["eps", "mean_max_bias"] + [f"rep{r + 1}" for r in range(replications)]
     return ExperimentReport(
-        name="breakdown", config=config,
+        name="breakdown",
         tables={"results": (header, rows)},
         summary={"assertions": checks, "eps_star_hat": eps_star_hat,
                  "bound": bound, "threshold": threshold})

@@ -65,13 +65,6 @@ class RhoSpec:
         if not (np.isfinite(self.c) and self.c > 0):
             raise ValueError("tuning constant c must be positive and finite")
 
-    def to_dict(self) -> dict:
-        return {"c": float(self.c), "convention": self.convention, "family": self.family}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RhoSpec":
-        return cls(c=float(d["c"]), convention=d["convention"], family=d.get("family", "tukey-bisquare"))
-
 
 def _bisquare_into(c: float, law: str, s: np.ndarray, out: np.ndarray, work: np.ndarray,
                    derivative: int) -> np.ndarray:
@@ -238,17 +231,6 @@ class EllipticalModel:
     def mahalanobis_sq(self, x) -> np.ndarray | float:
         return mahalanobis_sq(x, self.mu0, self.sigma0)
 
-    def to_dict(self) -> dict:
-        return {
-            "mu0": [float(v) for v in self.mu0],
-            "sigma0": [[float(v) for v in row] for row in self.sigma0],
-            "radial": self.radial,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EllipticalModel":
-        return cls(mu0=np.asarray(d["mu0"]), sigma0=np.asarray(d["sigma0"]), radial=d.get("radial", "gaussian"))
-
 
 def standard_model(d: int) -> EllipticalModel:
     return EllipticalModel(np.zeros(d), np.eye(d))
@@ -381,8 +363,14 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown argument convention {convention!r}")
 
+    # excess keeps each constant's value: _brentq evaluates the bracket ends
+    # again, and the residual check evaluates the root again
+    values = {}
+
     def excess(c: float) -> float:
-        return expected_rho(RhoSpec(c=c, convention=convention), d, nodes) - bp
+        if c not in values:
+            values[c] = expected_rho(RhoSpec(c=c, convention=convention), d, nodes) - bp
+        return values[c]
 
     lo, hi = 0.5, 4.0
     for _ in range(_BRACKET_DOUBLINGS):

@@ -13,7 +13,7 @@ import pytest
 
 import oplab
 from oplab import calibrate_c
-from oplab.cli import _merge_negative_payloads, _parse_grid, _UsageError, main
+from oplab.cli import _COMMANDS, _merge_negative_payloads, _parse_grid, _UsageError, main
 
 
 def _read_csv(path):
@@ -161,9 +161,14 @@ def test_seed_resolution(tmp_path, monkeypatch):
 
 
 def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    assert main(["simulate", "--n", "5", "--seed", "3", "--out", str(tmp_path / "x.csv")]) == 0
     monkeypatch.setenv("OPL_SEED", "lots")
-    assert main(["simulate", "--n", "5", "--out", str(tmp_path / "x.csv")]) == 1
+    assert main(["simulate", "--n", "5", "--out", str(tmp_path / "y.csv")]) == 1
     assert "OPL_SEED" in capsys.readouterr().err
+    # a replay takes its seed from the config and never reads OPL_SEED
+    assert main(["simulate", "--config", str(tmp_path / "x.config.json"),
+                 "--out", str(tmp_path / "z.csv")]) == 0
+    assert (tmp_path / "z.csv").read_bytes() == (tmp_path / "x.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +233,104 @@ def test_estimate_m_calibrates_its_default_loss_at_the_data_dimension(tmp_path, 
 # ---------------------------------------------------------------------------
 # run directories and replay
 
-def test_influence_run_and_replay_are_byte_identical(tmp_path):
+# micro runs of every run-directory command: argv and the run directory name
+_RUNS = {
+    "influence": (["influence", "--kind", "ficm", "--d", "2", "--grid", "-2:2:1",
+                   "--draws", "4000"], "influence"),
+    "ges": (["ges", "--kind", "fdcm", "--d", "2", "--draws", "4000"], "ges"),
+    "table1": (["table1"], "table1"),
+    "fig2": (["fig2", "--d-grid", "1,2", "--draws", "2000", "--n-radial", "6",
+              "--refine", "8", "--n-random", "1", "--svg"], "ges_vs_dim"),
+    "fig3": (["fig3", "--n", "2000", "--svg"], "propagation"),
+    "fig4": (["fig4", "--d", "2", "--n", "30", "--t-grid", "0:10:10",
+              "--estimators", "mean,coord_median", "--reps", "2", "--svg"], "bias_sweep"),
+    "breakdown": (["breakdown", "--estimator", "coord_median", "--d", "2",
+                   "--eps-grid", "0.1:0.2:0.1", "--reps", "2", "--n", "40"], "breakdown"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_run_and_replay_are_byte_identical(tmp_path, capsys, command):
+    argv, name = _RUNS[command]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["influence", "--kind", "ficm", "--d", "2", "--grid", "-2:2:1",
-            "--draws", "4000", "--out", str(out1)]
-    assert main(args) == 0
-    run = out1 / "influence"
+    assert main(argv + ["--out", str(out1)]) == 0
+    printed = capsys.readouterr().out
+    run = out1 / name
     cfg = json.loads((run / "config.json").read_text())
-    assert cfg["command"] == "influence"
+    assert cfg["command"] == command and cfg["out"] == str(out1)
+
+    assert main([command, "--config", str(run / "config.json"), "--out", str(out2)]) == 0
+    assert capsys.readouterr().out == printed.replace(str(out1), str(out2))
+    files = sorted(p.name for p in run.iterdir())
+    assert {"config.json", "results.csv", "summary.json"} <= set(files)
+    assert ("figure.svg" in files) == ("--svg" in argv)
+    assert sorted(p.name for p in (out2 / name).iterdir()) == files
+    for fname in files:
+        if fname != "config.json":
+            assert (run / fname).read_bytes() == (out2 / name / fname).read_bytes(), fname
+    cfg2 = json.loads((out2 / name / "config.json").read_text())
+    assert {**cfg2, "out": None} == {**cfg, "out": None}
+
+
+def test_influence_config_resolves_grid_and_constant(tmp_path):
+    argv, _ = _RUNS["influence"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "influence" / "config.json").read_text())
     assert cfg["grid"] == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert cfg["c"] == pytest.approx(6.0 ** 0.5)
 
-    assert main(["influence", "--config", str(run / "config.json"),
-                 "--out", str(out2)]) == 0
-    assert (run / "results.csv").read_bytes() == \
-        (out2 / "influence" / "results.csv").read_bytes()
-    cfg2 = json.loads((out2 / "influence" / "config.json").read_text())
-    assert {**cfg2, "out": None} == {**cfg, "out": None}
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    """One config file per subcommand, with the flags a replay of it needs."""
+    root = tmp_path_factory.mktemp("configs")
+    data = root / "data.csv"
+    assert main(["simulate", "--d", "2", "--n", "30", "--out", str(data)]) == 0
+    assert main(["estimate", "--estimator", "mean", "--in", str(data),
+                 "--out", str(root / "fit.json")]) == 0
+    found = {"simulate": (root / "data.config.json", []),
+             "estimate": (root / "fit.config.json", ["--estimator", "mean"])}
+    for command, (argv, name) in _RUNS.items():
+        assert main(argv + ["--out", str(root)]) == 0
+        found[command] = (root / name / "config.json", [])
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_replay_rejects_missing_and_unknown_keys(configs, tmp_path, capsys, command):
+    path, extra = configs[command]
+    cfg = json.loads(path.read_text())
+    capsys.readouterr()
+    cases = [(key, {k: v for k, v in cfg.items() if k != key})
+             for key in cfg if key != "command"]
+    cases.append(("surplus", {**cfg, "surplus": 1}))
+    fresh = tmp_path / "fresh"
+    for key, bad in cases:
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        assert main([command, "--config", str(bad_path), "--out", str(fresh / "x.csv")]
+                    + extra) == 1, key
+        captured = capsys.readouterr()
+        assert captured.out == "", key
+        assert captured.err.startswith("oplab: error:") and repr(key) in captured.err, key
+        assert not fresh.exists(), key
+
+
+def test_replay_with_explicit_out_runs_writes_under_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    first = tmp_path / "first"
+    assert main(["table1", "--out", str(first)]) == 0
+    original = (first / "table1" / "config.json").read_bytes()
+    other = tmp_path / "other"
+    other.mkdir()
+    monkeypatch.chdir(other)
+    assert main(["table1", "--config", str(first / "table1" / "config.json"),
+                 "--out", "runs"]) == 0
+    assert json.loads((other / "runs" / "table1" / "config.json").read_text())["out"] == "runs"
+    assert (other / "runs" / "table1" / "results.csv").read_bytes() == \
+        (first / "table1" / "results.csv").read_bytes()
+    assert (first / "table1" / "config.json").read_bytes() == original
+    capsys.readouterr()
 
 
 def test_replay_rejects_mismatched_command(tmp_path, capsys):
@@ -270,9 +356,13 @@ def test_ges_run_writes_rays(tmp_path, capsys):
     assert "ges[fdcm, d=2]" in capsys.readouterr().out
 
 
-def test_table1_run(tmp_path, capsys):
-    out = tmp_path / "t"
-    assert main(["table1", "--out", str(out)]) == 0
+def test_table1_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["table1"]) == 0
+    out = tmp_path / "runs"
+    assert json.loads((out / "table1" / "config.json").read_text()) == \
+        {"command": "table1", "d_grid": [1, 2, 3, 4, 5, 10, 15, 20, 100],
+         "delta": 0.0, "out": "runs"}
     header, rows = _read_csv(out / "table1" / "results.csv")
     assert header == ["d", "eps0", "eps0_2dp"]
     assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "10", "15", "20", "100"]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from oplab import (MODELS, AdditiveShift, ContaminationError,
                    ContaminationSpec, GaussianShift, InvalidData, PointMass,
                    cell_count_pmf, contaminate, outlier_from_dict,
-                   read_dataset, sample_contaminated,
-                   sample_replacement, standard_model, write_dataset)
+                   read_dataset, sample_contaminated, standard_model,
+                   write_dataset)
 from oplab.cli import main
 from oplab.rng import row_stream, row_streams, substream
 
@@ -57,12 +57,6 @@ def test_spec_validation():
         ContaminationSpec("ficm", 0.2, gamma=0.5)
     # model name is case-insensitive
     assert ContaminationSpec("FICM", 0.2).model == "ficm"
-
-
-def test_spec_dict_roundtrip():
-    spec = ContaminationSpec("pcicm-i", 0.2, gamma=0.6, outlier=PointMass((5.0, 5.0)))
-    back = ContaminationSpec.from_dict(spec.to_dict())
-    assert back == spec
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +273,6 @@ def test_generation_matches_the_per_row_generators(model, tmp_path):
     assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def test_sample_replacement():
-    model = standard_model(3)
-    z = np.array([4.0, -2.0, 1.0])
-    full = sample_replacement([0, 1, 2], z, model, substream(5, 5))
-    assert np.array_equal(full, z)
-    # an empty pattern reproduces the plain model draw
-    y0 = model.sample(1, substream(5, 6))[0]
-    assert np.array_equal(sample_replacement([], z, model, substream(5, 6)), y0)
-    one = sample_replacement([1], z, model, substream(5, 7))
-    assert one[1] == -2.0
-    assert not np.array_equal(one[[0, 2]], z[[0, 2]])
-    with pytest.raises(ContaminationError):
-        sample_replacement([3], z, model, substream(5, 8))
-    with pytest.raises(ContaminationError):
-        sample_replacement([0], np.zeros(2), model, substream(5, 9))
-
-
 # ---------------------------------------------------------------------------
 # dataset files
 
@@ -310,7 +287,7 @@ def test_dataset_roundtrip(tmp_path):
     assert np.array_equal(b, data.b)
     assert meta["spec"]["model"] == "ficm"
     assert meta["seed"] == 3
-    assert ContaminationSpec.from_dict(meta["spec"]) == spec
+    assert meta["spec"] == spec.to_dict()
 
 
 def test_dataset_without_indicators(tmp_path):

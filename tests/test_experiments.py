@@ -85,8 +85,8 @@ def test_propagation_demo_fractions_and_medians():
     assert vals["median_l1"] > 1.0
     header, hist = rep.tables["histogram"]
     assert header == ["bin_left", "bin_right", "count_x1", "count_l1"]
-    assert sum(r[2] for r in hist) <= rep.config["n"]
-    assert len(rep.tables["sample"][1]) == rep.config["figure_n"]
+    assert sum(r[2] for r in hist) <= 20_000
+    assert len(rep.tables["sample"][1]) == 20
 
 
 def test_propagation_demo_clean_case_fails_the_mixing_check():
@@ -262,29 +262,19 @@ def test_breakdown_validation():
 # ---------------------------------------------------------------------------
 # report files
 
-def test_report_write_and_config_toggle(tmp_path):
+def test_report_write_tables_and_summary(tmp_path):
     rep = ExperimentReport(
-        name="demo", config={"alpha": 1, "flag": True},
+        name="demo",
         tables={"results": (["a", "b"], [(1, 2.5), (3, float("nan"))]),
                 "extra": (["x"], [(True,), (False,)])},
         summary={"assertions": [{"name": "ok", "passed": True, "detail": ""}]})
     run_dir = rep.write(str(tmp_path))
     assert run_dir == str(tmp_path / "demo")
-    assert sorted(os.listdir(run_dir)) == ["config.json", "extra.csv",
-                                           "results.csv", "summary.json"]
+    assert sorted(os.listdir(run_dir)) == ["extra.csv", "results.csv", "summary.json"]
     text = open(os.path.join(run_dir, "results.csv")).read()
     assert text == "a,b\n1,2.5\n3,nan\n"
     assert open(os.path.join(run_dir, "extra.csv")).read() == "x\ntrue\nfalse\n"
-    cfg = json.load(open(os.path.join(run_dir, "config.json")))
-    assert cfg == {"alpha": 1, "flag": True}
-
-    # a pre-written config survives include_config=False
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        fh.write('{"pinned": 1}\n')
-    rep.write(str(tmp_path), include_config=False)
-    assert json.load(open(os.path.join(run_dir, "config.json"))) == {"pinned": 1}
-    rep.write(str(tmp_path))
-    assert json.load(open(os.path.join(run_dir, "config.json"))) == cfg
+    assert json.load(open(os.path.join(run_dir, "summary.json"))) == rep.summary
 
 
 def test_write_csv_is_byte_stable(tmp_path):
