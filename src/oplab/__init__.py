@@ -5,7 +5,7 @@ built on top of them."""
 from .contamination import (MODELS, AdditiveShift, ContaminatedData,
                             ContaminationError, ContaminationSpec,
                             GaussianShift, PointMass, cell_count_pmf,
-                            contaminate, outlier_from_dict, read_dataset,
+                            outlier_from_dict, read_dataset,
                             sample_contaminated, write_dataset)
 from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
                          EstimationError, Estimator, LocationScatter,
@@ -36,7 +36,7 @@ __all__ = [
     "GesResult", "GesSearch", "InfluenceContext", "InfluenceResult",
     "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
     "SingularScatter", "a_psi", "bias_sweep", "calibrate_c", "cell_count_pmf",
-    "chi2_truncated_expectation", "clean_majority_threshold", "contaminate",
+    "chi2_truncated_expectation", "clean_majority_threshold",
     "coord_ges", "coord_m_fit", "coord_median", "coord_s", "default_c",
     "empirical_breakdown", "epsilon0", "equicorrelated_model", "expected_rho",
     "ges", "ges_vs_dim", "if_coordwise", "if_fdcm", "if_ficm", "if_numeric",

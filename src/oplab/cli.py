@@ -221,6 +221,10 @@ def _simulate(p: dict) -> None:
 
 def _build_estimate(args) -> dict:
     p = _flags(args)
+    if p["estimator"] is None:
+        if not args.config:
+            raise _UsageError("the following arguments are required: --estimator")
+        return p  # a replay takes the estimator and what it resolves from the config
     fit = ESTIMATORS[p["estimator"]]
     if p["convention"] is None:
         p["convention"] = fit.convention
@@ -451,8 +455,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--config", default=None,
                         help="replay a run from its config.json; other flags "
                              "except --out/--threads/--svg are ignored")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master seed; OPL_SEED is the fallback")
+        if _COMMANDS[name].seed is not None:  # table1 is deterministic
+            sp.add_argument("--seed", type=int, default=None,
+                            help="master seed; OPL_SEED is the fallback")
         sp.add_argument("--out", default=None, help=out_help)
         return sp
 
@@ -473,7 +478,8 @@ def _build_parser() -> _Parser:
 
     sp = add("estimate", "fit one location/scatter estimator to a CSV dataset",
              out_help="optional JSON result path")
-    sp.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
+    sp.add_argument("--estimator", choices=tuple(ESTIMATORS), default=None,
+                    help="required unless --config is given")
     sp.add_argument("--in", dest="input", default=None)
     sp.add_argument("--scatter", choices=("mcd", "sample", "identity"),
                     default="mcd", help="plug-in scatter for the m estimator")

@@ -200,25 +200,6 @@ def _contaminate_row(y_row: np.ndarray, spec: ContaminationSpec,
     return xi, bi
 
 
-def contaminate(y: np.ndarray, spec: ContaminationSpec, seed: int) -> ContaminatedData:
-    """Apply the contamination spec to clean rows y; X = (I - B) Y + B Z.
-
-    Row i consumes only its own substream: first the indicator draw, then the
-    replacement values for its contaminated cells.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise ContaminationError("expected an (n, d) array of clean rows")
-    if spec.outlier is None and spec.epsilon > 0.0:
-        raise ContaminationError("contamination with epsilon > 0 needs an outlier generator")
-    n, d = y.shape
-    x = np.empty_like(y)
-    b = np.zeros((n, d), dtype=np.int8)
-    for i, rng in enumerate(row_streams(seed, range(n))):
-        x[i], b[i] = _contaminate_row(y[i], spec, rng)
-    return ContaminatedData(x=x, b=b)
-
-
 def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
                         seed: int) -> ContaminatedData:
     """Draw clean rows from the elliptical model, then contaminate them.

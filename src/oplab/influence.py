@@ -94,7 +94,8 @@ class InfluenceContext:
 
     def _draws(self, path: int):
         """Model draws plus precision products, cached for the last path, and
-        three n x d scratch buffers for _ficm_core with the same lifetime."""
+        three n x d scratch buffers for the cellwise core (_ficm_totals) with
+        the same lifetime."""
         key = (path, self.mc.n_draws, self.mc.seed)
         if self._cache_key != key:
             rng = substream(self.mc.seed, path)
@@ -136,6 +137,92 @@ def if_fdcm(z, ctx: InfluenceContext) -> InfluenceResult:
     return InfluenceResult(z=z, value=np.asarray(val), stderr=np.zeros(ctx.d))
 
 
+# Rows per block of the cellwise core's elementwise pass.  At the dimensions
+# fig2 sweeps, a block of the three scratch buffers stays in cache (4,096 x 10
+# doubles is 320 kB each); twice as many rows made d = 10 slower, and fewer
+# rows pay numpy's per-call overhead more often.
+_BLOCK_ROWS = 4096
+
+
+def _row_sum(c: np.ndarray) -> np.ndarray:
+    """c.sum(axis=1) for a C-ordered float array of at least one column, in
+    numpy's own float order, from column adds along the rows.
+
+    numpy adds each row by pairwise summation (pairwise_sum in its
+    loops_utils.h.src): fewer than 8 terms left to right; up to 128 terms in
+    eight accumulators, accumulator j taking every 8th term from term j,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the leftover
+    terms are added in order; above 128 the two halves, split at a multiple
+    of 8, summed recursively.  The reduction starts from add's identity +0.0,
+    which only turns a -0.0 total into +0.0.  A numpy that changes this order
+    fails test_row_sum_matches_numpys_reduction_order.
+    """
+    return _pairwise_rows(c) + 0.0
+
+
+def _pairwise_rows(c: np.ndarray) -> np.ndarray:
+    n = c.shape[1]
+    if n < 8:
+        s = c[:, 0].copy()
+        for j in range(1, n):
+            s += c[:, j]
+        return s
+    if n <= 128:
+        n8 = n - n % 8
+        r = c[:, :8]
+        if n8 > 8:
+            r = r + c[:, 8:16]
+            for i in range(16, n8, 8):
+                r += c[:, i:i + 8]
+        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
+        r = r[:, 0::2] + r[:, 1::2]
+        s = r[:, 0] + r[:, 1]
+        for j in range(n8, n):
+            s += c[:, j]
+        return s
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_rows(c[:, :n2]) + _pairwise_rows(c[:, n2:])
+
+
+def _ficm_totals(z: np.ndarray, ctx: InfluenceContext,
+                 path: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw totals of every single-coordinate pattern (see _ficm_core),
+    into the context's scratch buffer a.  Returns a and b, a scratch buffer
+    the caller may overwrite."""
+    y, ydev, proj, d2y, (a, b, c) = ctx._draws(path)
+    # the length-d operands tiled to one block: numpy runs a (rows, d) by (d,)
+    # broadcast as one short inner loop per row, several times slower
+    tile = (min(_BLOCK_ROWS, y.shape[0]), 1)
+    zt = np.tile(z, tile)
+    inv_diag = np.tile(np.diag(ctx._sigma_inv), tile)
+    zdev = np.tile(z - ctx.model.mu0, tile)
+    # psi is p^2 s (6/c^2) on the squared-distance law, NaN where p == 0 and
+    # s is inf; on the scaled law it is p^2 (3/c^2), already +0.0 wherever
+    # p == 0, so psi_sq's zeroing would change no bit there
+    squared = ctx.rho.convention == "squared-distance"
+    for lo in range(0, y.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        ab = a[rows]
+        m = ab.shape[0]
+        bb, cb = b[:m], c[:m]  # per-block temporaries: the same rows every block
+        np.subtract(zt[:m], y[rows], out=ab)  # delta
+        np.multiply(ab, 2.0, out=bb)  # d2k = (d2y + (2 delta) proj) + delta^2 inv_diag
+        bb *= proj[rows]
+        bb += d2y[rows, None]
+        np.square(ab, out=cb)
+        cb *= inv_diag[:m]
+        bb += cb
+        rho_sq_into(ctx.rho, bb, cb, ab, derivative=1)  # psi into cb, p into ab
+        if squared:  # as psi_sq: zero beyond the truncation, not 0 * inf
+            np.copyto(cb, 0.0, where=ab == 0.0)
+        np.subtract(_row_sum(cb)[:, None], cb, out=ab)
+        ab *= ydev[rows]
+        cb *= zdev[:m]
+        ab += cb
+    return a, b
+
+
 def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResult:
     """Sum over single-coordinate patterns, one shared sample for all of them.
 
@@ -143,33 +230,37 @@ def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResu
     2 (z_k - Y_k) proj_k + (z_k - Y_k)^2 (Sigma^-1)_kk, so one draw set prices
     every pattern in O(n d).  Per-draw totals keep the stderr honest.
 
-    Every n x d intermediate lives in the context's scratch buffers.  The
-    float operations run in the order of the plain expressions (psi_sq on
+    _ficm_totals writes the per-draw totals into the context's scratch
+    buffers; this function takes their mean and stderr, and _ficm_value,
+    which the ges search calls, their mean alone.  Both return bit for bit
+    what the plain expressions in tests/_ficm_reference.py give (psi_sq on
     the pinned distances, numpy's mean and std(ddof=1) of the per-draw
-    totals), so the result is bit for bit the same.  Nothing returned is a
-    view of a buffer.
+    totals), because every float operation is the same one on the same
+    operands:
+    - the elementwise pass runs in blocks of _BLOCK_ROWS rows.  A row's
+      values depend on that row alone, so the blocks move no bit;
+    - each row's sum over patterns is a sequence of column adds in numpy's
+      pairwise order (_row_sum), not a reduction along the short axis;
+    - psi_sq's zeroing beyond the truncation runs only where it can change
+      a bit (the squared-distance law);
+    - the sums over draws stay single numpy reductions over the whole
+      buffer, so the draws are added in the order numpy adds them.
+    Nothing returned is a view of a buffer.
     """
-    y, ydev, proj, d2y, (a, b, c) = ctx._draws(path)
-    n = y.shape[0]
-    np.subtract(z, y, out=a)  # delta
-    np.multiply(a, 2.0, out=b)  # d2k = (d2y + (2 delta) proj) + delta^2 inv_diag
-    b *= proj
-    b += d2y[:, None]
-    np.square(a, out=c)
-    c *= np.diag(ctx._sigma_inv)
-    b += c
-    rho_sq_into(ctx.rho, b, c, a, derivative=1)  # psi into c, p into a
-    c[a == 0.0] = 0.0  # as psi_sq: zero beyond the truncation, not 0 * inf
-    np.subtract(c.sum(axis=1)[:, None], c, out=a)  # per-draw totals
-    a *= ydev
-    c *= z - ctx.model.mu0
-    a += c
+    a, b = _ficm_totals(z, ctx, path)
+    n = a.shape[0]
     mean = a.sum(axis=0) / n
     np.subtract(a, mean, out=b)
     np.square(b, out=b)
     var = b.sum(axis=0) / (n - 1)
     return InfluenceResult(z=z, value=mean / ctx.a_psi,
                            stderr=np.sqrt(var) / math.sqrt(n) / ctx.a_psi)
+
+
+def _ficm_value(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
+    """_ficm_core's value alone, the same bits, without the stderr pass."""
+    a, _ = _ficm_totals(z, ctx, path)
+    return a.sum(axis=0) / a.shape[0] / ctx.a_psi
 
 
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:
@@ -205,6 +296,14 @@ _DISPATCH = {
 
 def influence(z, ctx: InfluenceContext) -> InfluenceResult:
     return _DISPATCH[ctx.kind](z, ctx)
+
+
+def _cellwise_value(z: np.ndarray, ctx: InfluenceContext) -> np.ndarray:
+    """influence(z, ctx).value for a cellwise kind, the same bits, without
+    the stderr."""
+    if ctx.kind == "psicm":
+        return 0.5 * (if_fdcm(z, ctx).value + _ficm_value(z, ctx, _PATH_PSICM))
+    return _ficm_value(z, ctx, _PATH_FICM)
 
 
 def if_coordwise(z, model: EllipticalModel, rho1: RhoSpec,
@@ -396,7 +495,7 @@ def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:
     t_trunc = math.sqrt(truncation_sq(rho))
 
     def norm_at(zvec: np.ndarray) -> float:
-        return influence(zvec, ctx).norm
+        return float(np.linalg.norm(_cellwise_value(zvec, ctx)))
 
     best_value = 0.0
     best_z = model.mu0.copy()

@@ -160,6 +160,17 @@ def test_seed_resolution(tmp_path, monkeypatch):
     assert run("explicit", OPL_SEED="42") == 5
 
 
+def test_table1_takes_no_seed(tmp_path, monkeypatch, capsys):
+    # table1 draws nothing: a seed flag is rejected, and OPL_SEED is not read
+    assert main(["table1", "--seed", "5", "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.startswith("oplab: error:")
+    assert not (tmp_path / "a").exists()
+    monkeypatch.setenv("OPL_SEED", "lots")
+    assert main(["table1", "--out", str(tmp_path / "b")]) == 0
+    assert "seed" not in json.loads((tmp_path / "b" / "table1" / "config.json").read_text())
+    capsys.readouterr()
+
+
 def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--n", "5", "--seed", "3", "--out", str(tmp_path / "x.csv")]) == 0
     monkeypatch.setenv("OPL_SEED", "lots")
@@ -212,6 +223,21 @@ def test_estimate_writes_result_and_config(dataset, tmp_path, capsys):
     assert cfg["command"] == "estimate"
     assert cfg["estimator"] == "mcd"
     assert cfg["starts"] == 500  # default resolved into the config
+
+
+def test_estimate_replay_needs_no_estimator(dataset, tmp_path, capsys):
+    fit = tmp_path / "fit.json"
+    assert main(["estimate", "--estimator", "mcd", "--starts", "50", "--in", str(dataset),
+                 "--out", str(fit)]) == 0
+    again = tmp_path / "again.json"
+    assert main(["estimate", "--config", str(tmp_path / "fit.config.json"),
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == fit.read_bytes()
+    capsys.readouterr()
+    # without a config the estimator is still required
+    assert main(["estimate", "--in", str(dataset)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("oplab: error:") and "--estimator" in err
 
 
 def test_estimate_m_calibrates_its_default_loss_at_the_data_dimension(tmp_path, capsys):
@@ -289,7 +315,7 @@ def configs(tmp_path_factory):
     assert main(["estimate", "--estimator", "mean", "--in", str(data),
                  "--out", str(root / "fit.json")]) == 0
     found = {"simulate": (root / "data.config.json", []),
-             "estimate": (root / "fit.config.json", ["--estimator", "mean"])}
+             "estimate": (root / "fit.config.json", [])}
     for command, (argv, name) in _RUNS.items():
         assert main(argv + ["--out", str(root)]) == 0
         found[command] = (root / name / "config.json", [])
