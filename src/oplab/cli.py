@@ -48,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse that surfaces grammar problems as exceptions instead of
     exiting with argparse's default status 2."""
 
+    commands: dict[str, "_Parser"]  # the subcommand parsers, on the top-level parser
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -453,8 +455,8 @@ def _build_parser() -> _Parser:
             out_help: str = "parent of the run directory (default: runs)"):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None,
-                        help="replay a run from its config.json; other flags "
-                             "except --out/--threads/--svg are ignored")
+                        help="replay a run from its config.json; no other flag "
+                             "but --out, --threads and --svg may be given")
         if _COMMANDS[name].seed is not None:  # table1 is deterministic
             sp.add_argument("--seed", type=int, default=None,
                             help="master seed; OPL_SEED is the fallback")
@@ -554,7 +556,29 @@ def _build_parser() -> _Parser:
     sp.add_argument("--mve-trials", type=int, default=200)
     sp.add_argument("--threads", type=int, default=None)
 
+    parser.commands = sub.choices
     return parser
+
+
+# the flags a replay may take: where it writes, the pool size and the figure
+_REPLAY_FLAGS = ("out", "threads", "svg")
+
+
+def _reject_replay_conflicts(parser: _Parser, argv: list[str], command: str) -> None:
+    """Under --config, a usage error naming the first flag typed in argv that
+    would change the replayed run.  argv is parsed again onto a namespace
+    that already holds every destination, so argparse fills in no default
+    and what it sets is what was typed."""
+    sp = parser.commands[command]
+    unset = object()
+    typed = sp.parse_args(argv[argv.index(command) + 1:],
+                          argparse.Namespace(**{a.dest: unset for a in sp._actions}))
+    for action in sp._actions:
+        if (action.dest not in ("config",) + _REPLAY_FLAGS
+                and getattr(typed, action.dest) is not unset):
+            raise _UsageError(f"{action.option_strings[0]} conflicts with --config: a replay "
+                              f"takes its settings from the config; only --out, "
+                              f"--threads and --svg may be given")
 
 
 def _replay(args, built: dict) -> dict:
@@ -575,7 +599,7 @@ def _replay(args, built: dict) -> dict:
     if missing or unknown:
         raise _UsageError(f"config {args.config} has missing keys {missing} "
                           f"and unknown keys {unknown}")
-    for key in ("out", "threads", "svg"):
+    for key in _REPLAY_FLAGS:
         if getattr(args, key, None) not in (None, False):
             params[key] = built[key]
     return params
@@ -610,6 +634,8 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:
             raise _UsageError("a subcommand is required (see --help)")
         cmd = _COMMANDS[command]
+        if args.config:
+            _reject_replay_conflicts(parser, argv, command)
         params = cmd.build(args)
         if args.config:
             params = _replay(args, params)

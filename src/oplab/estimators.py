@@ -288,38 +288,61 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
 # ---------------------------------------------------------------------------
 # Multivariate S-estimator.
 
-def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator):
-    """Random (or exhaustive, when fewer exist) index subsets of size d + 1."""
+def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator) -> np.ndarray:
+    """Random (or exhaustive, when fewer exist) index subsets of size d + 1, as
+    the rows of a (k, d + 1) array."""
     n, d = x.shape
     size = d + 1
-    total = math.comb(n, size)
-    if total <= n_starts:
-        yield from (np.array(c) for c in itertools.combinations(range(n), size))
-        return
-    for _ in range(n_starts):
-        yield rng.choice(n, size=size, replace=False)
+    if math.comb(n, size) <= n_starts:
+        starts = list(itertools.combinations(range(n), size))
+    else:
+        starts = [rng.choice(n, size=size, replace=False) for _ in range(n_starts)]
+    return np.array(starts, dtype=np.intp).reshape(-1, size)
 
 
 def _moments(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample covariance of the rows of sub, computed the way np.cov
-    computes them, so bit for bit the same; dot(dev, dev.T) is one symmetric
-    rank-k update, so the covariance is exactly symmetric."""
-    m = sub.mean(axis=0)
-    dev = (sub - m).T
-    cov = np.dot(dev, dev.T)
-    cov *= np.true_divide(1, sub.shape[0] - 1)
+    computes them, so bit for bit the same; dev @ dev.T is one symmetric
+    rank-k update, so the covariance is exactly symmetric.  A (k, h, d) stack
+    gives k moments, each bit for bit its own call's."""
+    m = sub.mean(axis=-2)
+    dev = np.swapaxes(sub - m[..., None, :], -1, -2)
+    cov = dev @ np.swapaxes(dev, -1, -2)
+    cov *= np.true_divide(1, sub.shape[-2] - 1)
     return m, cov
 
 
-def _elemental_moments(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_moments of the rows idx of x, or None when their covariance is singular:
-    when _factor, which the searches' distances use, rejects it."""
-    m, cov = _moments(x[idx])
+def _chol_logdet(low: np.ndarray) -> np.ndarray:
+    """log det of the scatter, or of each in a stack, from its Cholesky factor."""
+    return 2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _factor_each(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a (k, d, d) stack and a mask of those _factor
+    accepts.  numpy factors a stack in one call but rejects it whole, so a
+    rejected stack is factored again one matrix at a time."""
     try:
-        _factor(cov)
+        return _factor(cov), np.ones(len(cov), dtype=bool)
     except SingularScatter:
-        return None
-    return m, cov
+        pass
+    low, ok = np.zeros_like(cov), np.ones(len(cov), dtype=bool)
+    for i, c in enumerate(cov):
+        try:
+            low[i] = _factor(c)
+        except SingularScatter:
+            ok[i] = False
+    return low, ok
+
+
+def _elemental_moments(x: np.ndarray, idx: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_moments of the rows idx[i] of x for each row of the (k, size) index
+    array idx, with the covariances' Cholesky factors, in the order of idx;
+    subsets whose covariance _factor rejects are left out, since the
+    searches' distances need the factor."""
+    m, cov = _moments(x[idx])
+    low, ok = _factor_each(cov)
+    return m[ok], cov[ok], low[ok]
 
 
 def _mad_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +361,9 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     directly (the scale s0 = 1 is absorbed into c).  Each start runs a
     fixed-point iteration: weighted mean, u-weighted shape update, and an
     exact rescale back onto the constraint.  The determinant is monotone
-    along the iteration; a float-level increase stops that start.
+    along the iteration; a float-level increase stops that start, and so
+    does a step below tol.  The start with the smallest determinant then
+    iterates on until its step is below 1e-12.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -357,24 +382,34 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     except EstimationError:
         pass
     starts.append(_mad_start(x))
-    for idx in _elemental_starts(x, n_starts, rng):
-        mom = _elemental_moments(x, idx)
-        if mom is not None:
-            starts.append(mom)
+    m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, rng))
+    starts.extend(zip(m, cov))
 
-    best: LocationScatter | None = None
+    best = None
     for m0, c0 in starts:
         try:
-            result = _s_from_start(x, spec, bp, m0, c0, max_iter, tol)
+            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol)
         except (SingularScatter, DegenerateData):
             continue  # this start's scatter went singular
-        if result is None:
-            continue
-        if best is None or result.objective < best.objective:
-            best = result
+        if fit is not None and (best is None or fit[2] < best[2]):
+            best = fit
     if best is None:
         raise DegenerateData("no S start produced a nonsingular solution")
-    return best
+    # only the winner iterates on to a step of 1e-12: starts that reach one
+    # optimum differ by their stopping error, and float noise picks among them
+    m, sigma, _, it = best
+    refined = _s_iterate(x, spec, bp, m, sigma, max_iter, 1e-12)
+    if refined is None:
+        raise DegenerateData("every point fell beyond the loss truncation")
+    m, sigma, logdet, more = refined
+    dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
+    w = weight(spec, dist)
+    wsum = w.sum()
+    constraint_res = abs(float(np.mean(rho(spec, dist))) - bp)
+    # the weighted-mean equation in the Mahalanobis norm of sigma: scale-free
+    mean_res = math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).sum(axis=0) / wsum, 0.0, sigma))
+    return LocationScatter(mu=m, sigma=sigma, converged=constraint_res < 1e-8 and mean_res < 1e-8,
+                           iterations=it + more, objective=logdet, weights=w / wsum)
 
 
 def _step_below(step: np.ndarray, m: np.ndarray, low: np.ndarray, tol: float) -> bool:
@@ -386,9 +421,11 @@ def _step_below(step: np.ndarray, m: np.ndarray, low: np.ndarray, tol: float) ->
     return step2 < bound * bound
 
 
-def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None:
-    """The S fixed point from one start, or None; raises SingularScatter or
-    DegenerateData when the scatter goes singular on the way.
+def _s_iterate(x, spec, b, m, sigma, max_iter, tol) -> tuple | None:
+    """S fixed-point iterations from (m, sigma): (m, sigma, log det sigma,
+    iterations) where the step falls below tol, or None when every weight
+    vanishes; raises SingularScatter or DegenerateData when the scatter goes
+    singular on the way.
 
     Past the checked first distances, the iterations use the private distance
     path: each shape is one symmetric rank-k update, so exactly symmetric, and
@@ -398,7 +435,7 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
     s = m_scale(dist, spec, b)
     sigma = sigma * s**2
     dist /= s
-    logdet_prev = float(np.linalg.slogdet(sigma)[1])
+    logdet_prev = float(_chol_logdet(_factor(sigma)))
     it = 0
     for it in range(1, max_iter + 1):
         w = weight(spec, dist)
@@ -412,74 +449,75 @@ def _s_from_start(x, spec, b, m, sigma, max_iter, tol) -> LocationScatter | None
         s = m_scale(dist, spec, b)
         dist /= s
         sigma_new = shape * s**2
-        logdet = float(np.linalg.slogdet(sigma_new)[1])
+        low = _factor(sigma_new)
+        logdet = float(_chol_logdet(low))
         if logdet > logdet_prev + 1e-10:
             break  # determinant rose past float noise: fixed point reached
-        small_step = _step_below(m_new - m, m_new, _factor(sigma_new), tol)
+        small_step = _step_below(m_new - m, m_new, low, tol)
         drop = logdet_prev - logdet
         m, sigma, logdet_prev = m_new, sigma_new, logdet
         if small_step and drop < 1e-11:
             break
-
-    # polish: enforce the scale constraint exactly, then refresh the
-    # weighted-mean identity until both residuals sit at solver precision
-    low = _factor(sigma)
-    for _ in range(60):
-        dist = np.sqrt(np.maximum(_dist_sq(x, m, low), 0.0))
-        s = m_scale(dist, spec, b)
-        sigma = sigma * s**2
-        low = _factor(sigma)
-        w = weight(spec, dist / s)
-        wsum = w.sum()
-        if not wsum > 0.0:
-            return None
-        m_new = (w[:, None] * x).sum(axis=0) / wsum
-        step = m_new - m
-        m = m_new
-        if _step_below(step, m, low, 1e-12):
-            break
-    dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
-    w = weight(spec, dist)
-    wsum = w.sum()
-    if not wsum > 0.0:
-        return None
-    constraint_res = abs(float(np.mean(rho(spec, dist))) - b)
-    # the weighted-mean equation in the Mahalanobis norm of sigma: scale-free
-    mean_res = math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).sum(axis=0) / wsum, 0.0, sigma))
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        return None
-    converged = constraint_res < 1e-8 and mean_res < 1e-8
-    return LocationScatter(mu=m, sigma=sigma, converged=converged, iterations=it,
-                           objective=float(logdet), weights=w / wsum)
+    return m, sigma, logdet_prev, it
 
 
 # ---------------------------------------------------------------------------
 # Minimum covariance determinant.
 
-def _logdet(cov: np.ndarray) -> float | None:
-    """log det cov, or None when cov is not numerically positive definite."""
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
-        return None
-    return float(logdet)
+def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> np.ndarray:
+    """One concentration step for k chains at once: for chain i, the h points
+    closest to m[i] in the Mahalanobis distance of the scatter whose Cholesky
+    factor is low[i], as a (k, h) array of sorted indices.  Ties at the h-th
+    distance go to the smallest indices, as a stable sort would order them.
+    The selection is a partition per row, linear in n, not a sort."""
+    d2 = _dist_sq(x, m[:, None, :], low)
+    kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
+    below = d2 < kth
+    ties = d2 == kth
+    room = h - np.count_nonzero(below, axis=1)
+    keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+    return np.nonzero(keep)[1].reshape(-1, h)
 
 
 def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarray:
     """One concentration step: the h points closest to (m, sigma) in
-    Mahalanobis distance, as sorted indices.  Ties at the h-th distance go to
-    the smallest indices, as a stable sort would order them, so the step is
-    deterministic.
+    Mahalanobis distance, as sorted indices, with _concentrate's tie rule.
 
     A private path for the searches: sigma must be an exactly symmetric
     positive definite matrix (as _moments builds), factored by _factor and
-    used by _dist_sq without mahalanobis_sq's checks.  The selection is a
-    partition, linear in n, not a sort."""
-    d2 = _dist_sq(x, m, _factor(sigma))
-    kth = np.partition(d2, h - 1)[h - 1]
-    below = np.flatnonzero(d2 < kth)
-    ties = np.flatnonzero(d2 == kth)[: h - below.size]
-    return np.sort(np.concatenate((below, ties)))
+    used by _dist_sq without mahalanobis_sq's checks."""
+    return _concentrate(x, m[None], _factor(sigma)[None], h)[0]
+
+
+def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_csteps: int):
+    """Concentrate k chains in lockstep from their starts (m, low), stacked.
+
+    Every chain steps while its determinant drops by more than 1e-12 in log;
+    one whose new scatter _factor rejects is dropped.  Returns per chain the
+    last log det that dropped (inf for a dropped chain), its moments and
+    subset, and whether max_csteps cut it while it still dropped."""
+    k, d = m.shape
+    logdet = np.full(k, np.inf)
+    best_m, cov = np.empty((k, d)), np.empty((k, d, d))
+    subset = np.empty((k, h), dtype=np.intp)
+    live = np.arange(k)  # the chains still stepping, at (m, low)
+    for _ in range(max_csteps):
+        if live.size == 0:
+            break
+        sub = _concentrate(x, m, low, h)
+        m, cov_new = _moments(x[sub])
+        low, ok = _factor_each(cov_new)
+        if not ok.all():
+            logdet[live[~ok]] = np.inf
+            sub, m, cov_new, low, live = (a[ok] for a in (sub, m, cov_new, low, live))
+        ld = _chol_logdet(low)
+        dropped = ld < logdet[live] - 1e-12
+        sub, m, cov_new, low, ld, live = (a[dropped] for a in
+                                          (sub, m, cov_new, low, ld, live))
+        logdet[live], best_m[live], cov[live], subset[live] = ld, m, cov_new, sub
+    cut = np.zeros(k, dtype=bool)
+    cut[live] = True
+    return logdet, best_m, cov, subset, cut
 
 
 def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
@@ -488,9 +526,11 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
 
     Each start concentrates to a determinant fixed point: take the h points
     with the smallest Mahalanobis distances (ties keep the smallest indices,
-    see c_step), recompute moments, repeat while the determinant drops.
-    Candidates merge by (objective, start index), so results do not depend on
-    evaluation order.
+    see _concentrate), recompute moments, repeat while the determinant
+    drops.  The starts step in lockstep, in chunks of about 2^16 distances,
+    as in FAST-MCD (Rousseeuw and Van Driessen 1999); each chain's result is
+    that of running it alone.  Candidates merge by (objective, start index),
+    so results do not depend on evaluation order.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -505,51 +545,33 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         return est
 
     rng = substream(seed, 0)
-    best_logdet = np.inf
-    best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    tried = 0
+    m0, low0 = np.empty((0, d)), np.empty((0, d, d))
     attempts = 0
     max_attempts = 20 * max(n_starts, 1)
-    while tried < n_starts and attempts < max_attempts:
-        attempts += 1
-        idx = rng.choice(n, size=d + 1, replace=False)
-        mom = _elemental_moments(x, idx)
-        if mom is None:
-            continue  # singular elemental subset: draw a fresh one
-        tried += 1
-        m, cov = mom
-        logdet_prev = np.inf
-        cut = False
-        keep: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        for _ in range(max_csteps):
-            try:
-                subset = c_step(x, m, cov, h)
-            except SingularScatter:
-                keep = None  # the chain reached a scatter _factor rejects: skip this start
-                break
-            m, cov = _moments(x[subset])
-            logdet = _logdet(cov)
-            if logdet is None:
-                break
-            if logdet < logdet_prev - 1e-12:
-                logdet_prev = logdet
-                keep = (m, cov, subset)
-            else:
-                break  # determinant stopped dropping: concentration fixed point
-        else:
-            cut = True  # max_csteps ran out while the determinant still dropped
-        if keep is None:
-            continue
-        if logdet_prev < best_logdet - 1e-14:
-            best_logdet = logdet_prev
-            best = keep
-            best_cut = cut
+    while len(m0) < n_starts and attempts < max_attempts:
+        # draw the starts still missing: a singular elemental subset is drawn again
+        k = min(n_starts - len(m0), max_attempts - attempts)
+        attempts += k
+        m, _, low = _elemental_moments(
+            x, np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(k)]))
+        m0, low0 = np.concatenate((m0, m)), np.concatenate((low0, low))
+    tried = len(m0)
+
+    best_logdet = np.inf
+    best = None
+    chunk = max(1, 2**16 // (n * d))
+    for lo in range(0, tried, chunk):
+        chains = _mcd_chains(x, m0[lo:lo + chunk], low0[lo:lo + chunk], h, max_csteps)
+        for logdet, m, cov, subset, cut in zip(*chains):
+            if logdet < best_logdet - 1e-14:
+                best_logdet = logdet
+                best = (m, cov, subset, cut)
     if best is None:
         raise DegenerateData("all MCD starts hit singular subsets")
-    m, cov, subset = best
+    m, cov, subset, cut = best
     weights = np.zeros(n)
     weights[subset] = 1.0 / h
-    return LocationScatter(mu=m, sigma=cov, converged=not best_cut, iterations=tried,
+    return LocationScatter(mu=m, sigma=cov, converged=not cut, iterations=tried,
                            objective=float(best_logdet), weights=weights,
                            subset=subset)
 
@@ -572,39 +594,31 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     cover = math.ceil((n + d + 1) / 2)
     rng = substream(seed, 0)
 
-    candidates = []
-    for idx in _elemental_starts(x, n_trials, rng):
-        mom = _elemental_moments(x, idx)
-        if mom is not None:
-            candidates.append(mom)
-    mom = _moments(x)
-    if _logdet(mom[1]) is not None:
-        candidates.append(mom)
-    if not candidates:
+    # the sample covariance enters as the last candidate
+    m, cov, low = (np.concatenate(parts) for parts in zip(
+        _elemental_moments(x, _elemental_starts(x, n_trials, rng)),
+        _elemental_moments(x, np.arange(n)[None])))
+    if not len(m):
         raise DegenerateData("all MVE subsets were singular")
+    chunk = max(1, 2**16 // (n * d))
+    m2 = np.concatenate([
+        np.partition(_dist_sq(x, m[lo:lo + chunk, None], low[lo:lo + chunk]), cover - 1,
+                     axis=1)[:, cover - 1] for lo in range(0, len(m), chunk)])
+    logdet = _chol_logdet(low)
 
     best_logvol = np.inf
     best = None
-    for m, cov in candidates:
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
+    for i in range(len(m)):
+        if m2[i] <= 0.0:
             continue
-        try:
-            d2 = _dist_sq(x, m, _factor(cov))
-        except SingularScatter:
-            continue
-        m2 = float(np.partition(d2, cover - 1)[cover - 1])
-        if m2 <= 0.0:
-            continue
-        logvol = 0.5 * logdet + 0.5 * d * math.log(m2)
+        logvol = 0.5 * float(logdet[i]) + 0.5 * d * math.log(m2[i])
         if logvol < best_logvol - 1e-14:
             best_logvol = logvol
-            best = (m, cov * m2)
+            best = (m[i], cov[i] * m2[i])
     if best is None:
         raise DegenerateData("no MVE candidate covered the target count")
     m, sigma = best
-    return LocationScatter(mu=m, sigma=sigma, converged=True,
-                           iterations=len(candidates),
+    return LocationScatter(mu=m, sigma=sigma, converged=True, iterations=len(logdet),
                            objective=float(math.exp(best_logvol)))
 
 

@@ -21,8 +21,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import special
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 RHO_FAMILIES = ("tukey-bisquare",)
 CONVENTIONS = ("squared-distance", "scaled-distance")
@@ -168,20 +166,23 @@ def spd_cholesky(sigma: np.ndarray) -> np.ndarray:
 
 
 def _factor(sigma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor by LAPACK potrf, the routine scipy.linalg.cholesky
-    calls, without its checks: sigma must be a finite, square and exactly
-    symmetric float matrix (potrf reads only its lower triangle)."""
-    low, info = dpotrf(sigma, lower=1, clean=1)
-    if info != 0:
-        raise SingularScatter("scatter matrix is not positive definite")
-    return low
+    """Lower Cholesky factor, or a stack of them, by np.linalg.cholesky without
+    spd_cholesky's checks: sigma must be finite, square and exactly symmetric
+    (LAPACK potrf reads only one triangle)."""
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise SingularScatter("scatter matrix is not positive definite") from None
 
 
 def _dist_sq(x: np.ndarray, m: np.ndarray, low: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distances of the rows of x from m under the scatter
-    whose lower Cholesky factor is low (from _factor): one triangular solve."""
-    z, _ = dtrtrs(low, (x - m).T, lower=1)
-    return np.einsum("ij,ij->j", z, z)
+    whose lower Cholesky factor is low (from _factor): the rows of
+    (x - m) L^-T, squared and summed.  Stacks broadcast: m (k, 1, d) and low
+    (k, d, d) give the (k, n) distances of k chains, each bit for bit the
+    distances of its own call."""
+    z = (x - m) @ np.swapaxes(np.linalg.inv(low), -1, -2)
+    return np.einsum("...j,...j->...", z, z)
 
 
 def mahalanobis_sq(x, m, sigma) -> np.ndarray | float:
@@ -335,7 +336,7 @@ def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cu
         raise ValueError("cut must be positive")
     x, w = _unit_legendre(nodes)
     v = np.sqrt(cut) * x
-    log_norm = math.log(2.0) - (d / 2.0) * math.log(2.0) - special.gammaln(d / 2.0)
+    log_norm = math.log(2.0) - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
     dens = np.exp(log_norm + (d - 1) * np.log(np.maximum(v, 1e-300)) - v**2 / 2.0)
     if d == 1:
         dens[v == 0.0] = np.exp(log_norm)  # v^0 = 1 exactly at the endpoint
@@ -343,7 +344,29 @@ def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cu
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned non-finite values on the quadrature nodes")
     body = math.sqrt(cut) * float(w @ (vals * dens))
-    return body + float(tail_value) * float(special.chdtrc(d, cut))
+    return body + float(tail_value) * _chi2_sf(d, cut)
+
+
+def _chi2_sf(d: int, x: float) -> float:
+    """P(U > x) for U ~ chi-square(d), d a positive integer, x > 0, in closed
+    form: with h = x/2, the sum of e^-h h^a / Gamma(a + 1) over a = 0, 1, ...,
+    d/2 - 1 for even d, and erfc(sqrt(h)) plus that sum over a = 1/2, 3/2,
+    ..., d/2 - 1 for odd d (Abramowitz & Stegun 26.4.4 and 26.4.5)."""
+    if d != int(d) or d < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {d}")
+    h = x / 2.0
+    a = 0.5 * (d % 2)
+    total = math.erfc(math.sqrt(h)) if d % 2 else 0.0
+    term = math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+    for _ in range(int(d) // 2):
+        total += term
+        a += 1.0
+        # the recurrence, but from logs while e^-h leaves the terms subnormal
+        if term >= sys.float_info.min:
+            term *= h / a
+        else:
+            term = math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+    return total
 
 
 def expected_rho(spec: RhoSpec, d: int, nodes: int = DEFAULT_QUAD_NODES) -> float:

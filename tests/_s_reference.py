@@ -1,5 +1,7 @@
 """The S-estimator as first written: np.median and an allocating loss in the
-M-scale solve, and checked Mahalanobis distances at every S iteration.
+M-scale solve, and checked Mahalanobis distances at every S iteration.  Its
+iterations and start selection are the package's: every start iterates to
+the step tolerance, and the winner iterates on to a step of 1e-12.
 
 The package's M-scale reads the median by partition and evaluates each scale
 once on reused buffers, and its S iterations build the shape as one symmetric
@@ -15,7 +17,7 @@ from scipy.optimize import brentq
 
 from oplab import (DegenerateData, EstimationError, LocationScatter, SingularScatter,
                    mahalanobis_sq, mcd, rho, weight)
-from oplab.estimators import _elemental_moments, _elemental_starts, _mad_start
+from oplab.estimators import _elemental_starts, _mad_start
 from oplab.rng import substream
 
 
@@ -70,32 +72,7 @@ def s_from_start(x, spec, b, m, sigma, max_iter, tol):
         m, sigma, logdet_prev = m_new, sigma_new, logdet
         if small_step and drop < 1e-11:
             break
-    for _ in range(60):
-        dist = _distances(x, m, sigma)
-        s = m_scale(dist, spec, b)
-        sigma = sigma * s**2
-        w = weight(spec, dist / s)
-        wsum = w.sum()
-        if not wsum > 0.0:
-            return None
-        m_new = (w[:, None] * x).sum(axis=0) / wsum
-        step = m_new - m
-        m = m_new
-        if _step_below(step, m, sigma, 1e-12):
-            break
-    dist = _distances(x, m, sigma)
-    w = weight(spec, dist)
-    wsum = w.sum()
-    if not wsum > 0.0:
-        return None
-    constraint_res = abs(float(np.mean(rho(spec, dist))) - b)
-    mean_res = math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).sum(axis=0) / wsum, 0.0, sigma))
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        return None
-    return LocationScatter(mu=m, sigma=sigma, iterations=it, objective=float(logdet),
-                           converged=constraint_res < 1e-8 and mean_res < 1e-8,
-                           weights=w / wsum)
+    return m, sigma, logdet_prev, it
 
 
 def s_estimate(x, spec, bp=0.5, n_starts=20, seed=0, max_iter=200, tol=1e-10,
@@ -110,17 +87,31 @@ def s_estimate(x, spec, bp=0.5, n_starts=20, seed=0, max_iter=200, tol=1e-10,
         pass
     starts.append(_mad_start(x))
     for idx in _elemental_starts(x, n_starts, substream(seed, 0)):
-        mom = _elemental_moments(x, idx)
-        if mom is not None:
-            starts.append(mom)
+        sub = x[idx]
+        cov = np.cov(sub, rowvar=False).reshape(x.shape[1], x.shape[1])
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            continue  # a singular elemental start
+        starts.append((sub.mean(axis=0), cov))
     best = None
     for m0, c0 in starts:
         try:
-            result = s_from_start(x, spec, bp, m0, c0, max_iter, tol)
+            fit = s_from_start(x, spec, bp, m0, c0, max_iter, tol)
         except (SingularScatter, DegenerateData):
             continue
-        if result is not None and (best is None or result.objective < best.objective):
-            best = result
+        if fit is not None and (best is None or fit[2] < best[2]):
+            best = fit
     if best is None:
         raise DegenerateData("no S start produced a nonsingular solution")
-    return best
+    m, sigma, _, it = best
+    m, sigma, _, more = s_from_start(x, spec, bp, m, sigma, max_iter, 1e-12)
+    dist = _distances(x, m, sigma)
+    w = weight(spec, dist)
+    wsum = w.sum()
+    constraint_res = abs(float(np.mean(rho(spec, dist))) - bp)
+    mean_res = math.sqrt(mahalanobis_sq((w[:, None] * (x - m)).sum(axis=0) / wsum, 0.0, sigma))
+    return LocationScatter(mu=m, sigma=sigma, iterations=it + more,
+                           objective=float(np.linalg.slogdet(sigma)[1]),
+                           converged=constraint_res < 1e-8 and mean_res < 1e-8,
+                           weights=w / wsum)

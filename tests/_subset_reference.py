@@ -1,32 +1,35 @@
-"""The subset searches as first written: np.cov moments, scipy's checked
-Cholesky and triangular solve, and full stable sorts.
+"""The subset searches as first written, one start at a time: np.cov
+moments, a Cholesky factor and distances per call, and full stable sorts.
 
-The package builds subset moments with one rank-k update, factors each
-candidate scatter once through LAPACK without scipy's wrapper checks, picks a
-C-step's h closest points by partition and reads MVE's coverage order
-statistic by partition.  This module keeps the slow and obvious forms, so the
-two can be checked against each other bit for bit.  Both skip an elemental
-start, a concentration chain or an MVE candidate whose scatter the Cholesky
-factorization rejects.
+The package builds subset moments with one rank-k update, steps all MCD
+starts in lockstep on stacked factors, picks a C-step's h closest points by
+partition and reads MVE's coverage order statistic by partition.  This module
+keeps the slow and obvious forms on the same factorization (np.linalg.cholesky,
+distances from the rows of (x - m) L^-T, log det as twice the sum of log
+diag L), so the two can be checked against each other bit for bit.  Both skip
+an elemental start, a concentration chain or an MVE candidate whose scatter
+the Cholesky factorization rejects.
 """
 
 import math
 
 import numpy as np
-from scipy import linalg
 
 from oplab import DegenerateData, LocationScatter, SingularScatter, sample_mean
 from oplab.estimators import _elemental_starts
 from oplab.rng import substream
 
 
-def mahalanobis_sq(x, m, sigma):
+def cholesky(sigma):
     try:
-        low = linalg.cholesky(sigma, lower=True)
-    except linalg.LinAlgError as exc:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
         raise SingularScatter("scatter matrix is not positive definite") from exc
-    z = linalg.solve_triangular(low, (x - m).T, lower=True)
-    return np.einsum("ij,ij->j", z, z)
+
+
+def mahalanobis_sq(x, m, sigma):
+    z = (x - m) @ np.linalg.inv(cholesky(sigma)).T
+    return np.einsum("ij,ij->i", z, z)
 
 
 def moments(sub):
@@ -37,18 +40,19 @@ def moments(sub):
 def _subset_moments(x, idx):
     m, cov = moments(x[idx])
     try:
-        linalg.cholesky(cov, lower=True)
-    except linalg.LinAlgError:
+        cholesky(cov)
+    except SingularScatter:
         return None
     return m, cov
 
 
 def _cov_det(sub):
     m, cov = moments(sub)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
+    try:
+        low = cholesky(cov)
+    except SingularScatter:
         return None
-    return m, cov, float(logdet)
+    return m, cov, 2.0 * float(np.log(np.diagonal(low)).sum())
 
 
 def c_step(x, m, sigma, h):
@@ -79,13 +83,10 @@ def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
         cut = False
         keep = None
         for _ in range(max_csteps):
-            try:
-                subset = c_step(x, m, cov, h)
-            except SingularScatter:
-                keep = None
-                break
+            subset = c_step(x, m, cov, h)
             step = _cov_det(x[subset])
             if step is None:
+                keep = None
                 break
             m, cov, logdet = step
             if logdet < logdet_prev - 1e-12:
@@ -119,19 +120,14 @@ def mve(x, n_trials=500, seed=0):
         mom = _subset_moments(x, idx)
         if mom is not None:
             candidates.append(mom)
-    mom = _cov_det(x)
+    mom = _subset_moments(x, slice(None))
     if mom is not None:
-        candidates.append((mom[0], mom[1]))
+        candidates.append(mom)
     best_logvol = np.inf
     best = None
     for m, cov in candidates:
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            continue
-        try:
-            m2 = float(np.sort(mahalanobis_sq(x, m, cov), kind="stable")[cover - 1])
-        except SingularScatter:
-            continue
+        logdet = 2.0 * float(np.log(np.diagonal(cholesky(cov))).sum())
+        m2 = float(np.sort(mahalanobis_sq(x, m, cov), kind="stable")[cover - 1])
         if m2 <= 0.0:
             continue
         logvol = 0.5 * logdet + 0.5 * d * math.log(m2)

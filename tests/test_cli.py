@@ -342,6 +342,21 @@ def test_replay_rejects_missing_and_unknown_keys(configs, tmp_path, capsys, comm
         assert not fresh.exists(), key
 
 
+@pytest.mark.parametrize("command,flags", [("estimate", ["--estimator", "mean"]),
+                                           ("fig2", ["--draws", "10"])])
+def test_replay_rejects_flags_that_would_change_the_run(configs, tmp_path, capsys,
+                                                          command, flags):
+    # a replay used to run the config's estimator or draws and drop these
+    path, _ = configs[command]
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert main([command, "--config", str(path), "--out", str(fresh / "x.json")] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oplab: error:") and flags[0] in captured.err
+    assert not fresh.exists()
+
+
 def test_replay_with_explicit_out_runs_writes_under_the_working_directory(
         tmp_path, monkeypatch, capsys):
     first = tmp_path / "first"
@@ -479,31 +494,51 @@ def test_influence_sees_the_correlation(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the import graph: the scalar solves are oplab's own, so no command loads
-# scipy.optimize (about 200 modules and 17 MB)
+# the import graph: oplab's runtime is numpy alone, so every command runs in an
+# interpreter that cannot import scipy
 
-_NO_OPTIMIZE = """
+_NO_SCIPY = """
 import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"{name} is refused", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
 from oplab.cli import main
 
 out = sys.argv[1]
 data = out + "/data.csv"
-for argv in (["simulate", "--model", "ficm", "--d", "3", "--n", "300", "--seed", "4",
-              "--out", data],
-             ["estimate", "--estimator", "s", "--in", data],
-             ["estimate", "--estimator", "coord_s", "--in", data],
-             ["fig2", "--d-grid", "1,2", "--draws", "2000", "--out", out + "/fig2"]):
+subset = ["--mcd-starts", "20", "--mve-trials", "20"]
+runs = [["simulate", "--model", "ficm", "--d", "3", "--n", "300", "--seed", "4", "--out", data]]
+runs += [["estimate", "--estimator", e, "--in", data] for e in ("s", "coord_s", "mcd", "mve", "m")]
+runs += [["fig4", "--d", "3", "--n", "30", "--t-grid", "0:10:10", "--reps", "2",
+          "--estimators", "mcd,mve", "--out", out] + subset,
+         ["fig2", "--d-grid", "1,2", "--draws", "2000", "--out", out],
+         ["breakdown", "--estimator", "mcd", "--d", "2", "--eps-grid", "0.1:0.2:0.1",
+          "--reps", "2", "--n", "40", "--out", out] + subset[:2],
+         ["influence", "--d", "2", "--grid", "-2:2:2", "--draws", "2000", "--out", out],
+         ["ges", "--d", "2", "--draws", "2000", "--out", out],
+         ["table1", "--out", out],
+         ["fig3", "--n", "2000", "--out", out]]
+for argv in runs:
     assert main(argv) == 0, argv
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
 
 
-def test_commands_never_load_scipy_optimize(tmp_path):
+def test_commands_run_without_scipy(tmp_path):
     src = str(Path(oplab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "fig2" / "ges_vs_dim" / "results.csv").is_file()
+    for run in ("bias_sweep", "ges_vs_dim", "breakdown", "influence", "ges", "table1",
+                "propagation"):
+        assert (tmp_path / run / "results.csv").is_file(), run

@@ -368,7 +368,7 @@ def test_s_iterations_factor_exactly_symmetric_shapes(monkeypatch):
     factored = []
 
     def factor(sigma):
-        factored.append(np.array_equal(sigma, sigma.T))
+        factored.append(np.array_equal(sigma, np.swapaxes(sigma, -1, -2)))
         return _factor(sigma)
 
     monkeypatch.setattr(estimators, "_factor", factor)
@@ -545,9 +545,9 @@ def test_subset_searches_match_the_reference(data):
 
 
 def test_subset_searches_skip_scatters_the_factorization_rejects():
-    # duplicated rows make elemental covariances singular in exact arithmetic;
-    # some pass numpy's Cholesky and then fail the searches' own, so the
-    # search must skip them rather than raise out of the fit
+    # duplicated rows make elemental covariances singular in exact arithmetic,
+    # and so are some concentrated subsets; the search must skip the ones the
+    # Cholesky factorization rejects rather than raise out of the fit
     x = _tie_heavy(100, 5, seed=31)
     est = mcd(x, n_starts=60, seed=3)
     assert np.all(np.isfinite(est.sigma)) and est.iterations == 60
