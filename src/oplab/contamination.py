@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import array
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -229,18 +228,23 @@ def write_dataset(path, data: ContaminatedData, spec: ContaminationSpec | None =
                   seed: int | None = None, include_indicators: bool = True) -> None:
     path = Path(path)
     n, d = data.x.shape
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = [f"x{j + 1}" for j in range(d)]
     if include_indicators:
         header += [f"b{j + 1}" for j in range(d)]
-    writer.writerow(header)
-    for i in range(n):
-        row = [repr(float(v)) for v in data.x[i]]
+    # repr of a Python float is its shortest round-trip form, and no cell
+    # holds a character that the csv module would quote.  Rows go to Python
+    # lists 64 at a time: a list holds each cell as an object, and the whole
+    # table as lists left the process about 1 MB larger for the rest of a run
+    x = np.asarray(data.x, dtype=float)
+    lines = [",".join(header)]
+    for lo in range(0, n, 64):
+        rows = x[lo:lo + 64].tolist()
         if include_indicators:
-            row += [str(int(v)) for v in data.b[i]]
-        writer.writerow(row)
-    path.write_text(buf.getvalue())
+            b = np.asarray(data.b[lo:lo + 64], dtype=np.int64).tolist()
+            rows = [r + c for r, c in zip(rows, b)]
+        lines += [",".join(map(repr, row)) for row in rows]
+    lines.append("")
+    path.write_text("\n".join(lines))
     meta = {"n": n, "d": d, "columns": header}
     if spec is not None:
         meta["spec"] = spec.to_dict()

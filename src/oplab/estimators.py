@@ -97,19 +97,28 @@ def coord_median(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # M-scale: solve mean rho(r / s) = b for s > 0 on nonnegative residuals r.
 
-def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> float:
+def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13,
+            guess: float | None = None) -> float:
+    """The scale s > 0 that solves mean rho(r / s) = b, by Brent's method.
+
+    mean rho(r / s) falls from the share of nonzero residuals at s -> 0 to 0
+    as s grows, so a root exists only when more than a share b of r is
+    nonzero; otherwise DegenerateData.  The bracket comes from one of two
+    searches.  Cold (no guess): from median(r > 0) / c, halve the lower end
+    and double the upper end until the ends straddle the root.  Warm, from a
+    guess > 0 such as the previous scale of a fixed-point iteration: step
+    out from the guess by a relative 1e-3 that grows fourfold each time, so a
+    guess near the root gives a bracket about 1e-3 wide and Brent needs few
+    loss passes.  Both brackets and the tolerances xtol = rtol * lo and rtol
+    are relative, so the solve does not depend on the units of r: scaling r
+    by a scales every bracket end and the root by a.  The two brackets give
+    roots that agree to about rtol.
+    """
     r = np.asarray(r, dtype=float)
-    pos = r[r > 0.0]
+    positive = r > 0.0
     # as s -> 0 the mean tends to the fraction of nonzero residuals
-    if pos.size <= b * r.size:
+    if np.count_nonzero(positive) <= b * r.size:
         raise DegenerateData("too many zero residuals for the scale constraint")
-    # np.median's value: the middle order statistic, or the mean of the two
-    k = pos.size // 2
-    if pos.size % 2:
-        median = float(np.partition(pos, k)[k])
-    else:
-        part = np.partition(pos, (k - 1, k))
-        median = float((part[k - 1] + part[k]) / 2.0)
     # excess keeps each scale's value: _brentq evaluates the bracket ends again,
     # and both bracket searches start from one point.  No reference cycle runs
     # through the closure, so its two residual-sized buffers are freed when
@@ -124,16 +133,35 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13) -> floa
             values[s] = float(np.mean(loss)) - b
         return values[s]
 
-    lo = hi = median / spec.c
-    for _ in range(200):
-        if excess(lo) > 0.0:
-            break
-        lo /= 2.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    # a relative xtol, so that the solve does not depend on the units of r
+    if guess is None:
+        # np.median's value: the middle order statistic, or the mean of the two
+        pos = r[positive]
+        k = pos.size // 2
+        if pos.size % 2:
+            median = float(np.partition(pos, k)[k])
+        else:
+            part = np.partition(pos, (k - 1, k))
+            median = float((part[k - 1] + part[k]) / 2.0)
+        lo = hi = median / spec.c
+        for _ in range(200):
+            if excess(lo) > 0.0:
+                break
+            lo /= 2.0
+        for _ in range(200):
+            if excess(hi) < 0.0:
+                break
+            hi *= 2.0
+    else:
+        lo = hi = float(guess)
+        step = 1e-3
+        for _ in range(200):
+            if not excess(lo) > 0.0:
+                lo = guess / (1.0 + step)
+            elif not excess(hi) < 0.0:
+                hi = guess * (1.0 + step)
+            else:
+                break
+            step *= 4.0
     return _brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200)
 
 
@@ -142,7 +170,9 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
     """Columnwise univariate S-estimates of location and scale.
 
     Per column: minimize s(m) subject to mean rho((x - m)/s) = bp, by
-    alternating the scale solve with a weighted-mean location step.
+    alternating the scale solve with a weighted-mean location step.  Each
+    scale solve after the first is warm-started at the column's previous
+    scale.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -167,7 +197,7 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
             if w.sum() <= 0.0:
                 raise AllPointsRejected(f"column {j}: all weights vanished")
             m_new = float(w @ col / w.sum())
-            s = m_scale(np.abs(col - m_new), spec, bp)
+            s = m_scale(np.abs(col - m_new), spec, bp, guess=s)
             step = abs(m_new - m)
             m = m_new
             if step < tol * s:
@@ -362,8 +392,12 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     fixed-point iteration: weighted mean, u-weighted shape update, and an
     exact rescale back onto the constraint.  The determinant is monotone
     along the iteration; a float-level increase stops that start, and so
-    does a step below tol.  The start with the smallest determinant then
-    iterates on until its step is below 1e-12.
+    does a step below tol.  The starts run in order (the MCD fit, the
+    coordinatewise median and MAD, then the elemental subsets), and a start
+    whose iterate comes within 1e-6 of an optimum an earlier start reached
+    stops there as a duplicate that cannot win (_near_known).  The start
+    with the smallest determinant then iterates on until its step is below
+    1e-12.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -385,18 +419,25 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, rng))
     starts.extend(zip(m, cov))
 
+    # known: the centres of the optima reached so far and the inverses of
+    # their scatters' Cholesky factors
     best = None
+    known = (np.empty((0, d)), np.empty((0, d, d)))
     for m0, c0 in starts:
         try:
-            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol)
+            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol, known)
         except (SingularScatter, DegenerateData):
             continue  # this start's scatter went singular
-        if fit is not None and (best is None or fit[2] < best[2]):
+        if fit is None:
+            continue  # every weight vanished, or a known optimum was reached
+        known = (np.concatenate((known[0], fit[0][None])),
+                 np.concatenate((known[1], np.linalg.inv(_factor(fit[1]))[None])))
+        if best is None or fit[2] < best[2]:
             best = fit
     if best is None:
         raise DegenerateData("no S start produced a nonsingular solution")
-    # only the winner iterates on to a step of 1e-12: starts that reach one
-    # optimum differ by their stopping error, and float noise picks among them
+    # only the winner iterates on to a step of 1e-12, which takes it past the
+    # stopping error of the start that found it
     m, sigma, _, it = best
     refined = _s_iterate(x, spec, bp, m, sigma, max_iter, 1e-12)
     if refined is None:
@@ -421,34 +462,61 @@ def _step_below(step: np.ndarray, m: np.ndarray, low: np.ndarray, tol: float) ->
     return step2 < bound * bound
 
 
-def _s_iterate(x, spec, b, m, sigma, max_iter, tol) -> tuple | None:
+def _near_known(m: np.ndarray, sigma: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether (m, sigma) lies within 1e-6 of one of the optima in known, a
+    stack of centres m* and of the inverses of their scatters' Cholesky
+    factors L*.  Within means |L*^-1 (m - m*)|^2 < 1e-12 and every
+    eigenvalue of L*^-1 sigma L*^-T within 1e-6 of 1.  Under x -> A x + b,
+    L* becomes A L* Q with Q orthogonal, so both tests are affine-invariant."""
+    centres, inv = known
+    if not len(centres):
+        return False
+    z = inv @ (m - centres)[..., None]
+    gap = np.einsum("kij,kij->k", z, z)
+    shape = inv @ sigma @ np.swapaxes(inv, -1, -2)
+    spread = np.abs(np.linalg.eigvalsh(shape) - 1.0).max(axis=-1)
+    return bool(np.any((gap < 1e-12) & (spread < 1e-6)))
+
+
+def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None) -> tuple | None:
     """S fixed-point iterations from (m, sigma): (m, sigma, log det sigma,
     iterations) where the step falls below tol, or None when every weight
-    vanishes; raises SingularScatter or DegenerateData when the scatter goes
-    singular on the way.
+    vanishes or an iterate comes near an optimum in known (_near_known);
+    raises SingularScatter or DegenerateData when the scatter goes singular
+    on the way.
 
-    Past the checked first distances, the iterations use the private distance
-    path: each shape is one symmetric rank-k update, so exactly symmetric, and
-    is factored once; the distances under shape * s^2 are those under the
-    shape divided by s."""
+    Past the checked first distances, the iterations work on the (d, n)
+    transpose of x, so that every pass over the data runs along rows of
+    length n: the weighted mean is one matrix-vector product, each shape is
+    one symmetric rank-k update, so exactly symmetric, and is factored once,
+    and the distances under shape * s^2 are those under the shape divided by
+    s.  Each M-scale solve after the first in the loop is warm-started at the
+    previous iteration's scale."""
     dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
     s = m_scale(dist, spec, b)
     sigma = sigma * s**2
     dist /= s
     logdet_prev = float(_chol_logdet(_factor(sigma)))
+    xt = np.ascontiguousarray(x.T)
+    guess = None
     it = 0
     for it in range(1, max_iter + 1):
         w = weight(spec, dist)
         wsum = w.sum()
         if not wsum > 0.0:
             return None
-        m_new = (w[:, None] * x).sum(axis=0) / wsum
-        u = (np.sqrt(w)[:, None] * (x - m_new)).T
+        m_new = xt @ w / wsum
+        dev = xt - m_new[:, None]
+        u = dev * np.sqrt(w)
         shape = np.dot(u, u.T)
-        dist = np.sqrt(np.maximum(_dist_sq(x, m_new, _factor(shape)), 0.0))
-        s = m_scale(dist, spec, b)
+        z = np.matmul(np.linalg.inv(_factor(shape)), dev, out=u)  # u is not needed again
+        z *= z
+        dist = np.sqrt(np.maximum(z.sum(axis=0), 0.0))
+        s = guess = m_scale(dist, spec, b, guess=guess)
         dist /= s
         sigma_new = shape * s**2
+        if known is not None and _near_known(m_new, sigma_new, known):
+            return None
         low = _factor(sigma_new)
         logdet = float(_chol_logdet(low))
         if logdet > logdet_prev + 1e-10:
@@ -469,14 +537,19 @@ def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> np.nd
     closest to m[i] in the Mahalanobis distance of the scatter whose Cholesky
     factor is low[i], as a (k, h) array of sorted indices.  Ties at the h-th
     distance go to the smallest indices, as a stable sort would order them.
-    The selection is a partition per row, linear in n, not a sort."""
+    The selection is a partition per row, linear in n, not a sort; the tie
+    count runs only when some chain has more than h points at or below its
+    h-th distance."""
+    k, n = len(m), len(x)
     d2 = _dist_sq(x, m[:, None, :], low)
     kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
-    below = d2 < kth
-    ties = d2 == kth
-    room = h - np.count_nonzero(below, axis=1)
-    keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-    return np.nonzero(keep)[1].reshape(-1, h)
+    keep = d2 <= kth
+    if np.count_nonzero(keep) != k * h:
+        below = d2 < kth
+        ties = d2 == kth
+        room = h - np.count_nonzero(below, axis=1)
+        keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+    return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * n, n)[:, None]
 
 
 def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarray:
@@ -505,7 +578,7 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
         if live.size == 0:
             break
         sub = _concentrate(x, m, low, h)
-        m, cov_new = _moments(x[sub])
+        m, cov_new = _moments(np.take(x, sub, axis=0))  # x[sub], in a quarter of the time
         low, ok = _factor_each(cov_new)
         if not ok.all():
             logdet[live[~ok]] = np.inf
@@ -531,6 +604,13 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     as in FAST-MCD (Rousseeuw and Van Driessen 1999); each chain's result is
     that of running it alone.  Candidates merge by (objective, start index),
     so results do not depend on evaluation order.
+
+    A chain whose h-subset has a covariance that the Cholesky factorization
+    rejects is dropped.  Such a subset lies on a hyperplane: an exact fit,
+    with determinant 0, the smallest there is, which mcd does not report as
+    its optimum.  When every chain ends this way, as can happen for h = d + 1
+    on data with duplicated rows, mcd raises DegenerateData with a message
+    that names the exact fit.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -566,6 +646,9 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
             if logdet < best_logdet - 1e-14:
                 best_logdet = logdet
                 best = (m, cov, subset, cut)
+    if best is None and tried:
+        raise DegenerateData(f"exact fit: every MCD chain reached {h} points on a hyperplane "
+                             "(singular covariance, determinant 0), which mcd does not report")
     if best is None:
         raise DegenerateData("all MCD starts hit singular subsets")
     m, cov, subset, cut = best

@@ -3,8 +3,13 @@
 The package draws every row of a dataset from one Philox bit generator whose
 counter it resets to the row's block (oplab.rng.row_streams).  This module
 keeps the direct form: a new Philox(key=seed) advanced by row * 2^64 for each
-row, so the two can be checked against each other bit for bit.
+row, so the two can be checked against each other bit for bit.  It also
+keeps the dataset CSV writer as first written, cell by cell through
+csv.writer, as the byte oracle for write_dataset.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -37,3 +42,21 @@ def contaminate(y, spec, seed):
     for i in range(y.shape[0]):
         x[i], b[i] = _contaminate_row(y[i], spec, fresh_row_stream(seed, i))
     return ContaminatedData(x=x, b=b)
+
+
+def dataset_csv(data, include_indicators=True):
+    """The dataset CSV text as first written: csv.writer, one row at a time,
+    repr(float(v)) per data cell and str(int(v)) per indicator."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    d = data.x.shape[1]
+    header = [f"x{j + 1}" for j in range(d)]
+    if include_indicators:
+        header += [f"b{j + 1}" for j in range(d)]
+    writer.writerow(header)
+    for i in range(data.x.shape[0]):
+        row = [repr(float(v)) for v in data.x[i]]
+        if include_indicators:
+            row += [str(int(v)) for v in data.b[i]]
+        writer.writerow(row)
+    return buf.getvalue()

@@ -288,6 +288,20 @@ def test_dataset_roundtrip(tmp_path):
     assert meta["spec"] == spec.to_dict()
 
 
+@pytest.mark.parametrize("n", [1, 500, 2000])
+@pytest.mark.parametrize("include_indicators", [True, False])
+def test_write_dataset_matches_the_csv_writer_bytes(tmp_path, n, include_indicators):
+    spec = ContaminationSpec("ficm", 0.2, outlier=AdditiveShift(t=10.0))
+    data = sample_contaminated(standard_model(4), spec, n, seed=n)
+    # float reprs of every shape: signed zero, subnormal, huge, integral, short
+    special = [-0.0, 5e-324, -1.7976931348623157e308, 3.0, 0.1, 1e16, -2.5e-7, 123456.789]
+    data.x.flat[:len(special)] = special[:data.x.size]
+    path = tmp_path / "data.csv"
+    write_dataset(path, data, include_indicators=include_indicators)
+    expected = gen_ref.dataset_csv(data, include_indicators).encode()
+    assert path.read_bytes() == expected
+
+
 def test_dataset_without_indicators(tmp_path):
     data = sample_contaminated(standard_model(2), ContaminationSpec("ficm", 0.0), 10, seed=1)
     path = tmp_path / "plain.csv"

@@ -94,6 +94,29 @@ def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, tie
     assert m_scale(r, spec, 0.5) == _s_reference.m_scale(r, spec, 0.5)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=3000),
+       st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=-6.0, max_value=6.0),
+       st.sampled_from((1, 2, 5)), st.booleans(), st.floats(min_value=-3.0, max_value=3.0))
+def test_warm_m_scale_finds_the_cold_root(seed, n, zeros, log_a, d, ties, log_guess):
+    # the warm bracket steps out from any guess within 1e3 of the root, and
+    # Brent then stops within its relative tolerance of the cold solve
+    spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
+    rng = substream(seed, 8)
+    r = np.abs(rng.normal(size=n)) * 10.0 ** log_a
+    if ties:
+        r = np.round(r / 10.0 ** log_a, 1) * 10.0 ** log_a
+    r[rng.random(n) < zeros] = 0.0
+    if np.count_nonzero(r) <= 0.5 * n:
+        for guess in (10.0 ** (log_a + log_guess), 1e-300, 1.0, 1e300):
+            with pytest.raises(DegenerateData):
+                m_scale(r, spec, 0.5, guess=guess)
+        return
+    cold = m_scale(r, spec, 0.5)
+    warm = m_scale(r, spec, 0.5, guess=cold * 10.0 ** log_guess)
+    assert abs(warm - cold) <= 1e-12 * cold
+
+
 def test_m_scale_frees_its_buffers_on_return():
     # nothing the solve builds is a reference cycle, so the two residual-sized
     # buffers go when m_scale returns, not when the garbage collector next runs
@@ -364,6 +387,61 @@ def test_s_estimate_matches_the_checked_reference():
             assert est.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-12), (name, a)
 
 
+def test_s_estimate_is_never_worse_than_running_every_start():
+    # a start stops once it is within 1e-6 of an optimum an earlier start
+    # reached; the reference runs every start to its tolerance.  A log det
+    # rise below 1e-10 is what the iterations themselves read as float noise
+    for i in range(30):
+        rng = substream(400 + i, 0)
+        n, d = int(rng.integers(60, 301)), int(rng.integers(2, 9))
+        kind = "fdcm" if i % 2 else "ficm"  # rowwise, cellwise
+        spec = ContaminationSpec(kind, float(rng.uniform(0.0, 0.2)),
+                                 outlier=AdditiveShift(t=float(rng.uniform(3.0, 20.0))))
+        x = sample_contaminated(standard_model(d), spec, n, seed=i).x
+        rho_spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
+        est = s_estimate(x, rho_spec, seed=i)
+        ref = _s_reference.s_estimate(x, rho_spec, seed=i)
+        assert est.objective <= ref.objective + 1e-10, i
+        assert np.max(np.abs(est.mu - ref.mu)) <= 1e-9 * np.max(np.abs(ref.mu)), i
+
+
+def test_s_starts_stop_at_a_known_optimum(monkeypatch):
+    # every start past the first reaches the one optimum of this fixture, and
+    # stops there rather than iterating on to its tolerance
+    ends, original = [], estimators._s_iterate
+
+    def iterate(*args):
+        ends.append(original(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(estimators, "_s_iterate", iterate)
+    x = _s_fixture()
+    est = s_estimate(x, SCAL2, seed=4)
+    starts = ends[:-1]  # the last call refines the winner
+    assert starts[0] is not None and all(fit is None for fit in starts[1:])
+    assert len(starts) > 5
+    ref = _s_reference.s_estimate(x, SCAL2, seed=4)
+    assert est.objective == pytest.approx(ref.objective, abs=1e-12)
+
+
+def test_near_known_optimum_is_affine_invariant():
+    rng = substream(9, 4)
+    d = 3
+    a = rng.normal(size=(d, d)) + 3.0 * np.eye(d)
+    b = rng.normal(size=d)
+    m0, s0 = rng.normal(size=d), np.cov(rng.normal(size=(20, d)), rowvar=False)
+    for gap, spread, near in ((3e-7, 0.0, True), (3e-6, 0.0, False),
+                              (0.0, 5e-7, True), (0.0, 5e-6, False)):
+        low0 = np.linalg.cholesky(s0)
+        m = m0 + gap * low0[:, 0]
+        sigma = s0 * (1.0 + spread)
+        for mat, shift in ((np.eye(d), np.zeros(d)), (a, b), (1e6 * a, b), (1e-6 * a, b)):
+            mm, ss = mat @ m + shift, mat @ sigma @ mat.T
+            known = ((mat @ m0 + shift)[None],
+                     np.linalg.inv(np.linalg.cholesky(mat @ s0 @ mat.T))[None])
+            assert estimators._near_known(mm, ss, known) == near, (gap, spread)
+
+
 def test_s_iterations_factor_exactly_symmetric_shapes(monkeypatch):
     factored = []
 
@@ -496,6 +574,34 @@ def test_c_step_matches_the_stable_argsort_reference(n):
     assert ties_at_h >= 5  # the selection really had to break ties
 
 
+def _tie_path(d2, h):
+    """_concentrate's selection through the cumulative tie count alone."""
+    kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
+    below, ties = d2 < kth, d2 == kth
+    room = h - np.count_nonzero(below, axis=1)
+    keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+    return np.nonzero(keep)[1].reshape(-1, h)
+
+
+@pytest.mark.parametrize("data", ["tie-free", "tie-heavy"])
+def test_concentrate_fast_path_equals_the_tie_path(data):
+    n, d, k = 300, 4, 7
+    rng = substream(11, 7)
+    x = rng.normal(size=(n, d)) if data == "tie-free" else _tie_heavy(n, d, seed=11)
+    m, cov = _moments(x[np.array([rng.choice(n, size=3 * d, replace=False) for _ in range(k)])])
+    low = _factor(cov)
+    tied_chains = 0
+    for h in (d + 1, (n + d + 1) // 2, n - 1):
+        got = estimators._concentrate(x, m, low, h)
+        d2 = estimators._dist_sq(x, m[:, None, :], low)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _tie_path(d2, h))
+        kth = np.sort(d2, axis=1)[:, h - 1:h]
+        tied_chains += np.count_nonzero(np.count_nonzero(d2 <= kth, axis=1) > h)
+    # tie-free data takes the fast path only; tie-heavy data needs the tie count
+    assert (tied_chains == 0) == (data == "tie-free")
+
+
 def test_moments_match_np_cov_bit_for_bit():
     rng = substream(7, 0)
     for k in range(300):
@@ -552,6 +658,14 @@ def test_subset_searches_skip_scatters_the_factorization_rejects():
     est = mcd(x, n_starts=60, seed=3)
     assert np.all(np.isfinite(est.sigma)) and est.iterations == 60
     assert np.all(np.isfinite(mve(x, n_trials=200, seed=3).sigma))
+
+
+@pytest.mark.parametrize("seed", [31, 33])
+def test_mcd_names_the_exact_fit_it_refuses(seed):
+    # with h = d + 1 and every row duplicated, each chain concentrates onto
+    # points that lie on a hyperplane, whose covariance is singular
+    with pytest.raises(DegenerateData, match="exact fit"):
+        mcd(_tie_heavy(100, 5, seed), h=6, n_starts=60, seed=3)
 
 
 def test_mcd_matches_the_reference_on_ten_thousand_rows():
