@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_into,
-                       _brentq, _dist_sq, _factor, default_c, mahalanobis_sq, rho,
-                       rho_sq_into, spd_cholesky, truncation_sq, weight)
+from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_from_p,
+                       _bisquare_into, _brentq, _dist_sq, _factor, default_c,
+                       mahalanobis_sq, rho, rho_sq_into, spd_cholesky, truncation_sq,
+                       weight)
 from .rng import substream
 
 
@@ -272,8 +273,9 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
         return wsum, z @ w - wsum * nu
 
     def newton_step(nu: np.ndarray, wsum: float, f: np.ndarray) -> np.ndarray | None:
-        """J^-1 F at nu, or None when it is not to be trusted; overwrites w."""
-        g = rho_sq_into(spec, d2, w, work, derivative=2)
+        """J^-1 F at nu, or None when it is not to be trusted; overwrites w.
+        psi' is built from the p that evaluate(nu) left in work."""
+        g = _bisquare_from_p(spec.c, spec.convention, d2, w, work, 2)
         jac = np.empty((d, d))
         for a in range(d):  # row a of sum g (z - nu)(z - nu)^T, no (d, n) temporary
             np.subtract(z[a], nu[a], out=work)
@@ -307,7 +309,7 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
                 and np.linalg.norm(f) / n < 1e-9):
             break
     residual = float(np.linalg.norm(f)) / n
-    obj = float(np.mean(rho_sq_into(spec, d2, d2, work)))
+    obj = float(np.mean(_bisquare_from_p(spec.c, spec.convention, d2, d2, work, 0)))
     if wsum > 0.0:
         w /= wsum
     return LocationScatter(mu=m0 + low @ nu, sigma=sigma, converged=residual < 1e-9,
@@ -593,6 +595,43 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
     return logdet, best_m, cov, subset, cut
 
 
+# FAST-MCD's selective iteration (Rousseeuw and Van Driessen 1999): above
+# _SCREEN_ABOVE rows every start first takes _SCREEN_CSTEPS C-steps on a
+# sample of at most _SCREEN_ROWS rows, and only the _SCREEN_KEEP best of them
+# go on to concentrate on the full data.
+_SCREEN_ABOVE, _SCREEN_ROWS, _SCREEN_KEEP, _SCREEN_CSTEPS = 600, 1500, 10, 2
+
+
+def _chunk(x: np.ndarray) -> int:
+    """Chains stepped in lockstep at once: about 2^16 distances per C-step."""
+    n, d = x.shape
+    return max(1, 2**16 // (n * d))
+
+
+def _screen(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The starts (m, low) that go on to the full data, in start order.
+
+    Every start takes _SCREEN_CSTEPS C-steps on one sample: _SCREEN_ROWS rows
+    drawn from rng and sorted, or all rows when there are no more than that,
+    with the subset size scaled to h_s = max(d + 1, ceil(h n_s / n)).  The
+    _SCREEN_KEEP chains with the lowest finite log dets are kept, ties going
+    to the lower start index, each from the moments it reached."""
+    n, d = x.shape
+    sample = x
+    if n > _SCREEN_ROWS:
+        sample = x[np.sort(rng.choice(n, size=_SCREEN_ROWS, replace=False))]
+    h_s = max(d + 1, -(-h * len(sample) // n))
+    chunk = _chunk(sample)
+    chains = [_mcd_chains(sample, m[lo:lo + chunk], low[lo:lo + chunk], h_s, _SCREEN_CSTEPS)
+              for lo in range(0, len(m), chunk)]
+    logdet = np.concatenate([c[0] for c in chains])
+    order = np.argsort(logdet, kind="stable")
+    keep = np.sort(order[np.isfinite(logdet[order])][:_SCREEN_KEEP])
+    m_s, cov_s = (np.concatenate([c[i] for c in chains])[keep] for i in (1, 2))
+    return m_s, _factor(cov_s)
+
+
 def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         max_csteps: int = 100) -> LocationScatter:
     """Minimum covariance determinant via concentration steps.
@@ -601,9 +640,15 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     with the smallest Mahalanobis distances (ties keep the smallest indices,
     see _concentrate), recompute moments, repeat while the determinant
     drops.  The starts step in lockstep, in chunks of about 2^16 distances,
-    as in FAST-MCD (Rousseeuw and Van Driessen 1999); each chain's result is
-    that of running it alone.  Candidates merge by (objective, start index),
-    so results do not depend on evaluation order.
+    as in FAST-MCD (Rousseeuw and Van Driessen 1999).  Up to 600 rows each
+    chain's result is that of running it alone.  Above 600 rows, FAST-MCD's
+    selective iteration screens the starts first (_screen): each takes 2
+    C-steps on a sample of at most 1,500 rows, drawn after the starts from
+    the same stream, and only the 10 best chains concentrate on the full
+    data, from where the sample left them.  Candidates merge by (objective,
+    start index), so results do not depend on evaluation order.  iterations
+    counts the elemental starts tried, and converged refers to the full-data
+    chain that won.
 
     A chain whose h-subset has a covariance that the Cholesky factorization
     rejects is dropped.  Such a subset lies on a hyperplane: an exact fit,
@@ -636,21 +681,23 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
             x, np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(k)]))
         m0, low0 = np.concatenate((m0, m)), np.concatenate((low0, low))
     tried = len(m0)
+    if not tried:
+        raise DegenerateData("all MCD starts hit singular subsets")
+    if n > _SCREEN_ABOVE:
+        m0, low0 = _screen(x, m0, low0, h, rng)
 
     best_logdet = np.inf
     best = None
-    chunk = max(1, 2**16 // (n * d))
-    for lo in range(0, tried, chunk):
+    chunk = _chunk(x)
+    for lo in range(0, len(m0), chunk):
         chains = _mcd_chains(x, m0[lo:lo + chunk], low0[lo:lo + chunk], h, max_csteps)
         for logdet, m, cov, subset, cut in zip(*chains):
             if logdet < best_logdet - 1e-14:
                 best_logdet = logdet
                 best = (m, cov, subset, cut)
-    if best is None and tried:
-        raise DegenerateData(f"exact fit: every MCD chain reached {h} points on a hyperplane "
-                             "(singular covariance, determinant 0), which mcd does not report")
     if best is None:
-        raise DegenerateData("all MCD starts hit singular subsets")
+        raise DegenerateData("exact fit: every MCD chain reached a subset on a hyperplane "
+                             "(singular covariance, determinant 0), which mcd does not report")
     m, cov, subset, cut = best
     weights = np.zeros(n)
     weights[subset] = 1.0 / h

@@ -73,11 +73,19 @@ def _bisquare_into(c: float, law: str, s: np.ndarray, out: np.ndarray, work: np.
     shaped like s, distinct from s and from each other, except that out may
     be s itself for the loss."""
     k = 1.0 / c**2
-    squared = law == "squared-distance"
-    np.multiply(s, s if squared else 1.0, out=work)  # q / k
+    np.multiply(s, s if law == "squared-distance" else 1.0, out=work)  # q / k
     work *= -k
     work += 1.0
     np.maximum(work, 0.0, out=work)  # p
+    return _bisquare_from_p(c, law, s, out, work, derivative)
+
+
+def _bisquare_from_p(c: float, law: str, s: np.ndarray, out: np.ndarray, work: np.ndarray,
+                     derivative: int) -> np.ndarray:
+    """_bisquare_into when work already holds the p of this s, as an earlier
+    _bisquare_into call left it: the same bits without the p pass."""
+    k = 1.0 / c**2
+    squared = law == "squared-distance"
     if derivative == 0:
         np.multiply(work, work, out=out)  # 1 - p^3
         out *= work

@@ -2,7 +2,8 @@
 moments, a Cholesky factor and distances per call, and full stable sorts.
 
 The package builds subset moments with one rank-k update, steps all MCD
-starts in lockstep on stacked factors, picks a C-step's h closest points by
+starts in lockstep on stacked factors (above 600 rows first on a screening
+sample, then the 10 best on all rows), picks a C-step's h closest points by
 partition and reads MVE's coverage order statistic by partition.  This module
 keeps the slow and obvious forms on the same factorization (np.linalg.cholesky,
 distances from the rows of (x - m) L^-T, log det as twice the sum of log
@@ -60,6 +61,25 @@ def c_step(x, m, sigma, h):
     return np.sort(order[:h])
 
 
+def _chain(x, m, cov, h, max_csteps):
+    """Concentrate one chain from (m, cov): its last log det that dropped, the
+    moments and subset there, and whether max_csteps cut it; None in place of
+    the moments when a subset's covariance is singular."""
+    logdet_prev = np.inf
+    keep = None
+    for _ in range(max_csteps):
+        subset = c_step(x, m, cov, h)
+        step = _cov_det(x[subset])
+        if step is None:
+            return np.inf, None, False
+        m, cov, logdet = step
+        if not logdet < logdet_prev - 1e-12:
+            return logdet_prev, keep, False
+        logdet_prev = logdet
+        keep = (m, cov, subset)
+    return logdet_prev, keep, True
+
+
 def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
     n, d = x.shape
     if h is None:
@@ -69,37 +89,32 @@ def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
         est.subset = np.arange(n)
         return est
     rng = substream(seed, 0)
-    best_logdet = np.inf
-    best = None
-    tried = attempts = 0
-    while tried < n_starts and attempts < 20 * max(n_starts, 1):
+    starts = []
+    attempts = 0
+    while len(starts) < n_starts and attempts < 20 * max(n_starts, 1):
         attempts += 1
         mom = _subset_moments(x, rng.choice(n, size=d + 1, replace=False))
-        if mom is None:
-            continue
-        tried += 1
-        m, cov = mom
-        logdet_prev = np.inf
-        cut = False
-        keep = None
-        for _ in range(max_csteps):
-            subset = c_step(x, m, cov, h)
-            step = _cov_det(x[subset])
-            if step is None:
-                keep = None
-                break
-            m, cov, logdet = step
-            if logdet < logdet_prev - 1e-12:
-                logdet_prev = logdet
-                keep = (m, cov, subset)
-            else:
-                break
-        else:
-            cut = True
-        if keep is None:
-            continue
-        if logdet_prev < best_logdet - 1e-14:
-            best_logdet = logdet_prev
+        if mom is not None:
+            starts.append(mom)
+    tried = len(starts)
+    if n > 600:
+        # FAST-MCD's selective iteration: 2 C-steps per start on one sample of
+        # at most 1500 rows, then the 10 best (ties to the lower start) go on
+        rows = np.sort(rng.choice(n, size=1500, replace=False)) if n > 1500 else np.arange(n)
+        sample = x[rows]
+        h_s = max(d + 1, math.ceil(h * len(rows) / n))
+        screened = []
+        for i, (m, cov) in enumerate(starts):
+            logdet, keep, _ = _chain(sample, m, cov, h_s, 2)
+            if keep is not None:
+                screened.append((logdet, i, keep[:2]))
+        starts = [mom for _, _, mom in sorted(sorted(screened)[:10], key=lambda s: s[1])]
+    best_logdet = np.inf
+    best = None
+    for m, cov in starts:
+        logdet, keep, cut = _chain(x, m, cov, h, max_csteps)
+        if keep is not None and logdet < best_logdet - 1e-14:
+            best_logdet = logdet
             best = keep
             best_cut = cut
     if best is None:

@@ -669,10 +669,47 @@ def test_mcd_names_the_exact_fit_it_refuses(seed):
 
 
 def test_mcd_matches_the_reference_on_ten_thousand_rows():
+    # above 600 rows both screen the starts on a 1500-row sample; at 50
+    # starts the screen keeps 10 of them, at 5 it keeps them all
     x = _tie_heavy(10_000, 5, seed=32)
-    got = mcd(x, n_starts=5, seed=1)
-    ref = _subset_reference.mcd(x, n_starts=5, seed=1)
-    for key in ("mu", "sigma", "objective", "subset"):
+    for n_starts in (5, 50):
+        got = mcd(x, n_starts=n_starts, seed=1)
+        ref = _subset_reference.mcd(x, n_starts=n_starts, seed=1)
+        for key in ("mu", "sigma", "objective", "subset", "iterations", "converged"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key)), (n_starts, key)
+
+
+def _shifted_cluster(n, d, seed, share=0.2, shift=6.0):
+    """Gaussian rows, the first share of them moved by shift in every column."""
+    x = substream(seed, 0).normal(size=(n, d))
+    x[:int(share * n)] += shift
+    return x
+
+
+def test_screened_mcd_is_affine_equivariant():
+    # the screen draws its sample by index, so x A^T + b walks the same chains
+    x = _shifted_cluster(2000, 3, seed=41)
+    e0 = mcd(x, n_starts=50, seed=5)
+    for a, b in _transforms(3, 4, seed=8):
+        e1 = mcd(x @ a.T + b, n_starts=50, seed=5)
+        assert np.array_equal(e1.subset, e0.subset)
+        ref = a @ e0.mu + b
+        assert np.max(np.abs(e1.mu - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        assert e1.converged == e0.converged and e1.iterations == e0.iterations == 50
+
+
+def test_screened_mcd_leaves_out_a_planted_cluster():
+    x = _shifted_cluster(2000, 4, seed=42)
+    est = mcd(x, n_starts=50, seed=6)
+    assert est.subset.min() >= 400  # the shifted 20% are rows 0..399
+    assert np.max(np.abs(est.mu)) < 0.2
+
+
+def test_mcd_at_six_hundred_rows_is_the_unscreened_search():
+    x = _shifted_cluster(600, 3, seed=43)
+    got = mcd(x, n_starts=50, seed=7)
+    ref = _subset_reference.mcd(x, n_starts=50, seed=7)  # screens above 600 rows only
+    for key in ("mu", "sigma", "objective", "subset", "iterations", "converged"):
         assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 

@@ -15,7 +15,8 @@ from oplab import (CalibrationError, RhoSpec, SingularScatter,
                    psi_sq, psi_sq_prime, rho, rho_sq, standard_model,
                    truncation_sq, weight)
 from oplab.influence import a_psi
-from oplab.numerics import CONVENTIONS, _brentq, _dist_sq, _factor, rho_sq_into
+from oplab.numerics import (CONVENTIONS, _bisquare_from_p, _bisquare_into, _brentq,
+                            _dist_sq, _factor, rho_sq_into)
 from oplab.rng import substream
 
 import _loss_reference
@@ -143,6 +144,20 @@ def test_rho_sq_into_matches_the_allocating_forms(conv, c):
     inplace = s.copy()  # the loss may overwrite its argument
     assert rho_sq_into(spec, inplace, inplace, work) is inplace
     assert np.array_equal(inplace, rho_sq_into(spec, s, out, work))
+
+
+@pytest.mark.parametrize("conv,c", [("squared-distance", SQRT6),
+                                    ("scaled-distance", 2.6608033926979555)])
+def test_bisquare_from_p_reuses_the_p_left_in_work(conv, c):
+    # m_location's Newton step builds psi' from the p that its psi pass left
+    s = np.square(substream(17, 0).normal(size=2001)) * truncation_sq(RhoSpec(c, conv))
+    out, work = np.empty_like(s), np.empty_like(s)
+    for first in (0, 1, 2):
+        for derivative in (0, 1, 2):
+            _bisquare_into(c, conv, s, out, work, first)
+            got = _bisquare_from_p(c, conv, s, np.empty_like(s), work, derivative)
+            assert np.array_equal(got, _bisquare_into(c, conv, s, out, np.empty_like(s),
+                                                      derivative))
 
 
 @pytest.mark.parametrize("spec", [SQ, RhoSpec(c=2.6608033926979555, convention="scaled-distance")])
