@@ -152,15 +152,6 @@ class ContaminationSpec:
         return d
 
 
-def sample_indicators(spec: ContaminationSpec, d: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the 0/1 indicator vector for a row."""
-    p_struct, struct_kind, cell_rate = spec.mixture()
-    if rng.random() < p_struct:
-        fill = 1 if struct_kind == "ones" else 0
-        return np.full(d, fill, dtype=np.int8)
-    return (rng.random(d) < cell_rate).astype(np.int8)
-
-
 def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
     """P(exactly k of the d cells in a row are contaminated)."""
     if not 0 <= k <= d:
@@ -189,31 +180,42 @@ class ContaminatedData:
     b: np.ndarray
 
 
-def _contaminate_row(y_row: np.ndarray, spec: ContaminationSpec,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    bi = sample_indicators(spec, y_row.size, rng)
-    xi = y_row.copy()
-    cols = np.flatnonzero(bi)
-    if cols.size:
-        xi[cols] = spec.outlier.values(y_row[cols], cols, rng)
-    return xi, bi
-
-
 def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
                         seed: int) -> ContaminatedData:
     """Draw clean rows from the elliptical model, then contaminate them.
 
-    Row i consumes one substream in a fixed order (clean draw, indicators,
-    replacement values), keeping the dataset schedule-independent.
+    Row i consumes one substream in a fixed order: the clean draw, the
+    structural uniform (with probability p_struct the row takes the
+    structured pattern, see ContaminationSpec.mixture), the d cell uniforms
+    unless the row took the pattern, then a GaussianShift's normals, one per
+    contaminated cell.  That keeps the dataset schedule-independent: row i is
+    the same at any n.  The loop over rows only draws; the indicators, and
+    the replacement values of the generators that draw nothing, are whole
+    array operations on the draws, with the values a per-row pass would give.
     """
     if spec.outlier is None and spec.epsilon > 0.0:
         raise ContaminationError("contamination with epsilon > 0 needs an outlier generator")
-    d = model.dim
-    x = np.empty((int(n), d))
-    b = np.zeros((int(n), d), dtype=np.int8)
-    for i, rng in enumerate(row_streams(seed, range(int(n)))):
-        y_row = model.sample(1, rng)[0]
-        x[i], b[i] = _contaminate_row(y_row, spec, rng)
+    d, n = model.dim, int(n)
+    p_struct, struct_kind, cell_rate = spec.mixture()
+    # a row that takes the pattern draws no cell uniforms: -inf (every cell
+    # hit) or inf (none) stands in for them under the test u < cell_rate
+    pattern = -math.inf if struct_kind == "ones" else math.inf
+    # GaussianShift is the one generator that draws: a row takes one normal
+    # per contaminated cell, so its cells are found in the loop
+    gaussian = isinstance(spec.outlier, GaussianShift)
+    x, u_cells, drawn = np.empty((n, d)), np.empty((n, d)), []
+    for i, rng in enumerate(row_streams(seed, range(n))):
+        x[i] = model.sample(1, rng)[0]
+        u_cells[i] = pattern if rng.random() < p_struct else rng.random(d)
+        if gaussian:
+            cols = np.flatnonzero(u_cells[i] < cell_rate)
+            if cols.size:
+                drawn.append(spec.outlier.values(x[i, cols], cols, rng))
+    b = (u_cells < cell_rate).astype(np.int8)
+    rows, cols = np.nonzero(b)  # row by row, and by column within a row
+    if rows.size:
+        x[rows, cols] = (np.concatenate(drawn) if gaussian
+                         else spec.outlier.values(x[rows, cols], cols, None))
     return ContaminatedData(x=x, b=b)
 
 

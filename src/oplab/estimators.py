@@ -171,9 +171,16 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
     """Columnwise univariate S-estimates of location and scale.
 
     Per column: minimize s(m) subject to mean rho((x - m)/s) = bp, by
-    alternating the scale solve with a weighted-mean location step.  Each
-    scale solve after the first is warm-started at the column's previous
-    scale.
+    alternating the scale solve with a location step.  The plain step is the
+    fixed-point map g(m): the weighted mean at the scale solved at m.  Every
+    second iteration extrapolates the last two plain steps instead (Aitken's
+    delta-squared, a secant step on g(m) - m): with r the ratio of the step
+    from g(m) to that from m, the step is (g(m) - m) / (1 - r).  It is taken
+    only when |r| < 1, so when g contracts there, and when the scale solved
+    at its end is no larger than the current one, as a plain step never
+    raises it; otherwise the plain step.  The iteration stops once a step is
+    below tol times the scale.  Each scale solve after the first is
+    warm-started at the column's previous scale.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -192,16 +199,27 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
             raise DegenerateData(f"column {j} is too concentrated for an S-scale")
         m = float(np.median(col))
         s = m_scale(np.abs(col - m), spec, bp)
+        last = None  # the previous step if it was plain; the next one extrapolates from it
         it = 0
         for it in range(1, max_iter + 1):
             w = weight(spec, (col - m) / s)
             if w.sum() <= 0.0:
                 raise AllPointsRejected(f"column {j}: all weights vanished")
-            m_new = float(w @ col / w.sum())
-            s = m_scale(np.abs(col - m_new), spec, bp, guess=s)
-            step = abs(m_new - m)
-            m = m_new
-            if step < tol * s:
+            step = float(w @ col / w.sum()) - m
+            s_step = None  # the scale at m + step, when already solved
+            if last:
+                r = step / last
+                if abs(r) < 1.0:
+                    jump = step / (1.0 - r)
+                    s_jump = m_scale(np.abs(col - (m + jump)), spec, bp, guess=s)
+                    if s_jump <= s:
+                        step, s_step = jump, s_jump
+                last = None
+            else:
+                last = step
+            m += step
+            s = s_step if s_step is not None else m_scale(np.abs(col - m), spec, bp, guess=s)
+            if abs(step) < tol * s:
                 break
         else:
             converged = False
@@ -397,9 +415,12 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     does a step below tol.  The starts run in order (the MCD fit, the
     coordinatewise median and MAD, then the elemental subsets), and a start
     whose iterate comes within 1e-6 of an optimum an earlier start reached
-    stops there as a duplicate that cannot win (_near_known).  The start
-    with the smallest determinant then iterates on until its step is below
-    1e-12.
+    stops there as a duplicate that cannot win (_near_known).  Above 600
+    rows, where every iteration passes over all of them, the radius is 1e-2,
+    which stops a duplicate about five iterations sooner; the start is then
+    already well inside the optimum's basin, where the iteration contracts
+    towards it.  The start with the smallest determinant then iterates on
+    until its step is below 1e-12.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -425,9 +446,10 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     # their scatters' Cholesky factors
     best = None
     known = (np.empty((0, d)), np.empty((0, d, d)))
+    radius = _NEAR_LARGE if n > _SCREEN_ABOVE else _NEAR
     for m0, c0 in starts:
         try:
-            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol, known)
+            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol, known, radius)
         except (SingularScatter, DegenerateData):
             continue  # this start's scatter went singular
         if fit is None:
@@ -464,11 +486,17 @@ def _step_below(step: np.ndarray, m: np.ndarray, low: np.ndarray, tol: float) ->
     return step2 < bound * bound
 
 
-def _near_known(m: np.ndarray, sigma: np.ndarray, known: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether (m, sigma) lies within 1e-6 of one of the optima in known, a
+# the radius within which an S start counts as having reached a known optimum
+# (_near_known): _NEAR up to _SCREEN_ABOVE rows, _NEAR_LARGE above
+_NEAR, _NEAR_LARGE = 1e-6, 1e-2
+
+
+def _near_known(m: np.ndarray, sigma: np.ndarray, known: tuple[np.ndarray, np.ndarray],
+                radius: float = _NEAR) -> bool:
+    """Whether (m, sigma) lies within radius of one of the optima in known, a
     stack of centres m* and of the inverses of their scatters' Cholesky
-    factors L*.  Within means |L*^-1 (m - m*)|^2 < 1e-12 and every
-    eigenvalue of L*^-1 sigma L*^-T within 1e-6 of 1.  Under x -> A x + b,
+    factors L*.  Within means |L*^-1 (m - m*)| < radius and every eigenvalue
+    of L*^-1 sigma L*^-T within radius of 1.  Under x -> A x + b,
     L* becomes A L* Q with Q orthogonal, so both tests are affine-invariant."""
     centres, inv = known
     if not len(centres):
@@ -477,15 +505,15 @@ def _near_known(m: np.ndarray, sigma: np.ndarray, known: tuple[np.ndarray, np.nd
     gap = np.einsum("kij,kij->k", z, z)
     shape = inv @ sigma @ np.swapaxes(inv, -1, -2)
     spread = np.abs(np.linalg.eigvalsh(shape) - 1.0).max(axis=-1)
-    return bool(np.any((gap < 1e-12) & (spread < 1e-6)))
+    return bool(np.any((gap < radius * radius) & (spread < radius)))
 
 
-def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None) -> tuple | None:
+def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None, radius=_NEAR) -> tuple | None:
     """S fixed-point iterations from (m, sigma): (m, sigma, log det sigma,
     iterations) where the step falls below tol, or None when every weight
-    vanishes or an iterate comes near an optimum in known (_near_known);
-    raises SingularScatter or DegenerateData when the scatter goes singular
-    on the way.
+    vanishes or an iterate comes within radius of an optimum in known
+    (_near_known); raises SingularScatter or DegenerateData when the scatter
+    goes singular on the way.
 
     Past the checked first distances, the iterations work on the (d, n)
     transpose of x, so that every pass over the data runs along rows of
@@ -517,7 +545,7 @@ def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None) -> tuple | None:
         s = guess = m_scale(dist, spec, b, guess=guess)
         dist /= s
         sigma_new = shape * s**2
-        if known is not None and _near_known(m_new, sigma_new, known):
+        if known is not None and _near_known(m_new, sigma_new, known, radius):
             return None
         low = _factor(sigma_new)
         logdet = float(_chol_logdet(low))

@@ -12,8 +12,9 @@ a fresh generator's (tests/_generation_reference.py).
 import numpy as np
 
 from oplab import ContaminatedData
-from oplab.contamination import _contaminate_row
 from oplab.rng import row_streams
+
+from _generation_reference import _contaminate_row
 
 
 def contaminate(y, spec, seed):

@@ -3,8 +3,11 @@
 The package draws every row of a dataset from one Philox bit generator whose
 counter it resets to the row's block (oplab.rng.row_streams).  This module
 keeps the direct form: a new Philox(key=seed) advanced by row * 2^64 for each
-row, so the two can be checked against each other bit for bit.  It also
-keeps the dataset CSV writer as first written, cell by cell through
+row, so the two can be checked against each other bit for bit.  Each row
+is contaminated as first written, indicators then replacement values
+through the generator's values method one row at a time, where the package
+draws in its row loop and derives indicators and values from whole arrays.
+It also keeps the dataset CSV writer as first written, cell by cell through
 csv.writer, as the byte oracle for write_dataset.
 """
 
@@ -13,7 +16,26 @@ import io
 
 import numpy as np
 
-from oplab.contamination import ContaminatedData, _contaminate_row
+from oplab.contamination import ContaminatedData, ContaminationSpec
+
+
+def sample_indicators(spec: ContaminationSpec, d: int, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the 0/1 indicator vector for a row."""
+    p_struct, struct_kind, cell_rate = spec.mixture()
+    if rng.random() < p_struct:
+        fill = 1 if struct_kind == "ones" else 0
+        return np.full(d, fill, dtype=np.int8)
+    return (rng.random(d) < cell_rate).astype(np.int8)
+
+
+def _contaminate_row(y_row: np.ndarray, spec: ContaminationSpec,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    bi = sample_indicators(spec, y_row.size, rng)
+    xi = y_row.copy()
+    cols = np.flatnonzero(bi)
+    if cols.size:
+        xi[cols] = spec.outlier.values(y_row[cols], cols, rng)
+    return xi, bi
 
 
 def fresh_row_stream(seed, row):

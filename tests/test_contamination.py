@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oplab import (MODELS, AdditiveShift, ContaminationError,
                    ContaminationSpec, GaussianShift, InvalidData, PointMass,
-                   cell_count_pmf, outlier_from_dict,
+                   cell_count_pmf, equicorrelated_model, outlier_from_dict,
                    read_dataset, sample_contaminated, standard_model,
                    write_dataset)
 from oplab.cli import main
@@ -260,6 +260,16 @@ def test_generation_matches_the_per_row_generators(model, tmp_path):
         assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
         got, ref = contaminate(y, spec, seed=k), gen_ref.contaminate(y, spec, seed=k)
         assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
+    # a non-identity Cholesky factor, and five columns, for every outlier kind
+    wide = (AdditiveShift(t=10.0), PointMass((4.0, -3.0, 2.0, 0.5, -7.0)),
+            GaussianShift(mean=5.0, var=2.0))
+    for clean, outliers in ((equicorrelated_model(3, 0.5), OUTLIERS), (standard_model(5), wide)):
+        for k, outlier in enumerate(outliers):
+            spec = _spec(model, 0.3, outlier=outlier)
+            got, ref = sample_contaminated(clean, spec, 300, seed=k), \
+                gen_ref.sample_contaminated(clean, spec, 300, seed=k)
+            assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), \
+                (clean.dim, outlier)
     # the simulate CSV is the per-row generators' dataset, byte for byte
     argv = ["simulate", "--model", model, "--eps", "0.3", "--d", "3", "--n", "400",
             "--seed", "9", "--point", "4,-3,2", "--out", str(tmp_path / "sim.csv")]
@@ -269,6 +279,19 @@ def test_generation_matches_the_per_row_generators(model, tmp_path):
     spec = _spec(model, 0.3, outlier=PointMass((4.0, -3.0, 2.0)))
     write_dataset(tmp_path / "ref.csv", gen_ref.sample_contaminated(normal, spec, 400, seed=9))
     assert (tmp_path / "sim.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_rows_do_not_depend_on_n(model):
+    # rows 0..499 drawn at n = 500 are those rows drawn at n = 2,000, bit for bit
+    clean = equicorrelated_model(5, 0.5)
+    for outlier in (AdditiveShift(t=10.0), PointMass((4.0, -3.0, 2.0, 0.5, -7.0)),
+                    GaussianShift(mean=5.0, var=2.0)):
+        spec = _spec(model, 0.05, outlier=outlier)
+        head = sample_contaminated(clean, spec, 500, seed=3)
+        full = sample_contaminated(clean, spec, 2_000, seed=3)
+        assert np.array_equal(head.x, full.x[:500]), outlier
+        assert np.array_equal(head.b, full.b[:500]), outlier
 
 
 # ---------------------------------------------------------------------------
