@@ -70,9 +70,10 @@ class InfluenceContext:
 
     kind selects the contamination path; gamma is only meaningful for
     pcicm-i.  The context caches the z-independent parts of the Monte Carlo
-    state (draws, precision products) for reuse across a z-grid, together
-    with the scratch buffers every cellwise evaluation writes into.  So a
-    context must not be shared across threads: give each thread its own.
+    state (the draws in a (d, n) layout, their precision products) for
+    reuse across a z-grid, together with the buffers every cellwise
+    evaluation writes into.  So a context must not be shared across
+    threads: give each thread its own.
     """
 
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
@@ -93,18 +94,22 @@ class InfluenceContext:
         self._cache_val = None
 
     def _draws(self, path: int):
-        """Model draws plus precision products, cached for the last path, and
-        three n x d scratch buffers for the cellwise core (_ficm_totals) with
-        the same lifetime."""
+        """Model draws for path in a (d, n) layout, cached for the last path:
+        ydev = Y - mu0, its precision product doubled (2 Sigma^-1 ydev) and
+        the squared distances d2y.  With them live the cellwise core's
+        buffers (_ficm_sums): a (d, n) one for the per-draw totals and three
+        (d, block) scratch ones."""
         key = (path, self.mc.n_draws, self.mc.seed)
         if self._cache_key != key:
             rng = substream(self.mc.seed, path)
-            y = self.model.sample(self.mc.n_draws, rng)
-            ydev = y - self.model.mu0
-            proj = ydev @ self._sigma_inv
-            d2y = np.einsum("ij,ij->i", ydev, proj)
+            ydev = (self.model.sample(self.mc.n_draws, rng) - self.model.mu0).T.copy()
+            proj2 = self._sigma_inv @ ydev
+            d2y = np.einsum("ij,ij->j", ydev, proj2)
+            proj2 *= 2.0
+            block = min(max(_BLOCK_CELLS // self.d, 1), ydev.shape[1])
             self._cache_key = key
-            self._cache_val = (y, ydev, proj, d2y, np.empty((3,) + y.shape))
+            self._cache_val = (ydev, proj2, d2y, np.empty_like(ydev),
+                               np.empty((3, self.d, block)))
         return self._cache_val
 
 
@@ -137,130 +142,88 @@ def if_fdcm(z, ctx: InfluenceContext) -> InfluenceResult:
     return InfluenceResult(z=z, value=np.asarray(val), stderr=np.zeros(ctx.d))
 
 
-# Rows per block of the cellwise core's elementwise pass.  At the dimensions
-# fig2 sweeps, a block of the three scratch buffers stays in cache (4,096 x 10
-# doubles is 320 kB each); twice as many rows made d = 10 slower, and fewer
-# rows pay numpy's per-call overhead more often.
-_BLOCK_ROWS = 4096
+# Cells (patterns x draws) per block of the cellwise core, so each of its
+# three scratch blocks is at most 1 MB.  Per value evaluation on a 2-core
+# Xeon (2 MB of L2 per core), 100k draws at d = 15 took 15.6 ms against
+# 29.8 ms in one block.  Half this size was faster at 100k draws but split
+# 10k draws at d = 10 in two, 0.90 ms against 0.73 ms in one block.
+_BLOCK_CELLS = 131072
 
 
-def _row_sum(c: np.ndarray) -> np.ndarray:
-    """c.sum(axis=1) for a C-ordered float array of at least one column, in
-    numpy's own float order, from column adds along the rows.
+def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int,
+               totals: np.ndarray | None = None) -> np.ndarray:
+    """Sums over draws of the per-draw totals T of _ficm_core, and T itself
+    into totals (d, n) when it is given.
 
-    numpy adds each row by pairwise summation (pairwise_sum in its
-    loops_utils.h.src): fewer than 8 terms left to right; up to 128 terms in
-    eight accumulators, accumulator j taking every 8th term from term j,
-    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the leftover
-    terms are added in order; above 128 the two halves, split at a multiple
-    of 8, summed recursively.  The reduction starts from add's identity +0.0,
-    which only turns a -0.0 total into +0.0.  A numpy that changes this order
-    fails test_row_sum_matches_numpys_reduction_order.
+    The draws go in blocks of the context's scratch width.  Per block:
+    pinning coordinate k at z_k moves a draw's squared distance to
+    (d2y + delta_k (2 Sigma^-1 ydev)_k) + delta_k^2 (Sigma^-1)_kk, with
+    delta = zdev - ydev; one bisquare pass gives psi (d, w), pattern k in
+    row k; and one GEMM m = psi ydev^T adds to the sums, output j taking
+    m[k, j] over the other patterns k plus psi_j's sum times zdev_j.
     """
-    return _pairwise_rows(c) + 0.0
-
-
-def _pairwise_rows(c: np.ndarray) -> np.ndarray:
-    n = c.shape[1]
-    if n < 8:
-        s = c[:, 0].copy()
-        for j in range(1, n):
-            s += c[:, j]
-        return s
-    if n <= 128:
-        n8 = n - n % 8
-        r = c[:, :8]
-        if n8 > 8:
-            r = r + c[:, 8:16]
-            for i in range(16, n8, 8):
-                r += c[:, i:i + 8]
-        r = r[:, 0::2] + r[:, 1::2]  # r0+r1, r2+r3, r4+r5, r6+r7
-        r = r[:, 0::2] + r[:, 1::2]
-        s = r[:, 0] + r[:, 1]
-        for j in range(n8, n):
-            s += c[:, j]
-        return s
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_rows(c[:, :n2]) + _pairwise_rows(c[:, n2:])
-
-
-def _ficm_totals(z: np.ndarray, ctx: InfluenceContext,
-                 path: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw totals of every single-coordinate pattern (see _ficm_core),
-    into the context's scratch buffer a.  Returns a and b, a scratch buffer
-    the caller may overwrite."""
-    y, ydev, proj, d2y, (a, b, c) = ctx._draws(path)
-    # the length-d operands tiled to one block: numpy runs a (rows, d) by (d,)
-    # broadcast as one short inner loop per row, several times slower
-    tile = (min(_BLOCK_ROWS, y.shape[0]), 1)
-    zt = np.tile(z, tile)
-    inv_diag = np.tile(np.diag(ctx._sigma_inv), tile)
-    zdev = np.tile(z - ctx.model.mu0, tile)
-    # psi is p^2 s (6/c^2) on the squared-distance law, NaN where p == 0 and
-    # s is inf; on the scaled law it is p^2 (3/c^2), already +0.0 wherever
-    # p == 0, so psi_sq's zeroing would change no bit there
-    squared = ctx.rho.convention == "squared-distance"
-    for lo in range(0, y.shape[0], _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        ab = a[rows]
-        m = ab.shape[0]
-        bb, cb = b[:m], c[:m]  # per-block temporaries: the same rows every block
-        np.subtract(zt[:m], y[rows], out=ab)  # delta
-        np.multiply(ab, 2.0, out=bb)  # d2k = (d2y + (2 delta) proj) + delta^2 inv_diag
-        bb *= proj[rows]
-        bb += d2y[rows, None]
-        np.square(ab, out=cb)
-        cb *= inv_diag[:m]
-        bb += cb
-        rho_sq_into(ctx.rho, bb, cb, ab, derivative=1)  # psi into cb, p into ab
-        if squared:  # as psi_sq: zero beyond the truncation, not 0 * inf
-            np.copyto(cb, 0.0, where=ab == 0.0)
-        np.subtract(_row_sum(cb)[:, None], cb, out=ab)
-        ab *= ydev[rows]
-        cb *= zdev[:m]
-        ab += cb
-    return a, b
+    ydev, proj2, d2y, _, (a, b, c) = ctx._draws(path)
+    inv_diag = np.diag(ctx._sigma_inv)[:, None]
+    zdev = z - ctx.model.mu0
+    d, n = ydev.shape
+    m = np.zeros((d, d))
+    psi_sum = np.zeros(d)
+    for lo in range(0, n, a.shape[1]):
+        cols = slice(lo, min(lo + a.shape[1], n))
+        w = cols.stop - lo
+        ab, bb, psi = a[:, :w], b[:, :w], c[:, :w]
+        yb = ydev[:, cols]
+        np.subtract(zdev[:, None], yb, out=ab)  # delta
+        np.multiply(ab, proj2[:, cols], out=bb)
+        bb += d2y[cols]
+        np.square(ab, out=psi)
+        psi *= inv_diag
+        bb += psi
+        rho_sq_into(ctx.rho, bb, psi, ab, derivative=1)  # p into ab
+        sums = psi.sum(axis=1)
+        # psi is 0 wherever p == 0, except on the squared-distance law where
+        # s is inf: p^2 s (6/c^2) is NaN there, and psi_sq's zeroing beyond
+        # the truncation is needed only then
+        if np.isnan(sums).any():
+            np.copyto(psi, 0.0, where=ab == 0.0)
+            sums = psi.sum(axis=1)
+        m += psi @ yb.T
+        psi_sum += sums
+        if totals is not None:  # T = (sum over patterns - psi) ydev + psi zdev
+            t = totals[:, cols]
+            np.subtract(psi.sum(axis=0), psi, out=t)
+            t *= yb
+            np.multiply(psi, zdev[:, None], out=ab)
+            t += ab
+    return m.sum(axis=0) - np.diagonal(m) + psi_sum * zdev
 
 
 def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResult:
     """Sum over single-coordinate patterns, one shared sample for all of them.
 
-    Pinning coordinate k shifts the squared distance by
-    2 (z_k - Y_k) proj_k + (z_k - Y_k)^2 (Sigma^-1)_kk, so one draw set prices
-    every pattern in O(n d).  Per-draw totals keep the stderr honest.
-
-    _ficm_totals writes the per-draw totals into the context's scratch
-    buffers; this function takes their mean and stderr, and _ficm_value,
-    which the ges search calls, their mean alone.  Both return bit for bit
-    what the plain expressions in tests/_ficm_reference.py give (psi_sq on
-    the pinned distances, numpy's mean and std(ddof=1) of the per-draw
-    totals), because every float operation is the same one on the same
-    operands:
-    - the elementwise pass runs in blocks of _BLOCK_ROWS rows.  A row's
-      values depend on that row alone, so the blocks move no bit;
-    - each row's sum over patterns is a sequence of column adds in numpy's
-      pairwise order (_row_sum), not a reduction along the short axis;
-    - psi_sq's zeroing beyond the truncation runs only where it can change
-      a bit (the squared-distance law);
-    - the sums over draws stay single numpy reductions over the whole
-      buffer, so the draws are added in the order numpy adds them.
-    Nothing returned is a view of a buffer.
+    For output j the per-draw total is
+    T_j = (sum over k != j of psi_k) ydev_j + psi_j zdev_j, where psi_k is
+    psi at the draw's squared distance with coordinate k pinned at z_k.  So
+    one draw set prices every pattern in O(n d) (_ficm_sums).  The value is
+    the mean of T from the GEMM sums, and the stderr numpy's std(ddof=1) of
+    T over the draws.  _ficm_value, which the ges search calls, gives the
+    same value bits without the totals.  The float order differs from the
+    plain expressions in tests/_ficm_reference.py, which checks both to a
+    stated tolerance.  Nothing returned is a view of a buffer.
     """
-    a, b = _ficm_totals(z, ctx, path)
-    n = a.shape[0]
-    mean = a.sum(axis=0) / n
-    np.subtract(a, mean, out=b)
-    np.square(b, out=b)
-    var = b.sum(axis=0) / (n - 1)
+    _, _, _, totals, _ = ctx._draws(path)
+    n = totals.shape[1]
+    mean = _ficm_sums(z, ctx, path, totals) / n
+    totals -= (totals.sum(axis=1) / n)[:, None]
+    np.square(totals, out=totals)
+    var = totals.sum(axis=1) / (n - 1)
     return InfluenceResult(z=z, value=mean / ctx.a_psi,
                            stderr=np.sqrt(var) / math.sqrt(n) / ctx.a_psi)
 
 
 def _ficm_value(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
-    """_ficm_core's value alone, the same bits, without the stderr pass."""
-    a, _ = _ficm_totals(z, ctx, path)
-    return a.sum(axis=0) / a.shape[0] / ctx.a_psi
+    """_ficm_core's value alone, the same bits, without the totals."""
+    return _ficm_sums(z, ctx, path) / ctx.mc.n_draws / ctx.a_psi
 
 
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:

@@ -314,16 +314,20 @@ def test_criterion_11_thread_count_determinism(capsys, tmp_path):
     search = GesSearch(axes="first", n_random=1, n_radial=8, refine=10)
     payloads = []
     for threads in (1, 8):
-        g = ges_vs_dim(d_grid=(1, 2), n_draws=20_000, seed=31,
+        g = ges_vs_dim(d_grid=(1, 2, 5), n_draws=20_000, seed=31,
                        threads=threads, search=search)
         b = bias_sweep(d=3, n=40, eps=0.15, t_grid=(0.0, 10.0),
                        replications=3, seed=7, threads=threads,
                        mcd_starts=30, mve_trials=50)
+        e = empirical_breakdown(estimator="mcd", d=2, eps_grid=(0.1, 0.2, 0.3),
+                                replications=3, n=60, seed=11, threads=threads,
+                                mcd_starts=30)
         out = tmp_path / f"t{threads}"
-        g.write(str(out))
-        b.write(str(out))
-        payloads.append(((out / "ges_vs_dim" / "results.csv").read_bytes(),
-                         (out / "bias_sweep" / "results.csv").read_bytes()))
+        for report in (g, b, e):
+            report.write(str(out))
+        payloads.append(tuple((out / name / "results.csv").read_bytes()
+                              for name in ("ges_vs_dim", "bias_sweep", "breakdown")))
     ok = payloads[0] == payloads[1]
     _report(capsys, 11, "results are byte-identical at 1 and 8 threads", ok,
-            "ges_vs_dim and bias_sweep reruns compared as files")
+            "ges_vs_dim (d = 1, 2, 5), bias_sweep and empirical_breakdown reruns "
+            "compared as files")

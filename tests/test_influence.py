@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from oplab import (GesSearch, InfluenceContext, MonteCarlo, RhoSpec, a_psi,
-                   calibrate_c, coord_ges, equicorrelated_model, ges,
+from oplab import (GesSearch, InfluenceContext, InfluenceResult, MonteCarlo, RhoSpec,
+                   a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
                    if_coordwise, if_fdcm, if_ficm, if_numeric, if_psicm,
                    influence, mahalanobis_sq, psi_sq, standard_model,
                    truncation_sq)
-from oplab.influence import (_BLOCK_ROWS, _PATH_FICM, _PATH_PSICM, _cellwise_value,
-                             _ficm_core, _radial_profile, _row_sum)
+from oplab.influence import (_PATH_FICM, _PATH_PSICM, _cellwise_value, _ficm_core,
+                             _radial_profile)
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
@@ -244,10 +244,11 @@ def test_if_pcicm_is_the_cellwise_path():
 
 @pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17])
-def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
-    # d covers each branch of the pairwise row sum (below 8 terms, 8 with no
-    # leftover, leftovers, 16 and 17 in two rounds of accumulators); the draw
-    # count spans three row blocks, the last one partial
+def test_ficm_core_matches_the_reference_to_rounding(d, convention):
+    # the package sums over draws in another float order than the plain (n, d)
+    # reference, so the two agree to rounding: the value within 1e-12 of the
+    # largest reference component, the stderr within 1e-10 relative.  From
+    # d = 15 on, the draws span two blocks of the core, the last one partial
     rho = RhoSpec(c=calibrate_c(d, 0.5, convention=convention), convention=convention)
     r = math.sqrt(truncation_sq(rho))
     ones = np.ones(d) / math.sqrt(d)
@@ -255,7 +256,12 @@ def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
     points = [0.3 * r * ones, 0.8 * r * axis, r * axis, r * ones, 3.0 * r * ones,
               np.full(d, 50.0 * r), -0.6 * r * ones + 40.0 * r * axis,
               np.full(d, 1e200), np.full(d, -1e200), 1e200 * axis + 0.2 * ones]
-    mc = MonteCarlo(n_draws=2 * _BLOCK_ROWS + 905, seed=d)
+    mc = MonteCarlo(n_draws=9097, seed=d)
+
+    def close(got, ref):
+        return (np.all(np.abs(got.value - ref.value) <= 1e-12 * np.max(np.abs(ref.value)))
+                and np.all(np.abs(got.stderr - ref.stderr) <= 1e-10 * ref.stderr))
+
     for model in (standard_model(d), equicorrelated_model(d, 0.5)):
         ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
         for z in points:
@@ -264,16 +270,15 @@ def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
                     got = _ficm_core(z, ctx, path)
                     ref = _ficm_reference.ficm_core(z, ctx, path)
                 assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.stderr))
-                assert np.array_equal(got.value, ref.value), (z, path)
-                assert np.array_equal(got.stderr, ref.stderr), (z, path)
+                assert close(got, ref), (z, path)
         # the psicm path end to end, through its own context
         ctx = InfluenceContext(model, rho, kind="psicm", mc=mc)
         z = 0.5 * r * ones
         got = influence(z, ctx)
         row = if_fdcm(z, ctx)
         cell = _ficm_reference.ficm_core(z, ctx, _PATH_PSICM)
-        assert np.array_equal(got.value, 0.5 * (row.value + cell.value))
-        assert np.array_equal(got.stderr, 0.5 * cell.stderr)
+        assert close(got, InfluenceResult(z=z, value=0.5 * (row.value + cell.value),
+                                          stderr=0.5 * cell.stderr))
 
 
 @pytest.mark.parametrize("kind", ["ficm", "psicm", "pcicm-i", "pcicm-ii"])
@@ -284,7 +289,7 @@ def test_ges_value_path_is_the_influence_value(kind, monkeypatch):
                   convention="scaled-distance")
     r = math.sqrt(truncation_sq(rho))
     ctx = InfluenceContext(standard_model(d), rho, kind=kind, gamma=0.5,
-                           mc=MonteCarlo(n_draws=_BLOCK_ROWS + 311, seed=4))
+                           mc=MonteCarlo(n_draws=4407, seed=4))
     for z in (np.array([0.3, -0.2, 0.1]) * r, np.array([0.9, 0.0, 0.0]) * r,
               np.full(d, 0.6 * r), np.array([2.0, 0.4, -0.3]) * r):
         assert np.array_equal(_cellwise_value(z, ctx), influence(z, ctx).value), z
@@ -295,27 +300,6 @@ def test_ges_value_path_is_the_influence_value(kind, monkeypatch):
     slow = ges(ctx, search)
     assert fast.value == slow.value and fast.rays == slow.rays
     assert np.array_equal(fast.argmax_z, slow.argmax_z)
-
-
-def test_row_sum_matches_numpys_reduction_order():
-    # _row_sum reproduces c.sum(axis=1) by column adds in numpy's pairwise
-    # order; if numpy changes that order, this is the test that says so
-    rng = np.random.default_rng(11)
-    for d in range(1, 301):
-        c = rng.standard_normal((64, d)) * np.exp(rng.uniform(-40.0, 40.0, (64, d)))
-        u = rng.random((64, d))
-        c[u < 0.05] = -0.0
-        c[(u >= 0.05) & (u < 0.06)] = np.inf
-        c[(u >= 0.06) & (u < 0.065)] = -np.inf
-        c[(u >= 0.065) & (u < 0.08)] = 1e308
-        c[(u >= 0.08) & (u < 0.09)] = 5e-324
-        c[0] = -0.0
-        c[1] = 1e308
-        c[2, ::2] = 0.1
-        c[2, 1::2] = -0.1
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, ref = _row_sum(c), c.sum(axis=1)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), d
 
 
 def test_ficm_results_are_not_views_of_the_scratch_buffers():
