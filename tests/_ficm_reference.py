@@ -16,9 +16,14 @@ from oplab import InfluenceResult, psi_sq
 from oplab.rng import substream
 
 
+def draws(ctx, path):
+    """The reference's own (n, d) draws of the model for path."""
+    return ctx.model.sample(ctx.mc.n_draws, substream(ctx.mc.seed, path))
+
+
 def ficm_core(z, ctx, path):
     model = ctx.model
-    y = model.sample(ctx.mc.n_draws, substream(ctx.mc.seed, path))
+    y = draws(ctx, path)
     sigma_inv = np.linalg.inv(model.sigma0)
     ydev = y - model.mu0
     proj = ydev @ sigma_inv

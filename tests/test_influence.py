@@ -13,7 +13,7 @@ from oplab import (GesSearch, InfluenceContext, InfluenceResult, MonteCarlo, Rho
                    influence, mahalanobis_sq, psi_sq, standard_model,
                    truncation_sq)
 from oplab.influence import (_PATH_FICM, _PATH_PSICM, _cellwise_value, _ficm_core,
-                             _radial_profile)
+                             _ficm_value, _radial_profile)
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
@@ -242,13 +242,9 @@ def test_if_pcicm_is_the_cellwise_path():
     assert np.array_equal(c.value, b.value)
 
 
-@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17])
-def test_ficm_core_matches_the_reference_to_rounding(d, convention):
-    # the package sums over draws in another float order than the plain (n, d)
-    # reference, so the two agree to rounding: the value within 1e-12 of the
-    # largest reference component, the stderr within 1e-10 relative.  From
-    # d = 15 on, the draws span two blocks of the core, the last one partial
+def _reference_case(d, convention):
+    """The reference tests' rho, truncation radius and points: inside, on
+    and beyond the truncation, and the +-1e200 ones."""
     rho = RhoSpec(c=calibrate_c(d, 0.5, convention=convention), convention=convention)
     r = math.sqrt(truncation_sq(rho))
     ones = np.ones(d) / math.sqrt(d)
@@ -256,6 +252,17 @@ def test_ficm_core_matches_the_reference_to_rounding(d, convention):
     points = [0.3 * r * ones, 0.8 * r * axis, r * axis, r * ones, 3.0 * r * ones,
               np.full(d, 50.0 * r), -0.6 * r * ones + 40.0 * r * axis,
               np.full(d, 1e200), np.full(d, -1e200), 1e200 * axis + 0.2 * ones]
+    return rho, r, ones, points
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17])
+def test_ficm_core_matches_the_reference_to_rounding(d, convention):
+    # the package sums over draws in another float order than the plain (n, d)
+    # reference, so the two agree to rounding: the value within 1e-12 of the
+    # largest reference component, the stderr within 1e-10 relative.  From
+    # d = 15 on, the draws span two blocks of the core, the last one partial
+    rho, r, ones, points = _reference_case(d, convention)
     mc = MonteCarlo(n_draws=9097, seed=d)
 
     def close(got, ref):
@@ -279,6 +286,37 @@ def test_ficm_core_matches_the_reference_to_rounding(d, convention):
         cell = _ficm_reference.ficm_core(z, ctx, _PATH_PSICM)
         assert close(got, InfluenceResult(z=z, value=0.5 * (row.value + cell.value),
                                           stderr=0.5 * cell.stderr))
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17])
+def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
+    # what still holds bit for bit on the reference cases: the core's cached
+    # draws are the reference's own draws of the model; a result does not
+    # depend on what the scratch buffers held before (the points run forward,
+    # then backward, and the +-1e200 ones take the NaN-zeroing branch); and
+    # the value-only path gives the core's value bits, over two blocks of
+    # draws from d = 15 on
+    rho, r, ones, points = _reference_case(d, convention)
+    mc = MonteCarlo(n_draws=9097, seed=d)
+    for model in (standard_model(d), equicorrelated_model(d, 0.5)):
+        ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
+        for path in (_PATH_FICM, _PATH_PSICM):
+            ydev = ctx._draws(path)[0]
+            assert np.array_equal(ydev, (_ficm_reference.draws(ctx, path) - model.mu0).T)
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
+                forward = [_ficm_core(z, ctx, path) for z in points]
+                backward = [_ficm_core(z, ctx, path) for z in reversed(points)][::-1]
+                values = [_ficm_value(z, ctx, path) for z in points]
+            for z, f, b, v in zip(points, forward, backward, values):
+                assert np.all(np.isfinite(f.value)) and np.all(np.isfinite(f.stderr))
+                assert np.array_equal(f.value, b.value), (z, path)
+                assert np.array_equal(f.stderr, b.stderr), (z, path)
+                assert np.array_equal(v, f.value), (z, path)
+        # the psicm path end to end, through its own context
+        ctx = InfluenceContext(model, rho, kind="psicm", mc=mc)
+        z = 0.5 * r * ones
+        assert np.array_equal(_cellwise_value(z, ctx), influence(z, ctx).value)
 
 
 @pytest.mark.parametrize("kind", ["ficm", "psicm", "pcicm-i", "pcicm-ii"])
