@@ -21,7 +21,7 @@ from .influence import (GesResult, GesSearch, InfluenceContext,
                         m_location_fit)
 from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
-                       default_c, equicorrelated_model, expected_rho,
+                       equicorrelated_model, expected_rho,
                        mahalanobis_sq, psi, psi_sq, psi_sq_prime, rho,
                        rho_sq, standard_model, truncation_sq, weight)
 from .rng import row_stream, substream, substream_seed
@@ -37,7 +37,7 @@ __all__ = [
     "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
     "SingularScatter", "a_psi", "bias_sweep", "calibrate_c", "cell_count_pmf",
     "chi2_truncated_expectation", "clean_majority_threshold",
-    "coord_ges", "coord_m_fit", "coord_median", "coord_s", "default_c",
+    "coord_ges", "coord_m_fit", "coord_median", "coord_s",
     "empirical_breakdown", "epsilon0", "equicorrelated_model", "expected_rho",
     "ges", "ges_vs_dim", "if_coordwise", "if_fdcm", "if_ficm", "if_numeric",
     "if_psicm", "influence", "m_location", "m_location_fit", "m_scale",

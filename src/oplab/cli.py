@@ -30,7 +30,7 @@ from . import experiments
 from .experiments import PROPAGATION_TRANSFORM, ExperimentReport, write_json
 from .influence import GesSearch, InfluenceContext, MonteCarlo, ges, influence
 from .numerics import (CONVENTIONS, CalibrationError, InvalidData, RhoSpec,
-                       SingularScatter, default_c, equicorrelated_model,
+                       SingularScatter, calibrate_c, equicorrelated_model,
                        standard_model)
 from .svg import write_line_chart
 
@@ -130,7 +130,7 @@ def _resolve_c(c, convention: str, bp: float, d: int) -> float:
         return float(c)
     if convention == "squared-distance":
         return math.sqrt(6.0)
-    return default_c(convention, bp, d)
+    return calibrate_c(d, bp, convention=convention)
 
 
 def _flags(args) -> dict:
@@ -277,10 +277,7 @@ def _build_influence(args) -> dict:
 def _influence(p: dict) -> ExperimentReport:
     d, grid = p["d"], p["grid"]
     model = standard_model(d) if p["r"] == 0.0 else equicorrelated_model(d, p["r"])
-    ctx = InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
-                           kind=p["kind"],
-                           mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]),
-                           gamma=p.get("gamma"))
+    ctx = _context(p, model)
     if d == 1:
         points = [(g,) for g in grid]
     else:
@@ -313,12 +310,15 @@ def _build_ges(args) -> dict:
     return p
 
 
+def _context(p: dict, model) -> InfluenceContext:
+    """The influence or ges config's context on model."""
+    return InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
+                            kind=p["kind"], mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]),
+                            gamma=p.get("gamma"))
+
+
 def _ges(p: dict) -> ExperimentReport:
-    ctx = InfluenceContext(standard_model(p["d"]),
-                           RhoSpec(c=p["c"], convention=p["convention"]),
-                           kind=p["kind"],
-                           mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]),
-                           gamma=p.get("gamma"))
+    ctx = _context(p, standard_model(p["d"]))
     search = GesSearch(axes=p["rays"], n_random=p["n_random"],
                        n_radial=p["n_radial"], refine=p["refine"],
                        seed=p["seed"])

@@ -156,14 +156,6 @@ def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
     """P(exactly k of the d cells in a row are contaminated)."""
     if not 0 <= k <= d:
         raise ContaminationError("cell count k must lie in 0..d")
-    eps = spec.epsilon
-    if spec.model == "fdcm":
-        if k == 0:
-            return 1.0 - eps if d > 0 else 1.0
-        if k == d:
-            # at d = 0 the two branches coincide; guarded above
-            return eps if d > 0 else 1.0
-        return 0.0
     p_struct, struct_kind, cell_rate = spec.mixture()
     base = math.comb(d, k) * cell_rate**k * (1.0 - cell_rate) ** (d - k)
     if struct_kind == "ones":

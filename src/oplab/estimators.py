@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_from_p,
-                       _bisquare_into, _brentq, _dist_sq, _factor, default_c,
+                       _bisquare_into, _brentq, _dist_sq, _factor, calibrate_c,
                        mahalanobis_sq, rho, rho_sq_into, spd_cholesky, truncation_sq,
                        weight)
 from .rng import substream
@@ -166,8 +166,11 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13,
     return _brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200)
 
 
-def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
-            tol: float = 1e-11) -> LocationScatter:
+# coord_s: iterations per column, and the step tolerance relative to the scale
+_COORD_S_MAX_ITER, _COORD_S_TOL = 200, 1e-11
+
+
+def coord_s(x, spec: RhoSpec, bp: float = 0.5) -> LocationScatter:
     """Columnwise univariate S-estimates of location and scale.
 
     Per column: minimize s(m) subject to mean rho((x - m)/s) = bp, by
@@ -179,8 +182,8 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
     only when |r| < 1, so when g contracts there, and when the scale solved
     at its end is no larger than the current one, as a plain step never
     raises it; otherwise the plain step.  The iteration stops once a step is
-    below tol times the scale.  Each scale solve after the first is
-    warm-started at the column's previous scale.
+    below 1e-11 times the scale, or after 200 iterations.  Each scale solve
+    after the first is warm-started at the column's previous scale.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -201,7 +204,7 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
         s = m_scale(np.abs(col - m), spec, bp)
         last = None  # the previous step if it was plain; the next one extrapolates from it
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _COORD_S_MAX_ITER + 1):
             w = weight(spec, (col - m) / s)
             if w.sum() <= 0.0:
                 raise AllPointsRejected(f"column {j}: all weights vanished")
@@ -219,7 +222,7 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
                 last = step
             m += step
             s = s_step if s_step is not None else m_scale(np.abs(col - m), spec, bp, guess=s)
-            if abs(step) < tol * s:
+            if abs(step) < _COORD_S_TOL * s:
                 break
         else:
             converged = False
@@ -233,8 +236,11 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5, max_iter: int = 200,
 # ---------------------------------------------------------------------------
 # Multivariate M-location with a fixed preliminary scatter.
 
-def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
-               tol: float = 1e-12) -> LocationScatter:
+# m_location's step tolerance, relative to 1 + max |mu|
+_M_TOL = 1e-12
+
+
+def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> LocationScatter:
     """Location M-estimate: solve mean_i psi(d^2(x_i, mu, sigma)) (x_i - mu) = 0.
 
     The data are whitened once: with sigma = L L^T and the start m0
@@ -254,9 +260,9 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
     the root the fixed-point iteration would reach.
 
     The stopping rule is the fixed-point iteration's: the step in mu falls
-    below tol (relative to 1 + max |mu|) and the residual |F| / n, which is the
-    estimating equation in the Mahalanobis norm of sigma, is below 1e-9.  The
-    result carries converged=False when the residual test fails.  That norm
+    below 1e-12 (relative to 1 + max |mu|) and the residual |F| / n, which is
+    the estimating equation in the Mahalanobis norm of sigma, is below 1e-9.
+    The result carries converged=False when the residual test fails.  That norm
     does not change when x scales by a and sigma by a^2, and the iteration
     only stops early once it holds, so neither does converged.
     """
@@ -323,7 +329,7 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500,
             wsum, f = evaluate(nu)
         step = float(np.max(np.abs(low @ (nu - prev))))
         # the step test depends on the units of x, the whitened residual does not
-        if (step < tol * (1.0 + float(np.max(np.abs(m0 + low @ nu))))
+        if (step < _M_TOL * (1.0 + float(np.max(np.abs(m0 + low @ nu))))
                 and np.linalg.norm(f) / n < 1e-9):
             break
     residual = float(np.linalg.norm(f)) / n
@@ -402,24 +408,27 @@ def _mad_start(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, np.diag(mad**2)
 
 
-def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int = 0,
-               max_iter: int = 200, tol: float = 1e-10,
-               mcd_starts: int = 50) -> LocationScatter:
+# S: iterations and step tolerance per start, and the first start's MCD starts
+_S_MAX_ITER, _S_TOL, _S_MCD_STARTS = 200, 1e-10, 50
+
+
+def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
+               seed: int = 0) -> LocationScatter:
     """S-estimate: minimize det(Sigma) subject to mean rho(d_i) = bp.
 
     The loss must use the scaled-distance convention; distances enter it
     directly (the scale s0 = 1 is absorbed into c).  Each start runs a
     fixed-point iteration: weighted mean, u-weighted shape update, and an
     exact rescale back onto the constraint.  The determinant is monotone
-    along the iteration; a float-level increase stops that start, and so
-    does a step below tol.  The starts run in order (the MCD fit, the
-    coordinatewise median and MAD, then the elemental subsets), and a start
-    whose iterate comes within 1e-6 of an optimum an earlier start reached
-    stops there as a duplicate that cannot win (_near_known).  Above 600
-    rows, where every iteration passes over all of them, the radius is 1e-2,
-    which stops a duplicate about five iterations sooner; the start is then
-    already well inside the optimum's basin, where the iteration contracts
-    towards it.  The start with the smallest determinant then iterates on
+    along the iteration; a float-level increase stops that start, and so do
+    a step below 1e-10 and 200 iterations.  The starts run in order (the MCD
+    fit from 50 starts, the coordinatewise median and MAD, then the elemental
+    subsets), and a start whose iterate comes within 1e-6 of an optimum an
+    earlier start reached stops there as a duplicate that cannot win
+    (_near_known).  Above 600 rows, where every iteration passes over all of
+    them, the radius is 1e-2, which stops a duplicate about five iterations
+    sooner; the start is then already well inside the optimum's basin, where
+    the iteration contracts towards it.  The start with the smallest determinant then iterates on
     until its step is below 1e-12.
     """
     x = _as_data(x)
@@ -434,7 +443,7 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
 
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     try:
-        init = mcd(x, n_starts=mcd_starts, seed=seed ^ 1)
+        init = mcd(x, n_starts=_S_MCD_STARTS, seed=seed ^ 1)
         starts.append((init.mu, init.sigma))
     except EstimationError:
         pass
@@ -449,7 +458,7 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     radius = _NEAR_LARGE if n > _SCREEN_ABOVE else _NEAR
     for m0, c0 in starts:
         try:
-            fit = _s_iterate(x, spec, bp, m0, c0, max_iter, tol, known, radius)
+            fit = _s_iterate(x, spec, bp, m0, c0, _S_MAX_ITER, _S_TOL, known, radius)
         except (SingularScatter, DegenerateData):
             continue  # this start's scatter went singular
         if fit is None:
@@ -463,7 +472,7 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20, seed: int 
     # only the winner iterates on to a step of 1e-12, which takes it past the
     # stopping error of the start that found it
     m, sigma, _, it = best
-    refined = _s_iterate(x, spec, bp, m, sigma, max_iter, 1e-12)
+    refined = _s_iterate(x, spec, bp, m, sigma, _S_MAX_ITER, 1e-12)
     if refined is None:
         raise DegenerateData("every point fell beyond the loss truncation")
     m, sigma, logdet, more = refined
@@ -758,7 +767,7 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
         _elemental_moments(x, np.arange(n)[None])))
     if not len(m):
         raise DegenerateData("all MVE subsets were singular")
-    chunk = max(1, 2**16 // (n * d))
+    chunk = _chunk(x)
     m2 = np.concatenate([
         np.partition(_dist_sq(x, m[lo:lo + chunk, None], low[lo:lo + chunk]), cover - 1,
                      axis=1)[:, cover - 1] for lo in range(0, len(m), chunk)])
@@ -804,7 +813,7 @@ class Estimator:
             return None
         convention = convention or self.convention
         if c is None:
-            c = default_c(convention, bp, 1 if self.loss == "univariate" else d)
+            c = calibrate_c(1 if self.loss == "univariate" else d, bp, convention=convention)
         return RhoSpec(c=c, convention=convention)
 
     def __call__(self, x, rho: RhoSpec | None = None, bp: float = 0.5,

@@ -336,13 +336,12 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
         rho_d = ESTIMATORS["s"].rho(d, bp)
         model = standard_model(d)
         mc = MonteCarlo(n_draws=n_draws, seed=substream_seed(seed, 41, d))
+        coord_value = coord_ges(model, rho1).value
         rows = []
         for kind in ("fdcm", "ficm"):
-            ctx = InfluenceContext(model, rho_d, kind=kind, mc=mc)
-            res = ges(ctx, search)
+            res = ges(InfluenceContext(model, rho_d, kind=kind, mc=mc), search)
             rows.append((d, "multivariate-s", kind, res.value, rho_d.c))
-            cres = coord_ges(model, rho1)
-            rows.append((d, "coordinatewise-s", kind, cres.value, rho1.c))
+            rows.append((d, "coordinatewise-s", kind, coord_value, rho1.c))
         return rows
 
     rows = [r for rs in _parallel_map(run_dim, list(d_grid), threads) for r in rs]

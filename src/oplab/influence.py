@@ -45,7 +45,7 @@ class MonteCarlo:
             raise ValueError("n_draws must be positive")
 
 
-def a_psi(rho: RhoSpec, d: int, nodes: int = 256) -> float:
+def a_psi(rho: RhoSpec, d: int) -> float:
     """Estimating-equation normalizer: (2/d) E[psi'(Q) Q] + E[psi(Q)], Q ~ chi2_d.
 
     psi and psi' act on squared distance regardless of the loss convention.
@@ -59,7 +59,7 @@ def a_psi(rho: RhoSpec, d: int, nodes: int = 256) -> float:
     def integrand(u):
         return (2.0 / d) * psi_sq_prime(rho, u) * u + psi_sq(rho, u)
 
-    val = chi2_truncated_expectation(integrand, d, cut, tail_value=0.0, nodes=nodes)
+    val = chi2_truncated_expectation(integrand, d, cut, tail_value=0.0)
     if not val > 0.0:
         raise ValueError(f"normalizer a_psi = {val:.3e} is not positive at d={d}")
     return float(val)
@@ -77,8 +77,7 @@ class InfluenceContext:
     """
 
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
-                 mc: MonteCarlo | None = None, gamma: float | None = None,
-                 nodes: int = 256):
+                 mc: MonteCarlo | None = None, gamma: float | None = None):
         if kind not in MODELS:
             raise ValueError(f"unknown contamination kind {kind!r}")
         self.model = model
@@ -87,7 +86,7 @@ class InfluenceContext:
         self.gamma = gamma
         self.mc = mc if mc is not None else MonteCarlo()
         self.d = model.dim
-        self.a_psi = a_psi(rho, self.d, nodes=nodes)
+        self.a_psi = a_psi(rho, self.d)
         sigma_inv = np.linalg.inv(model.sigma0)
         self._sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
         self._cache_key = None
@@ -269,8 +268,7 @@ def _cellwise_value(z: np.ndarray, ctx: InfluenceContext) -> np.ndarray:
     return _ficm_value(z, ctx, _PATH_FICM)
 
 
-def if_coordwise(z, model: EllipticalModel, rho1: RhoSpec,
-                 nodes: int = 256) -> InfluenceResult:
+def if_coordwise(z, model: EllipticalModel, rho1: RhoSpec) -> InfluenceResult:
     """Influence of the coordinatewise M-functional, any contamination kind.
 
     Each coordinate sees only its own marginal, and the contaminated marginal
@@ -278,7 +276,7 @@ def if_coordwise(z, model: EllipticalModel, rho1: RhoSpec,
     covers them all.  rho1 is the univariate loss.
     """
     z = _as_point(z, model.dim)
-    a1 = a_psi(rho1, 1, nodes=nodes)
+    a1 = a_psi(rho1, 1)
     dev = z - model.mu0
     q = dev**2 / np.diag(model.sigma0)
     val = np.asarray(psi_sq(rho1, q)) * dev / a1
@@ -375,6 +373,9 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 # ---------------------------------------------------------------------------
 # Gross-error sensitivity.
 
+_OVERSHOOT = 1.25
+
+
 @dataclass(frozen=True)
 class GesSearch:
     """Ray-search configuration.
@@ -382,14 +383,13 @@ class GesSearch:
     axes "all" puts one ray on every coordinate axis, "first" only on the
     leading axis (enough under spherical symmetry); the all-ones diagonal and
     n_random extra unit rays are always included.  Radial grids scale per ray
-    so the largest pinned coordinate sweeps up to overshoot times the loss
-    truncation radius.
+    so the largest pinned coordinate sweeps up to _OVERSHOOT (1.25) times the
+    loss truncation radius.
     """
 
     axes: str = "all"
     n_random: int = 4
     n_radial: int = 24
-    overshoot: float = 1.25
     refine: int = 48
     seed: int = 5
 
@@ -465,7 +465,7 @@ def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:
     ray_table: list[tuple[str, float, float]] = []
     for label, u in rays:
         scale = t_trunc / float(np.max(np.abs(u)))
-        ts = np.linspace(scale * 0.02, scale * search.overshoot, search.n_radial)
+        ts = np.linspace(scale * 0.02, scale * _OVERSHOOT, search.n_radial)
         vals = [norm_at(model.mu0 + t * u) for t in ts]
         i = int(np.argmax(vals))
         lo = ts[max(i - 1, 0)]
@@ -482,7 +482,7 @@ def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:
                      rays=tuple(ray_table))
 
 
-def coord_ges(model: EllipticalModel, rho1: RhoSpec, nodes: int = 256) -> GesResult:
+def coord_ges(model: EllipticalModel, rho1: RhoSpec) -> GesResult:
     """Gross-error sensitivity of the coordinatewise M-functional.
 
     Contamination in one cell moves only that coordinate's estimate, so the
@@ -490,7 +490,7 @@ def coord_ges(model: EllipticalModel, rho1: RhoSpec, nodes: int = 256) -> GesRes
     sensitivity scaled by the largest marginal standard deviation, identical
     under every contamination model here.
     """
-    a1 = a_psi(rho1, 1, nodes=nodes)
+    a1 = a_psi(rho1, 1)
     t_star = _radial_profile(rho1)
     diag = np.diag(model.sigma0)
     j = int(np.argmax(diag))

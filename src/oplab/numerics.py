@@ -1,4 +1,4 @@
-"""Loss family, Mahalanobis geometry, Gaussian elliptical model, and tuning calibration.
+"""Bisquare loss, Mahalanobis geometry, Gaussian elliptical model, and tuning calibration.
 
 The bounded loss is Tukey's bisquare, written once in _bisquare_into.  With
 q = (t/c)^2 and p = max(1 - q, 0) it is rho = 1 - p^3, with psi = (6/c^2) t p^2
@@ -22,11 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-RHO_FAMILIES = ("tukey-bisquare",)
 CONVENTIONS = ("squared-distance", "scaled-distance")
-RADIALS = ("gaussian",)
 
-DEFAULT_QUAD_NODES = 256
+# Gauss-Legendre nodes of every chi-square(d) expectation
+QUAD_NODES = 256
 
 # bracket-widening cap for calibrate_c, in doublings of the initial bracket
 _BRACKET_DOUBLINGS = 24
@@ -53,11 +52,8 @@ class RhoSpec:
 
     c: float
     convention: str = "squared-distance"
-    family: str = "tukey-bisquare"
 
     def __post_init__(self):
-        if self.family not in RHO_FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown argument convention {self.convention!r}")
         if not (np.isfinite(self.c) and self.c > 0):
@@ -215,13 +211,10 @@ class EllipticalModel:
 
     mu0: np.ndarray
     sigma0: np.ndarray
-    radial: str = "gaussian"
 
     def __post_init__(self):
         mu0 = np.asarray(self.mu0, dtype=float).reshape(-1)
         sigma0 = np.asarray(self.sigma0, dtype=float)
-        if self.radial not in RADIALS:
-            raise ValueError(f"unknown radial law {self.radial!r}")
         if sigma0.shape != (mu0.size, mu0.size):
             raise SingularScatter("scatter shape does not match center")
         low = spd_cholesky(sigma0)
@@ -326,14 +319,14 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12
 # ---------------------------------------------------------------------------
 # Deterministic expectations against the chi-square(d) radial law.
 
-@lru_cache(maxsize=8)
-def _unit_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+@lru_cache(maxsize=1)
+def _unit_legendre() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
 def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cut: float,
-                               tail_value: float, nodes: int = DEFAULT_QUAD_NODES) -> float:
+                               tail_value: float) -> float:
     """E[f(U)], U ~ chi-square(d), when f is smooth on [0, cut] and constant beyond.
 
     The smooth part is integrated in the radius variable v = sqrt(u), which
@@ -342,7 +335,7 @@ def chi2_truncated_expectation(f: Callable[[np.ndarray], np.ndarray], d: int, cu
     """
     if cut <= 0.0:
         raise ValueError("cut must be positive")
-    x, w = _unit_legendre(nodes)
+    x, w = _unit_legendre()
     v = np.sqrt(cut) * x
     log_norm = math.log(2.0) - (d / 2.0) * math.log(2.0) - math.lgamma(d / 2.0)
     dens = np.exp(log_norm + (d - 1) * np.log(np.maximum(v, 1e-300)) - v**2 / 2.0)
@@ -377,13 +370,12 @@ def _chi2_sf(d: int, x: float) -> float:
     return total
 
 
-def expected_rho(spec: RhoSpec, d: int, nodes: int = DEFAULT_QUAD_NODES) -> float:
+def expected_rho(spec: RhoSpec, d: int) -> float:
     """E rho under the clean spherical Gaussian model, honoring the convention."""
-    return chi2_truncated_expectation(lambda s: rho_sq(spec, s), d, truncation_sq(spec), 1.0, nodes)
+    return chi2_truncated_expectation(lambda s: rho_sq(spec, s), d, truncation_sq(spec), 1.0)
 
 
-def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
-                nodes: int = DEFAULT_QUAD_NODES) -> float:
+def calibrate_c(d: int, bp: float, convention: str = "scaled-distance") -> float:
     """Tuning constant c with E rho_c = bp under the spherical Gaussian model.
 
     E rho_c is continuous and strictly decreasing in c, so the root is unique;
@@ -400,7 +392,7 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
 
     def excess(c: float) -> float:
         if c not in values:
-            values[c] = expected_rho(RhoSpec(c=c, convention=convention), d, nodes) - bp
+            values[c] = expected_rho(RhoSpec(c=c, convention=convention), d) - bp
         return values[c]
 
     lo, hi = 0.5, 4.0
@@ -421,8 +413,3 @@ def calibrate_c(d: int, bp: float, convention: str = "scaled-distance",
     if abs(excess(c)) > 1e-8:
         raise CalibrationError(f"calibration residual {excess(c):.3e} exceeds 1e-8")
     return c
-
-
-def default_c(convention: str, bp: float, d: int) -> float:
-    """The registry's loss constant: calibrate_c(d, bp) on either convention."""
-    return calibrate_c(d, bp, convention=convention)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 _PALETTE = ("#1f6fb2", "#d2572a", "#3a8f4d", "#7b5aa6", "#b0373f", "#5b5b5b")
+_WIDTH, _HEIGHT = 640, 420
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -32,9 +33,8 @@ def _fmt(v: float) -> str:
 
 
 def write_line_chart(path: str, series: list[tuple[str, list[float], list[float]]],
-                     title: str = "", x_label: str = "", y_label: str = "",
-                     width: int = 640, height: int = 420) -> None:
-    """Write a multi-series line chart; series are (label, xs, ys) triples."""
+                     title: str = "", x_label: str = "", y_label: str = "") -> None:
+    """Write a 640 x 420 line chart; series are (label, xs, ys) triples."""
     if not series:
         raise ValueError("need at least one series")
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -48,7 +48,7 @@ def write_line_chart(path: str, series: list[tuple[str, list[float], list[float]
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad_l, pad_r, pad_t, pad_b = 62, 16, 34, 46
-    pw, ph = width - pad_l - pad_r, height - pad_t - pad_b
+    pw, ph = _WIDTH - pad_l - pad_r, _HEIGHT - pad_t - pad_b
 
     def px(x: float) -> float:
         return pad_l + (x - x_lo) / (x_hi - x_lo) * pw
@@ -56,11 +56,11 @@ def write_line_chart(path: str, series: list[tuple[str, list[float], list[float]
     def py(y: float) -> float:
         return pad_t + (1.0 - (y - y_lo) / (y_hi - y_lo)) * ph
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
     for t in _ticks(x_lo, x_hi):
         x = px(t)
@@ -77,7 +77,7 @@ def write_line_chart(path: str, series: list[tuple[str, list[float], list[float]
     parts.append(f'<rect x="{pad_l}" y="{pad_t}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#444444" stroke-width="1"/>')
     if x_label:
-        parts.append(f'<text x="{pad_l + pw / 2:.1f}" y="{height - 10}" '
+        parts.append(f'<text x="{pad_l + pw / 2:.1f}" y="{_HEIGHT - 10}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="12">{x_label}</text>')
     if y_label:

@@ -71,10 +71,13 @@ def test_cell_counts_ficm_example():
 
 
 def test_cell_counts_fdcm_all_or_nothing():
-    spec = _spec("fdcm", 0.3)
-    assert cell_count_pmf(spec, 7, 3) == 0.0
-    assert cell_count_pmf(spec, 7, 0) == pytest.approx(0.7)
-    assert cell_count_pmf(spec, 7, 7) == pytest.approx(0.3)
+    # exactly 1 - eps on no cell, eps on all d, 0.0 between; 1.0 at d = 0
+    for eps in (0.0, 5e-324, 1e-300, 0.1, 0.3, 0.5, 0.7, 1.0):
+        spec = _spec("fdcm", eps)
+        assert cell_count_pmf(spec, 0, 0) == 1.0, eps
+        for d in (1, 2, 7, 39):
+            law = [cell_count_pmf(spec, d, k) for k in range(d + 1)]
+            assert law == [1.0 - eps] + [0.0] * (d - 1) + [eps], (eps, d)
 
 
 def test_cell_count_k_range_checked():

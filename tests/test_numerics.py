@@ -190,8 +190,6 @@ def test_rhospec_validation():
         RhoSpec(c=-1.0)
     with pytest.raises(ValueError):
         RhoSpec(c=2.0, convention="cubed-distance")
-    with pytest.raises(ValueError):
-        RhoSpec(c=2.0, family="huber")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +316,9 @@ def test_calibration_monotone_in_bp():
 def test_calibration_evaluates_each_constant_once(monkeypatch, conv):
     seen = []
 
-    def counted(spec, d, nodes=numerics.DEFAULT_QUAD_NODES):
+    def counted(spec, d):
         seen.append(spec.c)
-        return expected_rho(spec, d, nodes)
+        return expected_rho(spec, d)
 
     monkeypatch.setattr(numerics, "expected_rho", counted)
     for d in (1, 2, 5, 15):
