@@ -203,7 +203,7 @@ def _build_simulate(args) -> dict:
 
 
 def _contamination_spec(p: dict) -> ContaminationSpec:
-    return ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p.get("gamma"),
+    return ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p["gamma"],
                              outlier=outlier_from_dict(p["outlier"]))
 
 
@@ -214,7 +214,7 @@ def _simulate(p: dict) -> None:
     _write_config(_sidecar(p["out"]), p)
     data = sample_contaminated(standard_model(p["d"]), spec, p["n"], p["seed"])
     out = Path(p["out"])
-    write_dataset(out, data, spec=spec, seed=p["seed"])
+    write_dataset(out, data)
     print(f"wrote {p['n']} rows x {p['d']} columns to {out}")
 
 
@@ -239,7 +239,7 @@ def _estimate(p: dict) -> None:
     if p["input"] is None:
         raise _UsageError("estimate requires --in")
     try:
-        x, _, _ = read_dataset(p["input"])
+        x = read_dataset(p["input"])
     except OSError as exc:
         raise _UsageError(f"cannot read {p['input']}: {exc}") from None
     est, seed = p["estimator"], p["seed"]
@@ -313,8 +313,7 @@ def _build_ges(args) -> dict:
 def _context(p: dict, model) -> InfluenceContext:
     """The influence or ges config's context on model."""
     return InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
-                            kind=p["kind"], mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]),
-                            gamma=p.get("gamma"))
+                            kind=p["kind"], mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]))
 
 
 def _ges(p: dict) -> ExperimentReport:
@@ -496,14 +495,12 @@ def _build_parser() -> _Parser:
                     help="equicorrelation of the model scatter")
     sp.add_argument("--grid", type=_parse_grid, default="-8:8:0.5")
     sp.add_argument("--draws", type=int, default=200_000)
-    sp.add_argument("--gamma", type=float, default=None)
     _add_rho_flags(sp, "squared-distance")
 
     sp = add("ges", "gross-error sensitivity for one model and dimension")
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--draws", type=int, default=100_000)
-    sp.add_argument("--gamma", type=float, default=None)
     _add_rho_flags(sp, "scaled-distance")
     _add_search_flags(sp)
 

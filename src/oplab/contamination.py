@@ -19,9 +19,6 @@ matter how generation is scheduled.
 
 from __future__ import annotations
 
-import array
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +36,10 @@ class ContaminationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Replacement-value generators.
+# Replacement-value generators.  values(y_cells, cols, normals) gives the
+# replacement of the clean cells y_cells in columns cols; normals holds one
+# standard normal per cell, drawn by sample_contaminated, and only
+# GaussianShift reads it.
 
 @dataclass(frozen=True)
 class PointMass:
@@ -50,7 +50,8 @@ class PointMass:
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(float(v) for v in np.atleast_1d(self.z)))
 
-    def values(self, y_cells: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def values(self, y_cells: np.ndarray, cols: np.ndarray,
+               normals: np.ndarray | None) -> np.ndarray:
         return np.asarray(self.z, dtype=float)[cols]
 
     def to_dict(self) -> dict:
@@ -68,8 +69,9 @@ class GaussianShift:
         if not self.var > 0:
             raise ContaminationError("outlier variance must be positive")
 
-    def values(self, y_cells: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, math.sqrt(self.var), size=cols.size)
+    def values(self, y_cells: np.ndarray, cols: np.ndarray,
+               normals: np.ndarray | None) -> np.ndarray:
+        return self.mean + math.sqrt(self.var) * normals
 
     def to_dict(self) -> dict:
         return {"kind": "gaussian-shift", "mean": float(self.mean), "var": float(self.var)}
@@ -81,7 +83,8 @@ class AdditiveShift:
 
     t: float
 
-    def values(self, y_cells: np.ndarray, cols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def values(self, y_cells: np.ndarray, cols: np.ndarray,
+               normals: np.ndarray | None) -> np.ndarray:
         return y_cells + float(self.t)
 
     def to_dict(self) -> dict:
@@ -143,14 +146,6 @@ class ContaminationSpec:
         root = math.sqrt(eps)
         return 1.0 - root, "zeros", root
 
-    def to_dict(self) -> dict:
-        d = {"model": self.model, "epsilon": float(self.epsilon)}
-        if self.gamma is not None:
-            d["gamma"] = float(self.gamma)
-        if self.outlier is not None:
-            d["outlier"] = self.outlier.to_dict()
-        return d
-
 
 def cell_count_pmf(spec: ContaminationSpec, d: int, k: int) -> float:
     """P(exactly k of the d cells in a row are contaminated)."""
@@ -181,9 +176,9 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
     structured pattern, see ContaminationSpec.mixture), the d cell uniforms
     unless the row took the pattern, then a GaussianShift's normals, one per
     contaminated cell.  That keeps the dataset schedule-independent: row i is
-    the same at any n.  The loop over rows only draws; the indicators, and
-    the replacement values of the generators that draw nothing, are whole
-    array operations on the draws, with the values a per-row pass would give.
+    the same at any n.  The loop over rows only draws; the indicators and
+    one values call for every contaminated cell are whole array operations on
+    the draws, with the values a per-row pass would give.
     """
     if spec.outlier is None and spec.epsilon > 0.0:
         raise ContaminationError("contamination with epsilon > 0 needs an outlier generator")
@@ -192,39 +187,31 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
     # a row that takes the pattern draws no cell uniforms: -inf (every cell
     # hit) or inf (none) stands in for them under the test u < cell_rate
     pattern = -math.inf if struct_kind == "ones" else math.inf
-    # GaussianShift is the one generator that draws: a row takes one normal
-    # per contaminated cell, so its cells are found in the loop
+    # GaussianShift is the one generator that reads normals: a row takes one
+    # per contaminated cell, so its cells are counted in the loop
     gaussian = isinstance(spec.outlier, GaussianShift)
     x, u_cells, drawn = np.empty((n, d)), np.empty((n, d)), []
     for i, rng in enumerate(row_streams(seed, range(n))):
         x[i] = model.sample(1, rng)[0]
         u_cells[i] = pattern if rng.random() < p_struct else rng.random(d)
         if gaussian:
-            cols = np.flatnonzero(u_cells[i] < cell_rate)
-            if cols.size:
-                drawn.append(spec.outlier.values(x[i, cols], cols, rng))
+            k = np.count_nonzero(u_cells[i] < cell_rate)
+            if k:
+                drawn.append(rng.standard_normal(k))
     b = (u_cells < cell_rate).astype(np.int8)
     rows, cols = np.nonzero(b)  # row by row, and by column within a row
     if rows.size:
-        x[rows, cols] = (np.concatenate(drawn) if gaussian
-                         else spec.outlier.values(x[rows, cols], cols, None))
+        normals = np.concatenate(drawn) if gaussian else None
+        x[rows, cols] = spec.outlier.values(x[rows, cols], cols, normals)
     return ContaminatedData(x=x, b=b)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV data with x1..xd (and optional b1..bd) plus a JSON sidecar.
+# Serialization: one CSV with columns x1..xd then b1..bd.
 
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".meta.json")
-
-
-def write_dataset(path, data: ContaminatedData, spec: ContaminationSpec | None = None,
-                  seed: int | None = None, include_indicators: bool = True) -> None:
-    path = Path(path)
+def write_dataset(path, data: ContaminatedData) -> None:
     n, d = data.x.shape
-    header = [f"x{j + 1}" for j in range(d)]
-    if include_indicators:
-        header += [f"b{j + 1}" for j in range(d)]
+    header = [f"x{j + 1}" for j in range(d)] + [f"b{j + 1}" for j in range(d)]
     # repr of a Python float is its shortest round-trip form, and no cell
     # holds a character that the csv module would quote.  Rows go to Python
     # lists 64 at a time: a list holds each cell as an object, and the whole
@@ -232,48 +219,36 @@ def write_dataset(path, data: ContaminatedData, spec: ContaminationSpec | None =
     x = np.asarray(data.x, dtype=float)
     lines = [",".join(header)]
     for lo in range(0, n, 64):
-        rows = x[lo:lo + 64].tolist()
-        if include_indicators:
-            b = np.asarray(data.b[lo:lo + 64], dtype=np.int64).tolist()
-            rows = [r + c for r, c in zip(rows, b)]
-        lines += [",".join(map(repr, row)) for row in rows]
+        b = np.asarray(data.b[lo:lo + 64], dtype=np.int64).tolist()
+        lines += [",".join(map(repr, r + c)) for r, c in zip(x[lo:lo + 64].tolist(), b)]
     lines.append("")
-    path.write_text("\n".join(lines))
-    meta = {"n": n, "d": d, "columns": header}
-    if spec is not None:
-        meta["spec"] = spec.to_dict()
-    if seed is not None:
-        meta["seed"] = int(seed)
-    _meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text("\n".join(lines))
 
 
-def read_dataset(path) -> tuple[np.ndarray, np.ndarray | None, dict | None]:
-    """Read a dataset CSV.  InvalidData when it is not a numeric table with a
-    header naming x1..xd and at least one row; OSError when unreadable."""
+def read_dataset(path) -> np.ndarray:
+    """The x1..xd columns of a dataset CSV, as an (n, d) float array.
+
+    The header names the columns; a byte-order mark and spaces around the
+    names are dropped.  Cells may be quoted, lines may end in CRLF, and blank
+    lines are skipped.  InvalidData when the file is not a numeric table with
+    x columns and at least one row; OSError when it is unreadable.
+    """
     path = Path(path)
     try:
-        # parse row by row into packed doubles: holding every cell as a str
-        # and then a float object costs ~80 bytes a cell, and how much of it
-        # the allocator hands back afterwards varies from run to run
-        values = array.array("d")
-        with path.open(newline="") as fh:
-            rows = (row for row in csv.reader(fh) if row)
-            header = next(rows, [])
-            for row in rows:
-                if len(row) != len(header):
-                    raise ValueError("a row and the header differ in length")
-                values.extend(map(float, row))
-        x_cols = [j for j, name in enumerate(header) if name.startswith("x")]
-        b_cols = [j for j, name in enumerate(header) if name.startswith("b")]
-        if not x_cols or not values:
-            raise ValueError("no x1..xd columns or no data rows")
-        arr = np.frombuffer(values, dtype=float).reshape(-1, len(header))
-    except (ValueError, csv.Error) as exc:
+        with path.open(encoding="utf-8-sig") as fh:
+            lines = iter(fh.readline, "")
+            header = next((line for line in lines if line.strip()), "")
+            names = [name.strip().strip('"') for name in header.split(",")]
+            x_cols = [j for j, name in enumerate(names) if name.startswith("x")]
+            start = fh.tell()
+            if not x_cols or not any(line.strip() for line in lines):
+                raise ValueError("no x1..xd columns or no data rows")
+            fh.seek(start)
+            # read from the open file: a list of its lines would hold every
+            # row as a str next to the parsed table
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+        if arr.shape[1] != len(names):
+            raise ValueError("a row and the header differ in length")
+    except ValueError as exc:
         raise InvalidData(f"{path}: {exc}") from None
-    x = arr[:, x_cols]
-    b = arr[:, b_cols].astype(np.int8) if b_cols else None
-    meta = None
-    mp = _meta_path(path)
-    if mp.exists():
-        meta = json.loads(mp.read_text())
-    return x, b, meta
+    return arr[:, x_cols]

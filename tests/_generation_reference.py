@@ -4,19 +4,21 @@ The package draws every row of a dataset from one Philox bit generator whose
 counter it resets to the row's block (oplab.rng.row_streams).  This module
 keeps the direct form: a new Philox(key=seed) advanced by row * 2^64 for each
 row, so the two can be checked against each other bit for bit.  Each row
-is contaminated as first written, indicators then replacement values
-through the generator's values method one row at a time, where the package
-draws in its row loop and derives indicators and values from whole arrays.
+is contaminated as first written, indicators then replacement values one
+row at a time, the values computed here from the outlier's parameters (a
+GaussianShift row draws rng.normal), where the package draws in its row loop
+and derives indicators and values from whole arrays.
 It also keeps the dataset CSV writer as first written, cell by cell through
 csv.writer, as the byte oracle for write_dataset.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 
-from oplab.contamination import ContaminatedData, ContaminationSpec
+from oplab.contamination import ContaminatedData, ContaminationSpec, GaussianShift, PointMass
 
 
 def sample_indicators(spec: ContaminationSpec, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -34,8 +36,16 @@ def _contaminate_row(y_row: np.ndarray, spec: ContaminationSpec,
     xi = y_row.copy()
     cols = np.flatnonzero(bi)
     if cols.size:
-        xi[cols] = spec.outlier.values(y_row[cols], cols, rng)
+        xi[cols] = _replacement(spec.outlier, y_row[cols], cols, rng)
     return xi, bi
+
+
+def _replacement(outlier, y_cells, cols, rng):
+    if isinstance(outlier, GaussianShift):
+        return rng.normal(outlier.mean, math.sqrt(outlier.var), cols.size)
+    if isinstance(outlier, PointMass):
+        return np.asarray(outlier.z)[cols]
+    return y_cells + outlier.t
 
 
 def fresh_row_stream(seed, row):
@@ -66,19 +76,13 @@ def contaminate(y, spec, seed):
     return ContaminatedData(x=x, b=b)
 
 
-def dataset_csv(data, include_indicators=True):
+def dataset_csv(data):
     """The dataset CSV text as first written: csv.writer, one row at a time,
     repr(float(v)) per data cell and str(int(v)) per indicator."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     d = data.x.shape[1]
-    header = [f"x{j + 1}" for j in range(d)]
-    if include_indicators:
-        header += [f"b{j + 1}" for j in range(d)]
-    writer.writerow(header)
+    writer.writerow([f"x{j + 1}" for j in range(d)] + [f"b{j + 1}" for j in range(d)])
     for i in range(data.x.shape[0]):
-        row = [repr(float(v)) for v in data.x[i]]
-        if include_indicators:
-            row += [str(int(v)) for v in data.b[i]]
-        writer.writerow(row)
+        writer.writerow([repr(float(v)) for v in data.x[i]] + [str(int(v)) for v in data.b[i]])
     return buf.getvalue()

@@ -306,6 +306,23 @@ def test_influence_config_resolves_grid_and_constant(tmp_path):
     assert cfg["c"] == pytest.approx(6.0 ** 0.5)
 
 
+def test_influence_and_ges_take_no_gamma(tmp_path, capsys):
+    # pcicm-i's influence is the ficm one, so gamma could not change a result
+    for command in ("influence", "ges"):
+        argv, _ = _RUNS[command]
+        assert main(argv + ["--gamma", "0.5", "--out", str(tmp_path / "a")]) == 1
+        assert "--gamma" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    # a config with a gamma key is refused as having an unknown key
+    argv, _ = _RUNS["influence"]
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    path = tmp_path / "b" / "influence" / "config.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), gamma=None)))
+    capsys.readouterr()
+    assert main(["influence", "--config", str(path), "--out", str(tmp_path / "c")]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def configs(tmp_path_factory):
     """One config file per subcommand, with the flags a replay of it needs."""
