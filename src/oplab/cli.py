@@ -27,7 +27,7 @@ from .contamination import (MODELS, ContaminationError, ContaminationSpec,
                             sample_contaminated, write_dataset)
 from .estimators import ESTIMATORS, EstimationError
 from . import experiments
-from .experiments import PROPAGATION_TRANSFORM, ExperimentReport, write_json
+from .experiments import ExperimentReport, write_json
 from .influence import GesSearch, InfluenceContext, MonteCarlo, ges, influence
 from .numerics import (CONVENTIONS, CalibrationError, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, equicorrelated_model,
@@ -252,10 +252,7 @@ def _estimate(p: dict) -> None:
     if p["out"]:
         _write_config(_sidecar(p["out"]), p)
 
-    result = fit(x, rho=rho, bp=p["bp"], starts=p["starts"], seed=seed,
-                 scatter=p["scatter"]).to_dict(est, seed)
-    if est == "m":
-        result["scatter"] = p["scatter"]
+    result = fit(x, rho=rho, bp=p["bp"], starts=p["starts"], seed=seed).to_dict(est, seed)
 
     text = json.dumps(result, indent=2, sort_keys=True)
     print(text)
@@ -318,10 +315,7 @@ def _context(p: dict, model) -> InfluenceContext:
 
 def _ges(p: dict) -> ExperimentReport:
     ctx = _context(p, standard_model(p["d"]))
-    search = GesSearch(axes=p["rays"], n_random=p["n_random"],
-                       n_radial=p["n_radial"], refine=p["refine"],
-                       seed=p["seed"])
-    res = ges(ctx, search)
+    res = ges(ctx, GesSearch(seed=p["seed"]))
     return ExperimentReport(
         name="ges",
         tables={"results": (["d", "kind", "ges"], [(p["d"], p["kind"], res.value)]),
@@ -335,11 +329,9 @@ def _ges(p: dict) -> ExperimentReport:
 # experiment's keyword arguments
 
 def _fig2(p: dict) -> ExperimentReport:
-    search = GesSearch(axes=p["rays"], n_random=p["n_random"],
-                       n_radial=p["n_radial"], refine=p["refine"])
     return experiments.ges_vs_dim(d_grid=tuple(p["d_grid"]), bp=p["bp"],
                                   n_draws=p["draws"], seed=p["seed"],
-                                  threads=p["threads"], search=search)
+                                  threads=p["threads"])
 
 
 def _fig2_chart(report: ExperimentReport, p: dict) -> tuple:
@@ -439,13 +431,6 @@ def _add_rho_flags(sp, default_convention: str | None) -> None:
                     help="breakdown target used where c is calibrated")
 
 
-def _add_search_flags(sp) -> None:
-    sp.add_argument("--rays", choices=("all", "first"), default="all")
-    sp.add_argument("--n-random", type=int, default=4)
-    sp.add_argument("--n-radial", type=int, default=24)
-    sp.add_argument("--refine", type=int, default=48)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -482,8 +467,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), default=None,
                     help="required unless --config is given")
     sp.add_argument("--in", dest="input", default=None)
-    sp.add_argument("--scatter", choices=("mcd", "sample", "identity"),
-                    default="mcd", help="plug-in scatter for the m estimator")
     sp.add_argument("--starts", type=int, default=None,
                     help="subset starts (mcd/s) or trials (mve)")
     _add_rho_flags(sp, None)
@@ -502,7 +485,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--draws", type=int, default=100_000)
     _add_rho_flags(sp, "scaled-distance")
-    _add_search_flags(sp)
 
     sp = add("table1", "breakdown upper bounds by dimension")
     sp.add_argument("--d-grid", type=lambda t: _parse_ints(t, "--d-grid"),
@@ -514,8 +496,6 @@ def _build_parser() -> _Parser:
                     default="1,2,3,5,8,10,12,15")
     sp.add_argument("--bp", type=float, default=0.5)
     sp.add_argument("--draws", type=int, default=100_000)
-    _add_search_flags(sp)
-    sp.set_defaults(rays="first", n_random=2, n_radial=20, refine=32)
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--svg", action="store_true")
 
@@ -525,7 +505,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--shift-mean", type=float, default=10.0)
     sp.add_argument("--shift-var", type=float, default=1.0)
     sp.add_argument("--svg", action="store_true")
-    sp.set_defaults(transform=[list(r) for r in PROPAGATION_TRANSFORM], figure_n=20)
 
     sp = add("fig4", "componentwise bias sweep over the outlier size")
     sp.add_argument("--d", type=int, default=15)

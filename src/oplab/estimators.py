@@ -98,24 +98,31 @@ def coord_median(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # M-scale: solve mean rho(r / s) = b for s > 0 on nonnegative residuals r.
 
-def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13,
-            guess: float | None = None) -> float:
+# m_scale's relative tolerance on the root and its bracket
+_M_SCALE_RTOL = 1e-13
+
+
+def m_scale(r: np.ndarray, spec: RhoSpec, b: float, guess: float | None = None) -> float:
     """The scale s > 0 that solves mean rho(r / s) = b, by Brent's method.
 
-    mean rho(r / s) falls from the share of nonzero residuals at s -> 0 to 0
-    as s grows, so a root exists only when more than a share b of r is
-    nonzero; otherwise DegenerateData.  The bracket comes from one of two
-    searches.  Cold (no guess): from median(r > 0) / c, halve the lower end
+    mean rho(r / s) falls from the share of nonzero residuals at s -> 0 to that
+    of infinite ones as s grows, so a root exists only when r has no NaN, more
+    than a share b nonzero and less than b infinite; otherwise DegenerateData.
+    The bracket comes from one of two searches.  Cold (no guess): from
+    median(r > 0) / c (max(r < inf) / c if that is inf), halve the lower end
     and double the upper end until the ends straddle the root.  Warm, from a
-    guess > 0 such as the previous scale of a fixed-point iteration: step
-    out from the guess by a relative 1e-3 that grows fourfold each time, so a
-    guess near the root gives a bracket about 1e-3 wide and Brent needs few
-    loss passes.  Both brackets and the tolerances xtol = rtol * lo and rtol
-    are relative, so the solve does not depend on the units of r: scaling r
-    by a scales every bracket end and the root by a.  The two brackets give
-    roots that agree to about rtol.
+    guess > 0 such as the previous scale of a fixed-point iteration: step out
+    from the guess by a relative 1e-3 that grows fourfold each time, so a guess
+    near the root gives a bracket about 1e-3 wide and Brent needs few loss
+    passes.  Both brackets and the tolerances xtol = 1e-13 lo and rtol = 1e-13
+    are relative, so the solve does not depend on the units of r (scaling r by
+    a scales the brackets and the root by a); their roots agree to about 1e-13.
     """
     r = np.asarray(r, dtype=float)
+    n_nan, n_inf = np.count_nonzero(np.isnan(r)), np.count_nonzero(np.isinf(r))
+    if n_nan or n_inf >= b * r.size:
+        raise DegenerateData(f"non-finite squared distances: {n_nan} NaN and {n_inf} "
+                             f"infinite of {r.size} residuals leave no scale root")
     positive = r > 0.0
     # as s -> 0 the mean tends to the fraction of nonzero residuals
     if np.count_nonzero(positive) <= b * r.size:
@@ -143,6 +150,7 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13,
         else:
             part = np.partition(pos, (k - 1, k))
             median = float((part[k - 1] + part[k]) / 2.0)
+        median = median if median < math.inf else float(pos[pos < math.inf].max())
         lo = hi = median / spec.c
         for _ in range(200):
             if excess(lo) > 0.0:
@@ -163,7 +171,7 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, rtol: float = 1e-13,
             else:
                 break
             step *= 4.0
-    return _brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200)
+    return _brentq(excess, lo, hi, xtol=_M_SCALE_RTOL * lo, rtol=_M_SCALE_RTOL, maxiter=200)
 
 
 # coord_s: iterations per column, and the step tolerance relative to the scale
@@ -453,14 +461,15 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
 
     # known: the centres of the optima reached so far and the inverses of
     # their scatters' Cholesky factors
-    best = None
+    best, failures = None, {}  # each distinct reason a start failed, in order
     known = (np.empty((0, d)), np.empty((0, d, d)))
     radius = _NEAR_LARGE if n > _SCREEN_ABOVE else _NEAR
     for m0, c0 in starts:
         try:
-            fit = _s_iterate(x, spec, bp, m0, c0, _S_MAX_ITER, _S_TOL, known, radius)
-        except (SingularScatter, DegenerateData):
-            continue  # this start's scatter went singular
+            fit = _s_iterate(x, spec, bp, m0, c0, _S_TOL, known, radius)
+        except (SingularScatter, DegenerateData) as exc:
+            failures[str(exc)] = None
+            continue  # this start's scatter went singular or its distances overflowed
         if fit is None:
             continue  # every weight vanished, or a known optimum was reached
         known = (np.concatenate((known[0], fit[0][None])),
@@ -468,11 +477,12 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
         if best is None or fit[2] < best[2]:
             best = fit
     if best is None:
-        raise DegenerateData("no S start produced a nonsingular solution")
+        raise DegenerateData("no S start produced a solution: "
+                             + ("; ".join(failures) or "every weight vanished"))
     # only the winner iterates on to a step of 1e-12, which takes it past the
     # stopping error of the start that found it
     m, sigma, _, it = best
-    refined = _s_iterate(x, spec, bp, m, sigma, _S_MAX_ITER, 1e-12)
+    refined = _s_iterate(x, spec, bp, m, sigma, 1e-12)
     if refined is None:
         raise DegenerateData("every point fell beyond the loss truncation")
     m, sigma, logdet, more = refined
@@ -517,12 +527,12 @@ def _near_known(m: np.ndarray, sigma: np.ndarray, known: tuple[np.ndarray, np.nd
     return bool(np.any((gap < radius * radius) & (spread < radius)))
 
 
-def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None, radius=_NEAR) -> tuple | None:
-    """S fixed-point iterations from (m, sigma): (m, sigma, log det sigma,
-    iterations) where the step falls below tol, or None when every weight
-    vanishes or an iterate comes within radius of an optimum in known
+def _s_iterate(x, spec, b, m, sigma, tol, known=None, radius=_NEAR) -> tuple | None:
+    """At most _S_MAX_ITER S fixed-point iterations from (m, sigma): (m,
+    sigma, log det sigma, iterations) where the step falls below tol, or None
+    when every weight vanishes or an iterate comes within radius of an optimum in known
     (_near_known); raises SingularScatter or DegenerateData when the scatter
-    goes singular on the way.
+    goes singular on the way or m_scale finds no root.
 
     Past the checked first distances, the iterations work on the (d, n)
     transpose of x, so that every pass over the data runs along rows of
@@ -539,7 +549,7 @@ def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None, radius=_NEAR) ->
     xt = np.ascontiguousarray(x.T)
     guess = None
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _S_MAX_ITER + 1):
         w = weight(spec, dist)
         wsum = w.sum()
         if not wsum > 0.0:
@@ -571,24 +581,29 @@ def _s_iterate(x, spec, b, m, sigma, max_iter, tol, known=None, radius=_NEAR) ->
 # ---------------------------------------------------------------------------
 # Minimum covariance determinant.
 
-def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> np.ndarray:
+def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> tuple:
     """One concentration step for k chains at once: for chain i, the h points
     closest to m[i] in the Mahalanobis distance of the scatter whose Cholesky
-    factor is low[i], as a (k, h) array of sorted indices.  Ties at the h-th
-    distance go to the smallest indices, as a stable sort would order them.
-    The selection is a partition per row, linear in n, not a sort; the tie
-    count runs only when some chain has more than h points at or below its
-    h-th distance."""
+    factor is low[i], as a (k, h) array of sorted indices, and a mask of the
+    chains that have an h-th distance.  Ties at the h-th distance go to the
+    smallest indices, as a stable sort would order them.  The selection is a
+    partition per row, linear in n, not a sort; the tie count runs only when
+    some chain has more than h points at or below its h-th distance.  NaNs
+    sort last, so a chain with more than n - h NaN distances (they overflow)
+    has no h-th distance: it is masked out, its row holding rows 0..h-1."""
     k, n = len(m), len(x)
     d2 = _dist_sq(x, m[:, None, :], low)
     kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
+    ok = ~np.isnan(kth[:, 0])
+    if not ok.all():
+        d2[~ok], kth[~ok] = 0.0, 0.0
     keep = d2 <= kth
     if np.count_nonzero(keep) != k * h:
         below = d2 < kth
         ties = d2 == kth
         room = h - np.count_nonzero(below, axis=1)
         keep = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-    return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * n, n)[:, None]
+    return np.flatnonzero(keep).reshape(k, h) - np.arange(0, k * n, n)[:, None], ok
 
 
 def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarray:
@@ -598,16 +613,30 @@ def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarra
     A private path for the searches: sigma must be an exactly symmetric
     positive definite matrix (as _moments builds), factored by _factor and
     used by _dist_sq without mahalanobis_sq's checks."""
-    return _concentrate(x, m[None], _factor(sigma)[None], h)[0]
+    sub, ok = _concentrate(x, m[None], _factor(sigma)[None], h)
+    if not ok[0]:
+        _no_chain_left(np.array([np.nan]))
+    return sub[0]
+
+
+def _no_chain_left(logdet: np.ndarray):
+    """Raise DegenerateData for a search with no chain left: NaN log dets mark
+    chains dropped for non-finite distances, inf ones exact fits."""
+    if np.isnan(logdet).any():
+        raise DegenerateData("non-finite squared distances: the data overflow the "
+                             "Mahalanobis distances of the MCD chains")
+    raise DegenerateData("exact fit: every MCD chain reached a subset on a hyperplane "
+                         "(singular covariance, determinant 0), which mcd does not report")
 
 
 def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_csteps: int):
     """Concentrate k chains in lockstep from their starts (m, low), stacked.
 
     Every chain steps while its determinant drops by more than 1e-12 in log;
-    one whose new scatter _factor rejects is dropped.  Returns per chain the
-    last log det that dropped (inf for a dropped chain), its moments and
-    subset, and whether max_csteps cut it while it still dropped."""
+    one without an h-th distance (_concentrate) or whose new scatter _factor
+    rejects is dropped.  Returns per chain the last log det that dropped
+    (NaN and inf for chains dropped for each of these reasons), its moments
+    and subset, and whether max_csteps cut it while it still dropped."""
     k, d = m.shape
     logdet = np.full(k, np.inf)
     best_m, cov = np.empty((k, d)), np.empty((k, d, d))
@@ -616,11 +645,12 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
     for _ in range(max_csteps):
         if live.size == 0:
             break
-        sub = _concentrate(x, m, low, h)
+        sub, ok = _concentrate(x, m, low, h)
         m, cov_new = _moments(np.take(x, sub, axis=0))  # x[sub], in a quarter of the time
-        low, ok = _factor_each(cov_new)
-        if not ok.all():
-            logdet[live[~ok]] = np.inf
+        low, factored = _factor_each(cov_new)
+        if not (ok & factored).all():
+            logdet[live[~factored]], logdet[live[~ok]] = np.inf, np.nan
+            ok &= factored
             sub, m, cov_new, low, live = (a[ok] for a in (sub, m, cov_new, low, live))
         ld = _chol_logdet(low)
         dropped = ld < logdet[live] - 1e-12
@@ -665,6 +695,8 @@ def _screen(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int,
     logdet = np.concatenate([c[0] for c in chains])
     order = np.argsort(logdet, kind="stable")
     keep = np.sort(order[np.isfinite(logdet[order])][:_SCREEN_KEEP])
+    if not keep.size:
+        _no_chain_left(logdet)
     m_s, cov_s = (np.concatenate([c[i] for c in chains])[keep] for i in (1, 2))
     return m_s, _factor(cov_s)
 
@@ -692,7 +724,8 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     with determinant 0, the smallest there is, which mcd does not report as
     its optimum.  When every chain ends this way, as can happen for h = d + 1
     on data with duplicated rows, mcd raises DegenerateData with a message
-    that names the exact fit.
+    that names the exact fit.  A chain whose distances overflow to NaN is
+    dropped too (_concentrate), and if it was one, the message names them.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -701,8 +734,10 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     if not d + 1 <= h <= n:
         raise DegenerateData(f"subset size h={h} must lie in [d+1, n]")
 
-    if h == n:
+    if h == n:  # the sample estimate, with the log det as every other fit reports it
         est = sample_mean(x)
+        sign, logdet = np.linalg.slogdet(est.sigma)
+        est.objective = float(logdet) if sign > 0 else float("nan")
         est.subset = np.arange(n)
         return est
 
@@ -724,17 +759,17 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         m0, low0 = _screen(x, m0, low0, h, rng)
 
     best_logdet = np.inf
-    best = None
+    best, ends = None, []
     chunk = _chunk(x)
     for lo in range(0, len(m0), chunk):
         chains = _mcd_chains(x, m0[lo:lo + chunk], low0[lo:lo + chunk], h, max_csteps)
+        ends.append(chains[0])
         for logdet, m, cov, subset, cut in zip(*chains):
             if logdet < best_logdet - 1e-14:
                 best_logdet = logdet
                 best = (m, cov, subset, cut)
     if best is None:
-        raise DegenerateData("exact fit: every MCD chain reached a subset on a hyperplane "
-                             "(singular covariance, determinant 0), which mcd does not report")
+        _no_chain_left(np.concatenate(ends))
     m, cov, subset, cut = best
     weights = np.zeros(n)
     weights[subset] = 1.0 / h
@@ -796,7 +831,7 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
 
 @dataclass(frozen=True)
 class Estimator:
-    """fit(x, rho=, bp=, starts=, seed=, scatter=) -> LocationScatter, plus the
+    """fit(x, rho=, bp=, starts=, seed=) -> LocationScatter, plus the
     defaults callers resolve: subset starts or trials (None without a search),
     and the loss: None, "univariate" (c calibrated at d = 1) or "multivariate"
     (at the data dimension), on its default convention."""
@@ -817,33 +852,20 @@ class Estimator:
         return RhoSpec(c=c, convention=convention)
 
     def __call__(self, x, rho: RhoSpec | None = None, bp: float = 0.5,
-                 starts: int | None = None, seed: int = 0,
-                 scatter: str = "mcd") -> LocationScatter:
+                 starts: int | None = None, seed: int = 0) -> LocationScatter:
         if self.loss is not None and rho is None:
             raise ValueError("this estimator needs a loss (rho)")
-        return self.fit(x, rho=rho, bp=bp, seed=seed, scatter=scatter,
+        return self.fit(x, rho=rho, bp=bp, seed=seed,
                         starts=self.starts if starts is None else starts)
-
-
-def _m_fit(x, rho, seed, scatter, **_) -> LocationScatter:
-    """M-location at a plug-in scatter: identity, sample covariance or MCD."""
-    x = _as_data(x)
-    if scatter == "identity":
-        sigma = np.eye(x.shape[1])
-    elif scatter == "sample":
-        sigma = np.cov(x, rowvar=False, ddof=1)
-    elif scatter == "mcd":
-        sigma = mcd(x, seed=seed).sigma
-    else:
-        raise ValueError(f"unknown plug-in scatter {scatter!r}")
-    return m_location(x, sigma, rho)
 
 
 ESTIMATORS: dict[str, Estimator] = {
     "mean": Estimator(lambda x, **_: sample_mean(x)),
     "coord_median": Estimator(lambda x, **_: LocationScatter(mu=coord_median(x), sigma=None)),
     "coord_s": Estimator(lambda x, rho, bp, **_: coord_s(x, rho, bp=bp), loss="univariate"),
-    "m": Estimator(_m_fit, loss="multivariate", convention="squared-distance"),
+    # M-location at the MCD plug-in scatter
+    "m": Estimator(lambda x, rho, seed, **_: m_location(x, mcd(x, seed=seed).sigma, rho),
+                   loss="multivariate", convention="squared-distance"),
     "s": Estimator(lambda x, rho, bp, starts, seed, **_:
                    s_estimate(x, rho, bp=bp, n_starts=starts, seed=seed),
                    starts=20, loss="multivariate"),

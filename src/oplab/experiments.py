@@ -25,8 +25,10 @@ from .influence import GesSearch, InfluenceContext, MonteCarlo, coord_ges, ges
 from .numerics import SingularScatter, standard_model
 from .rng import substream, substream_seed
 
-# paper-quoted two-column mixing weights for the propagation example
+# paper-quoted two-column mixing weights for the propagation example, and the
+# rows of its figure-sized sample
 PROPAGATION_TRANSFORM = ((0.64, 0.77), (0.78, 0.62))
+_FIGURE_ROWS = 20
 
 # the ways a fit can fail on its data; anything else is a programming error
 _FIT_FAILURES = (EstimationError, SingularScatter, np.linalg.LinAlgError)
@@ -145,18 +147,14 @@ def table1(d_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 15, 20, 100),
 # Propagation demonstration (two columns, cellwise shift outliers).
 
 def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0,
-                     shift_var: float = 1.0, transform=None, seed: int = 2045,
-                     figure_n: int = 20) -> ExperimentReport:
-    """Cellwise-contaminated bivariate data before and after mixing columns.
+                     shift_var: float = 1.0, seed: int = 2045) -> ExperimentReport:
+    """Cellwise-contaminated bivariate data before and after mixing columns
+    by PROPAGATION_TRANSFORM.
 
     Emits medians of the raw and mixed columns, the 0/1/2 contaminated-cell
-    row fractions, histogram payloads, and a small figure-sized sample.
+    row fractions, histogram payloads, and a 20-row figure sample.
     """
-    if transform is None:
-        transform = PROPAGATION_TRANSFORM
-    tmat = np.asarray(transform, dtype=float)
-    if tmat.shape != (2, 2):
-        raise ValueError("transform must be 2x2")
+    tmat = np.asarray(PROPAGATION_TRANSFORM)
     model = standard_model(2)
     spec = ContaminationSpec(model="ficm", epsilon=eps,
                              outlier=GaussianShift(mean=shift_mean, var=shift_var))
@@ -175,10 +173,10 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
     for i in range(len(bins) - 1):
         hist_rows.append((bins[i], bins[i + 1], int(hx[i]), int(hl[i])))
 
-    fig = sample_contaminated(model, spec, figure_n, seed + 1)
+    fig = sample_contaminated(model, spec, _FIGURE_ROWS, seed + 1)
     fig_mixed = fig.x @ tmat.T
     sample_rows = [tuple(fig.x[i]) + tuple(fig_mixed[i]) + tuple(int(v) for v in fig.b[i])
-                   for i in range(figure_n)]
+                   for i in range(_FIGURE_ROWS)]
 
     pmf_clean = (1 - eps) ** 2
     pmf_one = 2 * eps * (1 - eps)

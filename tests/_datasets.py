@@ -28,3 +28,10 @@ def mve_small_data() -> np.ndarray:
     bulk = rng.normal(size=(9, 2))
     knot = rng.normal(size=(3, 2)) * 0.3 + 6.0
     return np.vstack([bulk, knot])
+
+
+def overflowing_data() -> np.ndarray:
+    """n=300, d=4: normal cells times 10^U(-300, 300), so that Mahalanobis
+    distances overflow."""
+    rng = substream(6610, 0)
+    return rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(300, 4))

@@ -86,6 +86,7 @@ def mcd(x, h=None, n_starts=500, seed=0, max_csteps=100):
         h = (n + d + 1) // 2
     if h == n:
         est = sample_mean(x)
+        est.objective = float(np.linalg.slogdet(est.sigma)[1])
         est.subset = np.arange(n)
         return est
     rng = substream(seed, 0)

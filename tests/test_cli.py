@@ -15,6 +15,8 @@ import oplab
 from oplab import calibrate_c
 from oplab.cli import _COMMANDS, _merge_negative_payloads, _parse_grid, _UsageError, main
 
+from _datasets import overflowing_data
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:
@@ -198,7 +200,7 @@ def dataset(tmp_path_factory):
     ("mean", []),
     ("coord_median", []),
     ("coord_s", []),
-    ("m", ["--scatter", "identity"]),
+    ("m", []),
     ("s", ["--starts", "10"]),
     ("mcd", ["--starts", "100"]),
     ("mve", ["--starts", "100"]),
@@ -246,14 +248,34 @@ def test_estimate_m_calibrates_its_default_loss_at_the_data_dimension(tmp_path, 
     data = tmp_path / "psicm.csv"
     assert main(["simulate", "--model", "psicm", "--eps", "0.1", "--d", "15",
                  "--n", "100", "--seed", "3", "--out", str(data)]) == 0
-    for scatter in ("mcd", "identity"):
-        out = tmp_path / f"m_{scatter}.json"
-        assert main(["estimate", "--estimator", "m", "--in", str(data),
-                     "--scatter", scatter, "--out", str(out)]) == 0, scatter
-        cfg = json.loads((tmp_path / f"m_{scatter}.config.json").read_text())
-        assert cfg["c"] == calibrate_c(15, 0.5, convention="squared-distance")
-        assert json.loads(out.read_text())["converged"]
+    out = tmp_path / "m.json"
+    assert main(["estimate", "--estimator", "m", "--in", str(data), "--out", str(out)]) == 0
+    cfg = json.loads((tmp_path / "m.config.json").read_text())
+    assert cfg["c"] == calibrate_c(15, 0.5, convention="squared-distance")
+    assert json.loads(out.read_text())["converged"]
     capsys.readouterr()
+
+
+def test_estimate_mcd_on_d_plus_one_rows_reports_the_log_det(tmp_path, capsys):
+    # there h = n, and the fit reported the sample covariance's det instead
+    path = tmp_path / "three.csv"
+    path.write_text("x1,x2\n0,0\n1,0.3\n0.2,2\n")
+    assert main(["estimate", "--estimator", "mcd", "--in", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    x = np.array([[0.0, 0.0], [1.0, 0.3], [0.2, 2.0]])
+    assert result["objective"] == pytest.approx(np.linalg.slogdet(np.cov(x.T))[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mcd", "m", "s"])
+def test_estimate_on_overflowing_distances_is_a_numerical_failure(tmp_path, capsys, name):
+    # cells of normals times 10^U(-300, 300) overflow the squared distances;
+    # the fit used to exit 2 with numpy's reshape or root-finder message
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, overflowing_data(), delimiter=",", header="x1,x2,x3,x4", comments="", fmt="%.17g")
+    with np.errstate(all="ignore"):
+        assert main(["estimate", "--estimator", name, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oplab: numerical failure:") and "non-finite squared distances" in err
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +287,7 @@ _RUNS = {
                    "--draws", "4000"], "influence"),
     "ges": (["ges", "--kind", "fdcm", "--d", "2", "--draws", "4000"], "ges"),
     "table1": (["table1"], "table1"),
-    "fig2": (["fig2", "--d-grid", "1,2", "--draws", "2000", "--n-radial", "6",
-              "--refine", "8", "--n-random", "1", "--svg"], "ges_vs_dim"),
+    "fig2": (["fig2", "--d-grid", "1,2", "--draws", "2000", "--svg"], "ges_vs_dim"),
     "fig3": (["fig3", "--n", "2000", "--svg"], "propagation"),
     "fig4": (["fig4", "--d", "2", "--n", "30", "--t-grid", "0:10:10",
               "--estimators", "mean,coord_median", "--reps", "2", "--svg"], "bias_sweep"),
@@ -359,6 +380,29 @@ def test_replay_rejects_missing_and_unknown_keys(configs, tmp_path, capsys, comm
         assert not fresh.exists(), key
 
 
+# the settings that only tests set, now constants: the GES searches of fig2 and
+# ges, m's plug-in scatter, and fig3's mixing weights and figure sample
+_REMOVED = [("fig2", "rays", "first"), ("fig2", "n_random", 2), ("fig2", "n_radial", 20),
+            ("fig2", "refine", 32), ("ges", "rays", "all"), ("ges", "n_random", 4),
+            ("ges", "n_radial", 24), ("ges", "refine", 48), ("estimate", "scatter", "mcd"),
+            ("fig3", "transform", [[0.64, 0.77], [0.78, 0.62]]), ("fig3", "figure_n", 20)]
+
+
+@pytest.mark.parametrize("command,key,value", _REMOVED)
+def test_removed_settings_are_refused(configs, tmp_path, capsys, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    fresh = tmp_path / "fresh"
+    assert main([command, flag, json.dumps(value), "--out", str(fresh / "x.json")]) == 1
+    assert flag in capsys.readouterr().err
+    # a config that holds the key is refused as having an unknown key
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({**json.loads(configs[command][0].read_text()), key: value}))
+    assert main([command, "--config", str(path), "--out", str(fresh / "x.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(key) in captured.err
+    assert not fresh.exists()
+
+
 @pytest.mark.parametrize("command,flags", [("estimate", ["--estimator", "mean"]),
                                            ("fig2", ["--draws", "10"])])
 def test_replay_rejects_flags_that_would_change_the_run(configs, tmp_path, capsys,
@@ -433,7 +477,6 @@ def test_fig2_threads_do_not_change_the_bytes(tmp_path):
     for threads, sub in (("1", "t1"), ("4", "t4")):
         out = tmp_path / sub
         assert main(["fig2", "--d-grid", "1,2", "--draws", "4000",
-                     "--n-radial", "6", "--refine", "8", "--n-random", "1",
                      "--threads", threads, "--out", str(out)]) == 0
         outs.append((out / "ges_vs_dim" / "results.csv").read_bytes())
     assert outs[0] == outs[1]

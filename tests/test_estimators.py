@@ -19,7 +19,7 @@ from oplab.numerics import _factor
 from oplab.rng import substream
 
 import _coord_s_reference
-from _datasets import mcd_cluster_data, mve_small_data
+from _datasets import mcd_cluster_data, mve_small_data, overflowing_data
 from _m_reference import estimating_residual, fixed_point_m_location
 import _s_reference
 import _subset_reference
@@ -134,6 +134,22 @@ def test_m_scale_frees_its_buffers_on_return():
 def test_m_scale_rejects_mostly_zero_residuals():
     with pytest.raises(DegenerateData):
         m_scale(np.zeros(10), SCAL2, 0.5)
+
+
+def test_m_scale_on_infinite_residuals():
+    # rho is 1 at an infinite residual: a root exists while fewer than a
+    # share b of the residuals are infinite, even when the median of the
+    # nonzero ones is
+    r = np.append(np.abs(substream(4, 0).normal(size=59)), np.inf)
+    for guess in (None, 1.0):
+        s = m_scale(r, SCAL2, 0.5, guess=guess)
+        assert float(np.mean(rho(SCAL2, r / s))) == pytest.approx(0.5, abs=1e-11)
+    r = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, np.inf, np.inf, np.inf])
+    s = m_scale(r, SCAL2, 0.5)
+    assert float(np.mean(rho(SCAL2, r / s))) == pytest.approx(0.5, abs=1e-11)
+    for bad in ([1.0, np.nan, 2.0, 3.0], [1.0, np.inf, np.inf, 3.0]):
+        with pytest.raises(DegenerateData, match="non-finite squared distances"):
+            m_scale(np.array(bad), SCAL2, 0.5)
 
 
 def test_coord_s_symmetric_design():
@@ -543,6 +559,10 @@ def test_mcd_with_full_subset_is_the_sample_estimate():
     assert np.array_equal(est.mu, ref.mu)
     assert np.array_equal(est.sigma, ref.sigma)
     assert np.array_equal(est.subset, np.arange(25))
+    # the log det, as every other mcd fit reports it, not sample_mean's det
+    assert est.objective == pytest.approx(math.log(ref.objective), rel=1e-12)
+    assert mcd(x[:3]).objective == pytest.approx(np.linalg.slogdet(np.cov(x[:3].T))[1],
+                                                 rel=1e-12)
 
 
 def test_mcd_matches_exhaustive_search():
@@ -662,7 +682,8 @@ def test_concentrate_fast_path_equals_the_tie_path(data):
     low = _factor(cov)
     tied_chains = 0
     for h in (d + 1, (n + d + 1) // 2, n - 1):
-        got = estimators._concentrate(x, m, low, h)
+        got, ok = estimators._concentrate(x, m, low, h)
+        assert ok.all()
         d2 = estimators._dist_sq(x, m[:, None, :], low)
         assert got.dtype == np.intp
         assert np.array_equal(got, _tie_path(d2, h))
@@ -736,6 +757,30 @@ def test_mcd_names_the_exact_fit_it_refuses(seed):
     # points that lie on a hyperplane, whose covariance is singular
     with pytest.raises(DegenerateData, match="exact fit"):
         mcd(_tie_heavy(100, 5, seed), h=6, n_starts=60, seed=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["mcd", "m", "s"])
+def test_overflowing_distances_are_degenerate_data(name):
+    # an MCD chain's h-th distance came out NaN, so fewer than h rows were
+    # kept, and S's M-scale solve met mostly infinite distances; both raised
+    # internal errors
+    fit = ESTIMATORS[name]
+    with pytest.raises(DegenerateData, match="non-finite squared distances"):
+        fit(overflowing_data(), rho=fit.rho(4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_overflowing_cell_is_outvoted():
+    # the row holding 1e200 has an infinite distance from every start, and
+    # NaN ones from the elemental starts that contain it: those MCD chains
+    # are dropped and the S loss is 1 there, so both fits leave the row out
+    x = substream(5, 0).normal(size=(200, 3))
+    x[7, 1] = 1e200
+    fit = mcd(x)
+    assert 7 not in fit.subset and np.abs(fit.mu).max() < 1.0
+    fit = s_estimate(x, RhoSpec(c=calibrate_c(3, 0.5), convention="scaled-distance"))
+    assert fit.weights[7] == 0.0 and np.abs(fit.mu).max() < 1.0
 
 
 def test_mcd_matches_the_reference_on_ten_thousand_rows():
@@ -896,8 +941,6 @@ def test_registry_fits_every_estimator():
     assert ESTIMATORS["mcd"].rho(2) is None
     with pytest.raises(ValueError):
         ESTIMATORS["s"](x)  # a loss is required
-    with pytest.raises(ValueError):
-        ESTIMATORS["m"](x, rho=SQ, scatter="robust")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

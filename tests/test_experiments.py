@@ -99,11 +99,6 @@ def test_propagation_demo_clean_case_fails_the_mixing_check():
     assert failed == ["median of mixed col 1 exceeds 1.0"]
 
 
-def test_propagation_demo_validates_transform():
-    with pytest.raises(ValueError):
-        propagation_demo(n=10, transform=np.eye(3))
-
-
 # ---------------------------------------------------------------------------
 # bias sweep
 
