@@ -168,7 +168,7 @@ def _sidecar(path: str) -> Path:
 def _announce(report: ExperimentReport, run_dir: str) -> None:
     checks = report.summary.get("assertions", [])
     n_pass = sum(1 for a in checks if a["passed"])
-    print(f"{report.name}: {n_pass}/{len(checks)} checks passed; wrote {run_dir}")
+    print(f"{os.path.basename(run_dir)}: {n_pass}/{len(checks)} checks passed; wrote {run_dir}")
     for a in checks:
         if not a["passed"]:
             print(f"  failed: {a['name']} ({a['detail']})", file=sys.stderr)
@@ -289,7 +289,7 @@ def _influence(p: dict) -> ExperimentReport:
     header = ([f"z{j + 1}" for j in range(d)] + [f"if{j + 1}" for j in range(d)]
               + [f"se{j + 1}" for j in range(d)])
     return ExperimentReport(
-        name="influence", tables={"results": (header, rows)},
+        tables={"results": (header, rows)},
         summary={"kind": p["kind"], "d": d, "c": p["c"], "a_psi": ctx.a_psi,
                  "n_points": len(points), "max_norm": best[0],
                  "argmax_z": list(best[1])})
@@ -317,7 +317,6 @@ def _ges(p: dict) -> ExperimentReport:
     ctx = _context(p, standard_model(p["d"]))
     res = ges(ctx, GesSearch(seed=p["seed"]))
     return ExperimentReport(
-        name="ges",
         tables={"results": (["d", "kind", "ges"], [(p["d"], p["kind"], res.value)]),
                 "rays": (["ray", "best_t", "best_norm"], list(res.rays))},
         summary={"ges": res.value, "kind": p["kind"], "d": p["d"],
@@ -411,7 +410,7 @@ def _drive(cmd: _Command, p: dict) -> None:
     run_dir = os.path.join(p["out"], cmd.run_dir)
     _write_config(os.path.join(run_dir, "config.json"), p)
     report = cmd.run(p)
-    report.write(p["out"])
+    report.write(run_dir)
     if p.get("svg"):
         write_line_chart(os.path.join(run_dir, "figure.svg"), *cmd.chart(report, p))
     if cmd.line:

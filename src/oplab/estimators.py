@@ -291,9 +291,11 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> Loca
     # with z, the only n-sized arrays: each candidate step overwrites them, so
     # the state at the previous iterate is kept only as nu, sum w and F
     d2, w, work = np.empty(n), np.empty(n), np.empty(n)
+    overflow = False  # whether the last evaluate met a distance that overflows
 
     def evaluate(nu: np.ndarray) -> tuple[float, np.ndarray]:
         """Fill d2 and w = psi(d2) at nu; return sum w and F(nu)."""
+        nonlocal overflow
         np.subtract(z[0], nu[0], out=d2)
         np.multiply(d2, d2, out=d2)
         for a in range(1, d):
@@ -302,12 +304,20 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> Loca
             np.add(d2, work, out=d2)
         rho_sq_into(spec, d2, w, work, derivative=1)
         wsum = float(w.sum())
+        # psi is 0 wherever p == 0, except where d2 is inf on the
+        # squared-distance law: p^2 d2 is NaN there, and so is psi'
+        overflow = not math.isfinite(wsum)
+        if overflow:
+            np.copyto(w, 0.0, where=work == 0.0)
+            wsum = float(w.sum())
         return wsum, z @ w - wsum * nu
 
     def newton_step(nu: np.ndarray, wsum: float, f: np.ndarray) -> np.ndarray | None:
         """J^-1 F at nu, or None when it is not to be trusted; overwrites w.
         psi' is built from the p that evaluate(nu) left in work."""
         g = _bisquare_from_p(spec.c, spec.convention, d2, w, work, 2)
+        if overflow:
+            np.copyto(g, 0.0, where=work == 0.0)
         jac = np.empty((d, d))
         for a in range(d):  # row a of sum g (z - nu)(z - nu)^T, no (d, n) temporary
             np.subtract(z[a], nu[a], out=work)
@@ -818,10 +828,18 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
             best_logvol = logvol
             best = (m[i], cov[i] * m2[i])
     if best is None:
+        if not np.isfinite(m2).all():
+            raise DegenerateData("non-finite squared distances: the data overflow the "
+                                 "Mahalanobis distances of the MVE candidates")
         raise DegenerateData("no MVE candidate covered the target count")
+    try:
+        volume = math.exp(best_logvol)
+    except OverflowError:
+        raise DegenerateData(f"the MVE volume overflows: the data give the smallest "
+                             f"ellipsoid a log volume of {best_logvol:.6g}") from None
     m, sigma = best
     return LocationScatter(mu=m, sigma=sigma, converged=True, iterations=len(logdet),
-                           objective=float(math.exp(best_logvol)))
+                           objective=volume)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ before an experiment starts.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contamination import ContaminationSpec, GaussianShift, sample_contaminated
+from .contamination import (ContaminationSpec, GaussianShift, cell_count_pmf,
+                            sample_contaminated)
 from .estimators import ESTIMATORS, EstimationError
 from .influence import GesSearch, InfluenceContext, MonteCarlo, coord_ges, ges
 from .numerics import SingularScatter, standard_model
@@ -29,6 +29,9 @@ from .rng import substream, substream_seed
 # rows of its figure-sized sample
 PROPAGATION_TRANSFORM = ((0.64, 0.77), (0.78, 0.62))
 _FIGURE_ROWS = 20
+
+# fig2's GES search: rays on the first axis, the diagonal and two random directions
+_FIG2_SEARCH = GesSearch(axes="first", n_random=2, n_radial=20, refine=32)
 
 # the ways a fit can fail on its data; anything else is a programming error
 _FIT_FAILURES = (EstimationError, SingularScatter, np.linalg.LinAlgError)
@@ -42,23 +45,19 @@ class ExperimentReport:
     those once, as config.json in the same run directory, before computing.
     """
 
-    name: str
     tables: dict[str, tuple[list[str], list[tuple]]]
     summary: dict = field(default_factory=dict)
 
     def passed(self) -> bool:
         return all(a["passed"] for a in self.summary.get("assertions", []))
 
-    def write(self, out_dir: str) -> str:
-        """Write results.csv, summary.json (and any extra tables) under
-        out_dir/name; returns that directory."""
-        run_dir = os.path.join(out_dir, self.name)
+    def write(self, run_dir: str) -> None:
+        """Write results.csv, summary.json and any extra tables into run_dir."""
         os.makedirs(run_dir, exist_ok=True)
         for table, (header, rows) in self.tables.items():
             fname = "results.csv" if table == "results" else f"{table}.csv"
             write_csv(os.path.join(run_dir, fname), header, rows)
         write_json(os.path.join(run_dir, "summary.json"), self.summary)
-        return run_dir
 
 
 def _fmt(v) -> str:
@@ -116,18 +115,6 @@ def epsilon0(delta: float, d: int) -> float:
     return 1.0 - (0.5 - delta) ** (1.0 / d)
 
 
-def clean_majority_threshold(eps: float) -> int:
-    """Smallest dimension at which fully clean rows become a minority."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    d = max(int(math.ceil(math.log(0.5) / math.log1p(-eps))), 1)
-    while (1.0 - eps) ** d >= 0.5:
-        d += 1
-    while d > 1 and (1.0 - eps) ** (d - 1) < 0.5:
-        d -= 1
-    return d
-
-
 def table1(d_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 15, 20, 100),
            delta: float = 0.0) -> ExperimentReport:
     """Breakdown upper bounds over a dimension grid, with rounded display values."""
@@ -138,7 +125,6 @@ def table1(d_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 10, 15, 20, 100),
                          abs(r - expected[d]) < 1e-12, f"got {r}")
               for d, _, r in rows if delta == 0.0 and d in expected]
     return ExperimentReport(
-        name="table1",
         tables={"results": (["d", "eps0", "eps0_2dp"], rows)},
         summary={"assertions": checks})
 
@@ -178,9 +164,7 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
     sample_rows = [tuple(fig.x[i]) + tuple(fig_mixed[i]) + tuple(int(v) for v in fig.b[i])
                    for i in range(_FIGURE_ROWS)]
 
-    pmf_clean = (1 - eps) ** 2
-    pmf_one = 2 * eps * (1 - eps)
-    pmf_two = eps**2
+    pmf_clean, pmf_one, pmf_two = (cell_count_pmf(spec, 2, k) for k in (0, 1, 2))
     checks = [
         _assertion("frac0 within 0.01 of law", abs(frac[0] - pmf_clean) <= 0.01,
                    f"{frac[0]:.4f} vs {pmf_clean:.4f}"),
@@ -198,7 +182,6 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
                ("frac_0_cells", frac[0]), ("frac_1_cell", frac[1]),
                ("frac_2_cells", frac[2])]
     return ExperimentReport(
-        name="propagation",
         tables={"results": (["metric", "value"], results),
                 "histogram": (["bin_left", "bin_right", "count_x1", "count_l1"],
                               hist_rows),
@@ -305,7 +288,6 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
         checks.append(_assertion(name, worst <= 0.20, f"worst rel {worst:.4f}"))
 
     return ExperimentReport(
-        name="bias_sweep",
         tables={"results": (["t", "estimator", "replication", "max_abs_bias"],
                             results),
                 "curves": (["t", "estimator", "mean_of_max", "max_of_mean"],
@@ -318,16 +300,13 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
 
 def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
                bp: float = 0.5, n_draws: int = 100_000, seed: int = 31,
-               threads: int = 1,
-               search: GesSearch | None = None) -> ExperimentReport:
+               threads: int = 1) -> ExperimentReport:
     """Four sensitivity curves: {multivariate, coordinatewise} x {fdcm, ficm}.
 
     Tuning constants come from calibrate_c at each dimension for the
     multivariate functional and at dimension one for the coordinatewise one,
     both on the scaled-distance convention.
     """
-    if search is None:
-        search = GesSearch(axes="first", n_random=2, n_radial=20, refine=32)
     rho1 = ESTIMATORS["coord_s"].rho(1, bp)
 
     def run_dim(d: int) -> list[tuple]:
@@ -337,7 +316,7 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
         coord_value = coord_ges(model, rho1).value
         rows = []
         for kind in ("fdcm", "ficm"):
-            res = ges(InfluenceContext(model, rho_d, kind=kind, mc=mc), search)
+            res = ges(InfluenceContext(model, rho_d, kind=kind, mc=mc), _FIG2_SEARCH)
             rows.append((d, "multivariate-s", kind, res.value, rho_d.c))
             rows.append((d, "coordinatewise-s", kind, coord_value, rho1.c))
         return rows
@@ -367,7 +346,6 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
                                      f"ficm {i:.3f} vs fdcm {f:.3f}"))
 
     return ExperimentReport(
-        name="ges_vs_dim",
         tables={"results": (["d", "estimator", "model", "ges", "c"], rows)},
         summary={"assertions": checks})
 
@@ -443,7 +421,6 @@ def empirical_breakdown(estimator: str = "mcd", d: int = 2,
 
     header = ["eps", "mean_max_bias"] + [f"rep{r + 1}" for r in range(replications)]
     return ExperimentReport(
-        name="breakdown",
         tables={"results": (header, rows)},
         summary={"assertions": checks, "eps_star_hat": eps_star_hat,
                  "bound": bound, "threshold": threshold})

@@ -268,21 +268,6 @@ def _cellwise_value(z: np.ndarray, ctx: InfluenceContext) -> np.ndarray:
     return _ficm_value(z, ctx, _PATH_FICM)
 
 
-def if_coordwise(z, model: EllipticalModel, rho1: RhoSpec) -> InfluenceResult:
-    """Influence of the coordinatewise M-functional, any contamination kind.
-
-    Each coordinate sees only its own marginal, and the contaminated marginal
-    is the same two-point mixture under every model here, so one closed form
-    covers them all.  rho1 is the univariate loss.
-    """
-    z = _as_point(z, model.dim)
-    a1 = a_psi(rho1, 1)
-    dev = z - model.mu0
-    q = dev**2 / np.diag(model.sigma0)
-    val = np.asarray(psi_sq(rho1, q)) * dev / a1
-    return InfluenceResult(z=z, value=val, stderr=np.zeros(model.dim))
-
-
 # ---------------------------------------------------------------------------
 # Finite-epsilon derivative oracle.
 

@@ -117,11 +117,6 @@ def rho(spec: RhoSpec, t) -> np.ndarray | float:
     return _loss(spec.c, "squared-distance", t, 0)
 
 
-def psi(spec: RhoSpec, t) -> np.ndarray | float:
-    """First derivative of the loss; identically zero for |t| >= c."""
-    return _loss(spec.c, "squared-distance", t, 1)
-
-
 def weight(spec: RhoSpec, t) -> np.ndarray | float:
     """psi(t)/t, psi'(0) at t = 0, nonincreasing in |t|: twice the scaled-law psi at t^2."""
     return 2.0 * _loss(spec.c, "scaled-distance", np.square(t), 1)

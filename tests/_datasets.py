@@ -30,8 +30,8 @@ def mve_small_data() -> np.ndarray:
     return np.vstack([bulk, knot])
 
 
-def overflowing_data() -> np.ndarray:
+def overflowing_data(seed: int = 6610) -> np.ndarray:
     """n=300, d=4: normal cells times 10^U(-300, 300), so that Mahalanobis
     distances overflow."""
-    rng = substream(6610, 0)
+    rng = substream(seed, 0)
     return rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(300, 4))

@@ -6,6 +6,7 @@ full size; criterion 4 refits an M-estimator on multi-million-row samples and
 dominates the runtime. Tolerances are stated next to each assertion.
 """
 
+import itertools
 import math
 import time
 
@@ -13,11 +14,10 @@ import numpy as np
 import pytest
 
 from oplab import (
-    AdditiveShift, ContaminationSpec, GesSearch, InfluenceContext, MonteCarlo,
-    RhoSpec, bias_sweep, calibrate_c, clean_majority_threshold, coord_m_fit,
-    coord_median, empirical_breakdown, epsilon0, ges_vs_dim, if_coordwise,
-    if_fdcm, if_ficm, if_numeric, if_psicm, influence, m_location,
-    mahalanobis_sq, mcd, mve, rho, s_estimate, sample_contaminated,
+    AdditiveShift, ContaminationSpec, InfluenceContext, MonteCarlo, RhoSpec,
+    bias_sweep, calibrate_c, coord_m_fit, coord_median, empirical_breakdown,
+    epsilon0, ges_vs_dim, if_fdcm, if_ficm, if_numeric, if_psicm, influence,
+    m_location, mahalanobis_sq, mcd, mve, rho, s_estimate, sample_contaminated,
     sample_mean, standard_model,
 )
 from oplab.estimators import c_step
@@ -50,8 +50,10 @@ def test_criterion_01_breakdown_bound_table(capsys):
 
 
 def test_criterion_02_clean_majority_thresholds(capsys):
-    d05 = clean_majority_threshold(0.05)
-    d01 = clean_majority_threshold(0.01)
+    # clean rows, a share (1 - eps)^d, are a minority exactly when eps
+    # exceeds the bound epsilon0(0, d) = 1 - (1/2)^(1/d)
+    d05, d01 = (next(d for d in itertools.count(1) if epsilon0(0.0, d) < eps)
+                for eps in (0.05, 0.01))
     ok = (d05, d01) == (14, 69) \
         and 0.95 ** 14 < 0.5 <= 0.95 ** 13 \
         and 0.99 ** 69 < 0.5 <= 0.99 ** 68
@@ -95,8 +97,10 @@ def test_criterion_04_influence_matches_finite_eps_slope(capsys):
         worst[kind] = max(rels)
 
     # coordinatewise M: the contaminated marginal is the same two-point
-    # mixture under both models, so the measured slopes must agree
+    # mixture under both models, so the measured slopes must agree, and
+    # equal the one-dimensional full-row influence of each coordinate
     mc_small = MonteCarlo(n_draws=800_000, seed=505)
+    marginal = InfluenceContext(standard_model(1), SQ6, kind="fdcm")
     identical = True
     agree = 0.0
     for z in POINTS:
@@ -109,9 +113,9 @@ def test_criterion_04_influence_matches_finite_eps_slope(capsys):
         band = 4.0 * np.sqrt(fits["fdcm"].stderr ** 2
                              + fits["ficm"].stderr ** 2)
         identical &= bool(np.all(gap <= band))
-        closed = if_coordwise(z, model, SQ6)
-        agree = max(agree, float(np.linalg.norm(fits["ficm"].value - closed.value)
-                                 / np.linalg.norm(closed.value)))
+        closed = np.concatenate([if_fdcm([zj], marginal).value for zj in z])
+        agree = max(agree, float(np.linalg.norm(fits["ficm"].value - closed)
+                                 / np.linalg.norm(closed)))
 
     ok = worst["fdcm"] <= 0.05 and worst["ficm"] <= 0.05 \
         and identical and agree <= 0.15
@@ -311,11 +315,10 @@ def test_criterion_10_empirical_breakdown_vs_bound(capsys):
 
 
 def test_criterion_11_thread_count_determinism(capsys, tmp_path):
-    search = GesSearch(axes="first", n_random=1, n_radial=8, refine=10)
     payloads = []
+    names = ("ges_vs_dim", "bias_sweep", "breakdown")
     for threads in (1, 8):
-        g = ges_vs_dim(d_grid=(1, 2, 5), n_draws=20_000, seed=31,
-                       threads=threads, search=search)
+        g = ges_vs_dim(d_grid=(1, 2, 5), n_draws=20_000, seed=31, threads=threads)
         b = bias_sweep(d=3, n=40, eps=0.15, t_grid=(0.0, 10.0),
                        replications=3, seed=7, threads=threads,
                        mcd_starts=30, mve_trials=50)
@@ -323,10 +326,9 @@ def test_criterion_11_thread_count_determinism(capsys, tmp_path):
                                 replications=3, n=60, seed=11, threads=threads,
                                 mcd_starts=30)
         out = tmp_path / f"t{threads}"
-        for report in (g, b, e):
-            report.write(str(out))
-        payloads.append(tuple((out / name / "results.csv").read_bytes()
-                              for name in ("ges_vs_dim", "bias_sweep", "breakdown")))
+        for name, report in zip(names, (g, b, e)):
+            report.write(str(out / name))
+        payloads.append(tuple((out / name / "results.csv").read_bytes() for name in names))
     ok = payloads[0] == payloads[1]
     _report(capsys, 11, "results are byte-identical at 1 and 8 threads", ok,
             "ges_vs_dim (d = 1, 2, 5), bias_sweep and empirical_breakdown reruns "

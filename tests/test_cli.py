@@ -278,6 +278,29 @@ def test_estimate_on_overflowing_distances_is_a_numerical_failure(tmp_path, caps
     assert err.startswith("oplab: numerical failure:") and "non-finite squared distances" in err
 
 
+def test_estimate_mve_on_overflowing_data_names_the_overflow(tmp_path, capsys):
+    # the fit used to exit 2 with "math range error" from the volume
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, overflowing_data(), delimiter=",", header="x1,x2,x3,x4", comments="", fmt="%.17g")
+    with np.errstate(all="ignore"):
+        assert main(["estimate", "--estimator", "mve", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("oplab: numerical failure:") and "MVE volume overflows" in err
+
+
+@pytest.mark.parametrize("name", ["mcd", "m", "s"])
+def test_estimate_outvotes_one_overflowing_cell(tmp_path, capsys, name):
+    # one 1e200 cell in 200 normal rows; m used to exit 2, every point
+    # rejected, because that row's psi was NaN
+    x = np.random.default_rng(5).normal(size=(200, 3))
+    x[7, 1] = 1e200
+    path = tmp_path / "cell.csv"
+    np.savetxt(path, x, delimiter=",", header="x1,x2,x3", comments="", fmt="%.17g")
+    with np.errstate(all="ignore"):
+        assert main(["estimate", "--estimator", name, "--in", str(path)]) == 0
+    assert np.abs(json.loads(capsys.readouterr().out)["mu"]).max() < 1.0
+
+
 # ---------------------------------------------------------------------------
 # run directories and replay
 

@@ -771,16 +771,31 @@ def test_overflowing_distances_are_degenerate_data(name):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mve_names_the_overflow():
+    # on overflowing_data the smallest ellipsoid's volume is past the float
+    # range (math.exp raised OverflowError); on another draw every
+    # candidate's coverage distance is inf (no candidate "covered the target")
+    with pytest.raises(DegenerateData, match="MVE volume overflows"):
+        mve(overflowing_data())
+    with pytest.raises(DegenerateData, match="non-finite squared distances"):
+        mve(overflowing_data(seed=6611))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_overflowing_cell_is_outvoted():
     # the row holding 1e200 has an infinite distance from every start, and
     # NaN ones from the elemental starts that contain it: those MCD chains
-    # are dropped and the S loss is 1 there, so both fits leave the row out
+    # are dropped and the S loss is 1 there, so both fits leave the row out.
+    # M's psi there is 0 inf, which made its weight sum NaN ("every point
+    # fell beyond the loss truncation"); it too gives the row weight 0
     x = substream(5, 0).normal(size=(200, 3))
     x[7, 1] = 1e200
     fit = mcd(x)
     assert 7 not in fit.subset and np.abs(fit.mu).max() < 1.0
     fit = s_estimate(x, RhoSpec(c=calibrate_c(3, 0.5), convention="scaled-distance"))
     assert fit.weights[7] == 0.0 and np.abs(fit.mu).max() < 1.0
+    fit = ESTIMATORS["m"](x, rho=ESTIMATORS["m"].rho(3))
+    assert fit.converged and fit.weights[7] == 0.0 and np.abs(fit.mu).max() < 1.0
 
 
 def test_mcd_matches_the_reference_on_ten_thousand_rows():

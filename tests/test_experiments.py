@@ -1,5 +1,6 @@
 """Breakdown bounds, the canned studies, and report serialization."""
 
+import itertools
 import json
 import math
 import os
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import (ESTIMATORS, ExperimentReport, GesSearch, bias_sweep,
-                   clean_majority_threshold, empirical_breakdown, epsilon0,
-                   ges_vs_dim, propagation_demo, table1)
+from oplab import (ESTIMATORS, ExperimentReport, bias_sweep, empirical_breakdown,
+                   epsilon0, ges_vs_dim, propagation_demo, table1)
 from oplab import estimators
 from oplab.experiments import _parallel_map, write_csv, write_json
 
@@ -49,14 +49,12 @@ def test_epsilon0_validation():
 
 
 def test_clean_majority_threshold():
-    assert clean_majority_threshold(0.05) == 14
-    assert clean_majority_threshold(0.01) == 69
-    for eps in (0.05, 0.01, 0.3):
-        d = clean_majority_threshold(eps)
-        assert (1.0 - eps) ** d < 0.5
-        assert d == 1 or (1.0 - eps) ** (d - 1) >= 0.5
-    with pytest.raises(ValueError):
-        clean_majority_threshold(0.0)
+    # the smallest d whose bound epsilon0(0, d) falls below eps is the
+    # smallest d at which clean rows, a share (1 - eps)^d, are a minority
+    for eps, expect in ((0.05, 14), (0.01, 69), (0.1, 7), (0.2, 4), (0.3, 2)):
+        d = next(d for d in itertools.count(1) if epsilon0(0.0, d) < eps)
+        assert d == expect
+        assert (1.0 - eps) ** d < 0.5 <= (1.0 - eps) ** (d - 1)
 
 
 def test_table1_matches_the_bound():
@@ -175,9 +173,7 @@ def test_bias_sweep_reports_cells_where_every_fit_failed():
 # sensitivity against dimension
 
 def test_ges_vs_dim_small_grid():
-    rep = ges_vs_dim(d_grid=(1, 2), n_draws=20_000,
-                     search=GesSearch(axes="first", n_random=1, n_radial=8,
-                                      refine=10))
+    rep = ges_vs_dim(d_grid=(1, 2), n_draws=20_000)
     assert rep.passed()
     header, rows = rep.tables["results"]
     assert header == ["d", "estimator", "model", "ges", "c"]
@@ -197,8 +193,7 @@ def test_ges_vs_dim_small_grid():
 
 
 def test_ges_vs_dim_threads_do_not_change_results():
-    kw = dict(d_grid=(1, 2), n_draws=10_000,
-              search=GesSearch(axes="first", n_random=1, n_radial=6, refine=8))
+    kw = dict(d_grid=(1, 2), n_draws=10_000)
     assert ges_vs_dim(threads=1, **kw).tables == ges_vs_dim(threads=4, **kw).tables
 
 
@@ -259,12 +254,11 @@ def test_breakdown_validation():
 
 def test_report_write_tables_and_summary(tmp_path):
     rep = ExperimentReport(
-        name="demo",
         tables={"results": (["a", "b"], [(1, 2.5), (3, float("nan"))]),
                 "extra": (["x"], [(True,), (False,)])},
         summary={"assertions": [{"name": "ok", "passed": True, "detail": ""}]})
-    run_dir = rep.write(str(tmp_path))
-    assert run_dir == str(tmp_path / "demo")
+    run_dir = str(tmp_path / "demo")
+    rep.write(run_dir)
     assert sorted(os.listdir(run_dir)) == ["extra.csv", "results.csv", "summary.json"]
     text = open(os.path.join(run_dir, "results.csv")).read()
     assert text == "a,b\n1,2.5\n3,nan\n"

@@ -9,9 +9,8 @@ from scipy import optimize
 
 from oplab import (GesSearch, InfluenceContext, InfluenceResult, MonteCarlo, RhoSpec,
                    a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
-                   if_coordwise, if_fdcm, if_ficm, if_numeric, if_psicm,
-                   influence, mahalanobis_sq, psi_sq, standard_model,
-                   truncation_sq)
+                   if_fdcm, if_ficm, if_numeric, if_psicm, influence,
+                   mahalanobis_sq, psi_sq, standard_model, truncation_sq)
 from oplab.influence import (_PATH_FICM, _PATH_PSICM, _cellwise_value, _ficm_core,
                              _ficm_value, _radial_profile)
 
@@ -126,20 +125,6 @@ def test_if_fdcm_zero_at_center_and_beyond_truncation():
     assert np.array_equal(if_fdcm([0.0, 0.0], ctx).value, np.zeros(2))
     # squared distance 4 + 0 exceeds the cutoff sqrt(6)
     assert np.array_equal(if_fdcm([2.0, 0.0], ctx).value, np.zeros(2))
-
-
-def test_if_coordwise_closed_form_and_d1_agreement():
-    model = standard_model(1)
-    z = [0.8]
-    a = if_coordwise(z, model, RHO1)
-    b = if_fdcm(z, InfluenceContext(model, RHO1, kind="fdcm"))
-    assert np.allclose(a.value, b.value, atol=1e-14)
-    model3 = equicorrelated_model(3, 0.4)
-    res = if_coordwise([1.0, 0.0, 0.0], model3, RHO1)
-    assert res.value[0] != 0.0
-    # marginals drive everything: coordinates at their means move nothing
-    assert res.value[1] == 0.0 and res.value[2] == 0.0
-    assert np.array_equal(res.stderr, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from scipy import linalg, optimize, stats
 from oplab import estimators, numerics
 from oplab import (CalibrationError, RhoSpec, SingularScatter,
                    calibrate_c, chi2_truncated_expectation,
-                   equicorrelated_model, expected_rho, mahalanobis_sq, psi,
-                   psi_sq, psi_sq_prime, rho, rho_sq, standard_model,
-                   truncation_sq, weight)
+                   equicorrelated_model, expected_rho, mahalanobis_sq, psi_sq,
+                   psi_sq_prime, rho, rho_sq, standard_model, truncation_sq,
+                   weight)
 from oplab.influence import a_psi
 from oplab.numerics import (CONVENTIONS, _bisquare_from_p, _bisquare_into, _brentq,
                             _dist_sq, _factor, rho_sq_into)
@@ -24,6 +24,11 @@ from _s_weight_reference import rho_inverse
 
 SQRT6 = math.sqrt(6.0)
 SQ = RhoSpec(c=SQRT6, convention="squared-distance")
+
+
+def psi(spec, t):
+    """First derivative of the loss in t: psi_sq on the squared-distance law."""
+    return psi_sq(RhoSpec(c=spec.c, convention="squared-distance"), t)
 
 
 def psi_prime(spec, t):
