@@ -13,10 +13,10 @@ from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
                          s_estimate, sample_mean)
 from .experiments import (ExperimentReport, bias_sweep, empirical_breakdown,
                           epsilon0, ges_vs_dim, propagation_demo, table1)
-from .influence import (GesResult, GesSearch, InfluenceContext,
-                        InfluenceResult, MonteCarlo, a_psi, coord_ges,
-                        coord_m_fit, ges, if_fdcm, if_ficm, if_numeric,
-                        if_psicm, influence, m_location_fit)
+from .influence import (GesResult, InfluenceContext, InfluenceResult,
+                        MonteCarlo, a_psi, coord_ges, coord_m_fit, ges,
+                        if_fdcm, if_ficm, if_numeric, if_psicm, influence,
+                        m_location_fit)
 from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
                        equicorrelated_model, expected_rho,
@@ -31,7 +31,7 @@ __all__ = [
     "CalibrationError", "ContaminatedData", "ContaminationError",
     "ContaminationSpec", "DegenerateData", "EllipticalModel",
     "EstimationError", "Estimator", "ExperimentReport", "GaussianShift",
-    "GesResult", "GesSearch", "InfluenceContext", "InfluenceResult",
+    "GesResult", "InfluenceContext", "InfluenceResult",
     "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
     "SingularScatter", "a_psi", "bias_sweep", "calibrate_c",
     "cell_count_pmf", "chi2_truncated_expectation", "coord_ges",

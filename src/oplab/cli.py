@@ -28,7 +28,7 @@ from .contamination import (MODELS, ContaminationError, ContaminationSpec,
 from .estimators import ESTIMATORS, EstimationError
 from . import experiments
 from .experiments import ExperimentReport, write_json
-from .influence import GesSearch, InfluenceContext, MonteCarlo, ges, influence
+from .influence import InfluenceContext, MonteCarlo, ges, influence
 from .numerics import (CONVENTIONS, CalibrationError, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, equicorrelated_model,
                        standard_model)
@@ -308,14 +308,16 @@ def _build_ges(args) -> dict:
 
 
 def _context(p: dict, model) -> InfluenceContext:
-    """The influence or ges config's context on model."""
+    """The influence or ges config's context on model; ges draws nothing, so
+    its config has no draws."""
+    draws = {"n_draws": p["draws"]} if "draws" in p else {}
     return InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
-                            kind=p["kind"], mc=MonteCarlo(n_draws=p["draws"], seed=p["seed"]))
+                            kind=p["kind"], mc=MonteCarlo(seed=p["seed"], **draws))
 
 
 def _ges(p: dict) -> ExperimentReport:
     ctx = _context(p, standard_model(p["d"]))
-    res = ges(ctx, GesSearch(seed=p["seed"]))
+    res = ges(ctx)
     return ExperimentReport(
         tables={"results": (["d", "kind", "ges"], [(p["d"], p["kind"], res.value)]),
                 "rays": (["ray", "best_t", "best_norm"], list(res.rays))},
@@ -482,7 +484,6 @@ def _build_parser() -> _Parser:
     sp = add("ges", "gross-error sensitivity for one model and dimension")
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--draws", type=int, default=100_000)
     _add_rho_flags(sp, "scaled-distance")
 
     sp = add("table1", "breakdown upper bounds by dimension")

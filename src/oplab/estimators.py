@@ -296,15 +296,16 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> Loca
     def evaluate(nu: np.ndarray) -> tuple[float, np.ndarray]:
         """Fill d2 and w = psi(d2) at nu; return sum w and F(nu)."""
         nonlocal overflow
-        np.subtract(z[0], nu[0], out=d2)
-        np.multiply(d2, d2, out=d2)
-        for a in range(1, d):
-            np.subtract(z[a], nu[a], out=work)
-            np.multiply(work, work, out=work)
-            np.add(d2, work, out=d2)
-        rho_sq_into(spec, d2, w, work, derivative=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(z[0], nu[0], out=d2)
+            np.multiply(d2, d2, out=d2)
+            for a in range(1, d):
+                np.subtract(z[a], nu[a], out=work)
+                np.multiply(work, work, out=work)
+                np.add(d2, work, out=d2)
+            rho_sq_into(spec, d2, w, work, derivative=1)
         wsum = float(w.sum())
-        # psi is 0 wherever p == 0, except where d2 is inf on the
+        # psi is 0 wherever p == 0, except where d2 overflows to inf on the
         # squared-distance law: p^2 d2 is NaN there, and so is psi'
         overflow = not math.isfinite(wsum)
         if overflow:
@@ -315,7 +316,8 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> Loca
     def newton_step(nu: np.ndarray, wsum: float, f: np.ndarray) -> np.ndarray | None:
         """J^-1 F at nu, or None when it is not to be trusted; overwrites w.
         psi' is built from the p that evaluate(nu) left in work."""
-        g = _bisquare_from_p(spec.c, spec.convention, d2, w, work, 2)
+        with np.errstate(invalid="ignore"):  # NaN at an inf distance, zeroed next
+            g = _bisquare_from_p(spec.c, spec.convention, d2, w, work, 2)
         if overflow:
             np.copyto(g, 0.0, where=work == 0.0)
         jac = np.empty((d, d))
@@ -656,7 +658,8 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
         if live.size == 0:
             break
         sub, ok = _concentrate(x, m, low, h)
-        m, cov_new = _moments(np.take(x, sub, axis=0))  # x[sub], in a quarter of the time
+        with np.errstate(over="ignore"):  # an overflowing covariance ends its chain
+            m, cov_new = _moments(np.take(x, sub, axis=0))  # x[sub], in a quarter of the time
         low, factored = _factor_each(cov_new)
         if not (ok & factored).all():
             logdet[live[~factored]], logdet[live[~ok]] = np.inf, np.nan
@@ -759,8 +762,9 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
         # draw the starts still missing: a singular elemental subset is drawn again
         k = min(n_starts - len(m0), max_attempts - attempts)
         attempts += k
-        m, _, low = _elemental_moments(
-            x, np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(k)]))
+        with np.errstate(over="ignore"):  # an overflowing start never becomes the result
+            m, _, low = _elemental_moments(
+                x, np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(k)]))
         m0, low0 = np.concatenate((m0, m)), np.concatenate((low0, low))
     tried = len(m0)
     if not tried:

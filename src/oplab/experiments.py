@@ -21,7 +21,8 @@ import numpy as np
 from .contamination import (ContaminationSpec, GaussianShift, cell_count_pmf,
                             sample_contaminated)
 from .estimators import ESTIMATORS, EstimationError
-from .influence import GesSearch, InfluenceContext, MonteCarlo, coord_ges, ges
+from .influence import (_PATH_FICM, InfluenceContext, MonteCarlo, _ficm_core, coord_ges,
+                        ges, influence)
 from .numerics import SingularScatter, standard_model
 from .rng import substream, substream_seed
 
@@ -29,9 +30,6 @@ from .rng import substream, substream_seed
 # rows of its figure-sized sample
 PROPAGATION_TRANSFORM = ((0.64, 0.77), (0.78, 0.62))
 _FIGURE_ROWS = 20
-
-# fig2's GES search: rays on the first axis, the diagonal and two random directions
-_FIG2_SEARCH = GesSearch(axes="first", n_random=2, n_radial=20, refine=32)
 
 # the ways a fit can fail on its data; anything else is a programming error
 _FIT_FAILURES = (EstimationError, SingularScatter, np.linalg.LinAlgError)
@@ -305,24 +303,33 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
 
     Tuning constants come from calibrate_c at each dimension for the
     multivariate functional and at dimension one for the coordinatewise one,
-    both on the scaled-distance convention.
+    both on the scaled-distance convention.  The ficm influence is exact;
+    the Monte Carlo core (n_draws draws) is checked against it at the argmax.
     """
     rho1 = ESTIMATORS["coord_s"].rho(1, bp)
 
-    def run_dim(d: int) -> list[tuple]:
+    def run_dim(d: int) -> tuple[list[tuple], float]:
+        """The rows of d, and the Monte Carlo core's largest gap to the exact
+        influence at the ficm argmax, in units of its stderr plus
+        1e-12 max |IF| / 4 (d = 1 has no noise)."""
         rho_d = ESTIMATORS["s"].rho(d, bp)
         model = standard_model(d)
         mc = MonteCarlo(n_draws=n_draws, seed=substream_seed(seed, 41, d))
         coord_value = coord_ges(model, rho1).value
         rows = []
         for kind in ("fdcm", "ficm"):
-            res = ges(InfluenceContext(model, rho_d, kind=kind, mc=mc), _FIG2_SEARCH)
+            ctx = InfluenceContext(model, rho_d, kind=kind, mc=mc)
+            res = ges(ctx)
             rows.append((d, "multivariate-s", kind, res.value, rho_d.c))
             rows.append((d, "coordinatewise-s", kind, coord_value, rho1.c))
-        return rows
+        exact = influence(res.argmax_z, ctx).value
+        sampled = _ficm_core(res.argmax_z, ctx, _PATH_FICM)
+        sigma = sampled.stderr + 0.25e-12 * np.max(np.abs(exact))
+        return rows, float(np.max(np.abs(sampled.value - exact) / sigma))
 
-    rows = [r for rs in _parallel_map(run_dim, list(d_grid), threads) for r in rs]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    per_dim = _parallel_map(run_dim, list(d_grid), threads)
+    rows = sorted((r for rs, _ in per_dim for r in rs), key=lambda r: (r[0], r[1], r[2]))
+    worst_z, worst_d = max((z, d) for (_, z), d in zip(per_dim, d_grid))
 
     def lookup(d, est, kind):
         return next(r[3] for r in rows if r[:3] == (d, est, kind))
@@ -344,6 +351,9 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
             f, i = lookup(d, "multivariate-s", "fdcm"), lookup(d, "multivariate-s", "ficm")
             checks.append(_assertion(f"ficm above fdcm at d={d}", i > f,
                                      f"ficm {i:.3f} vs fdcm {f:.3f}"))
+    checks.append(_assertion("ficm Monte Carlo core within 4 sigma of the exact "
+                             "influence at the argmax", worst_z <= 4.0,
+                             f"worst z {worst_z:.2f} at d={worst_d}"))
 
     return ExperimentReport(
         tables={"results": (["d", "estimator", "model", "ges", "c"], rows)},

@@ -3,9 +3,10 @@
 The engine evaluates the limiting derivative of the location functional along
 the contamination paths from `contamination`.  Full-row replacement gives the
 classical closed form; independent-cell replacement needs expectations over
-partially replaced draws, estimated by Monte Carlo with common random numbers
-(every call regenerates the same substream, so influence surfaces over a
-z-grid are smooth and two calls at different z share all sampling noise).
+partially replaced draws: chi-square integrals on a diagonal scatter, else
+Monte Carlo with common random numbers (every call regenerates the same
+substream, so influence surfaces over a z-grid are smooth and two calls at
+different z share all sampling noise).
 
 Normalization: every influence vector is psi-weighted displacement divided by
 a_psi, the derivative of the estimating equation at the model.  The same
@@ -69,11 +70,12 @@ class InfluenceContext:
     """Everything an influence evaluation needs, with a_psi precomputed.
 
     kind selects the contamination path; gamma is only meaningful for
-    pcicm-i.  The context caches the z-independent parts of the Monte Carlo
-    state (the draws in a (d, n) layout, their precision products) for
-    reuse across a z-grid, together with the buffers every cellwise
-    evaluation writes into.  So a context must not be shared across
-    threads: give each thread its own.
+    pcicm-i.  The cellwise paths are exact on a diagonal sigma0 and Monte
+    Carlo otherwise.  The context caches the z-independent parts of the
+    Monte Carlo state (the draws in a (d, n) layout, their precision
+    products) for reuse across a z-grid, together with the buffers every
+    cellwise evaluation writes into.  So a context must not be shared
+    across threads: give each thread its own.
     """
 
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
@@ -89,6 +91,9 @@ class InfluenceContext:
         self.a_psi = a_psi(rho, self.d)
         sigma_inv = np.linalg.inv(model.sigma0)
         self._sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
+        diagonal = not np.any(model.sigma0[~np.eye(self.d, dtype=bool)])
+        self._scale = np.sqrt(np.diag(model.sigma0)) if diagonal else None
+        self._cellwise = _ficm_exact if diagonal else _ficm_core
         self._cache_key = None
         self._cache_val = None
 
@@ -149,10 +154,9 @@ def if_fdcm(z, ctx: InfluenceContext) -> InfluenceResult:
 _BLOCK_CELLS = 131072
 
 
-def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int,
-               totals: np.ndarray | None = None) -> np.ndarray:
+def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
     """Sums over draws of the per-draw totals T of _ficm_core, and T itself
-    into totals (d, n) when it is given.
+    into the context's (d, n) totals buffer.
 
     The draws go in blocks of the context's scratch width.  Per block:
     pinning coordinate k at z_k moves a draw's squared distance to
@@ -161,7 +165,7 @@ def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int,
     row k; and one GEMM m = psi ydev^T adds to the sums, output j taking
     m[k, j] over the other patterns k plus psi_j's sum times zdev_j.
     """
-    ydev, proj2, d2y, _, (a, b, c) = ctx._draws(path)
+    ydev, proj2, d2y, totals, (a, b, c) = ctx._draws(path)
     inv_diag = np.diag(ctx._sigma_inv)[:, None]
     zdev = z - ctx.model.mu0
     d, n = ydev.shape
@@ -188,12 +192,11 @@ def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int,
             sums = psi.sum(axis=1)
         m += psi @ yb.T
         psi_sum += sums
-        if totals is not None:  # T = (sum over patterns - psi) ydev + psi zdev
-            t = totals[:, cols]
-            np.subtract(psi.sum(axis=0), psi, out=t)
-            t *= yb
-            np.multiply(psi, zdev[:, None], out=ab)
-            t += ab
+        t = totals[:, cols]  # T = (sum over patterns - psi) ydev + psi zdev
+        np.subtract(psi.sum(axis=0), psi, out=t)
+        t *= yb
+        np.multiply(psi, zdev[:, None], out=ab)
+        t += ab
     return m.sum(axis=0) - np.diagonal(m) + psi_sum * zdev
 
 
@@ -205,14 +208,13 @@ def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResu
     psi at the draw's squared distance with coordinate k pinned at z_k.  So
     one draw set prices every pattern in O(n d) (_ficm_sums).  The value is
     the mean of T from the GEMM sums, and the stderr numpy's std(ddof=1) of
-    T over the draws.  _ficm_value, which the ges search calls, gives the
-    same value bits without the totals.  The float order differs from the
-    plain expressions in tests/_ficm_reference.py, which checks both to a
-    stated tolerance.  Nothing returned is a view of a buffer.
+    T over the draws.  The float order differs from the plain expressions in
+    tests/_ficm_reference.py, which checks both to a stated tolerance.
+    Nothing returned is a view of a buffer.
     """
     _, _, _, totals, _ = ctx._draws(path)
     n = totals.shape[1]
-    mean = _ficm_sums(z, ctx, path, totals) / n
+    mean = _ficm_sums(z, ctx, path) / n
     totals -= (totals.sum(axis=1) / n)[:, None]
     np.square(totals, out=totals)
     var = totals.sum(axis=1) / (n - 1)
@@ -220,27 +222,41 @@ def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResu
                            stderr=np.sqrt(var) / math.sqrt(n) / ctx.a_psi)
 
 
-def _ficm_value(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
-    """_ficm_core's value alone, the same bits, without the totals."""
-    return _ficm_sums(z, ctx, path) / ctx.mc.n_draws / ctx.a_psi
+def _ficm_exact(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResult:
+    """_ficm_core's expectation on a diagonal sigma0 (path unused), stderr 0.
+
+    Pattern k's squared distance is t_k^2 + V, t_k = zdev_k / sigma_k, with V
+    chi-square(d - 1) and even in each ydev_j, so E[psi_k ydev_j] = 0 for
+    k != j: output j is zdev_j h(t_j) / a_psi, h(t) = E psi(t^2 + V).
+    """
+    rho, d = ctx.rho, ctx.d
+    cut = truncation_sq(rho)
+    zdev = z - ctx.model.mu0
+    h = np.zeros(d)
+    for j, t in enumerate(zdev / ctx._scale):
+        s = float(t) * float(t)  # a Python float: inf, not a warning, past 1e154
+        if s < cut:  # else h = 0, as psi vanishes beyond the truncation
+            h[j] = psi_sq(rho, s) if d == 1 else chi2_truncated_expectation(
+                lambda v: psi_sq(rho, s + v), d - 1, cut - s, 0.0)
+    return InfluenceResult(z=z, value=zdev * h / ctx.a_psi, stderr=np.zeros(d))
 
 
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:
     """Independent-cell replacement: only single-cell patterns survive the
     limit, so the influence is the sum of their g-values over a_psi."""
-    return _ficm_core(_as_point(z, ctx.d), ctx, _PATH_FICM)
+    return ctx._cellwise(_as_point(z, ctx.d), ctx, _PATH_FICM)
 
 
 def if_psicm(z, ctx: InfluenceContext) -> InfluenceResult:
     """Half the full-row influence plus half the cellwise one.
 
-    The cellwise half runs on its own substream, so comparing against the
-    average of if_fdcm and if_ficm is a genuine two-estimate consistency
-    check rather than an arithmetic identity.
+    On the Monte Carlo path the cellwise half runs on its own substream, so
+    comparing against the average of if_fdcm and if_ficm is a genuine
+    two-estimate consistency check rather than an arithmetic identity.
     """
     z = _as_point(z, ctx.d)
     row = if_fdcm(z, ctx)
-    cell = _ficm_core(z, ctx, _PATH_PSICM)
+    cell = ctx._cellwise(z, ctx, _PATH_PSICM)
     return InfluenceResult(z=z, value=0.5 * (row.value + cell.value),
                            stderr=0.5 * cell.stderr)
 
@@ -258,14 +274,6 @@ _DISPATCH = {
 
 def influence(z, ctx: InfluenceContext) -> InfluenceResult:
     return _DISPATCH[ctx.kind](z, ctx)
-
-
-def _cellwise_value(z: np.ndarray, ctx: InfluenceContext) -> np.ndarray:
-    """influence(z, ctx).value for a cellwise kind, the same bits, without
-    the stderr."""
-    if ctx.kind == "psicm":
-        return 0.5 * (if_fdcm(z, ctx).value + _ficm_value(z, ctx, _PATH_PSICM))
-    return _ficm_value(z, ctx, _PATH_FICM)
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +366,12 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 # ---------------------------------------------------------------------------
 # Gross-error sensitivity.
 
+# The cellwise GES search: rays on the first axis (the others repeat it on
+# spherical models), the diagonal and _GES_RANDOM random directions, each
+# with _GES_RADIAL radii up to _OVERSHOOT times the truncation radius on its
+# largest coordinate, and _GES_REFINE golden-section steps at the best.
 _OVERSHOOT = 1.25
-
-
-@dataclass(frozen=True)
-class GesSearch:
-    """Ray-search configuration.
-
-    axes "all" puts one ray on every coordinate axis, "first" only on the
-    leading axis (enough under spherical symmetry); the all-ones diagonal and
-    n_random extra unit rays are always included.  Radial grids scale per ray
-    so the largest pinned coordinate sweeps up to _OVERSHOOT (1.25) times the
-    loss truncation radius.
-    """
-
-    axes: str = "all"
-    n_random: int = 4
-    n_radial: int = 24
-    refine: int = 48
-    seed: int = 5
-
-    def __post_init__(self):
-        if self.axes not in ("all", "first"):
-            raise ValueError("axes must be 'all' or 'first'")
+_GES_RANDOM, _GES_RADIAL, _GES_REFINE = 2, 20, 32
 
 
 @dataclass(frozen=True)
@@ -403,16 +394,15 @@ def _radial_profile(rho: RhoSpec) -> float:
     return math.sqrt(math.sqrt(3.0 * rho.c * rho.c / 11.0))
 
 
-def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:
+def ges(ctx: InfluenceContext) -> GesResult:
     """Supremum of the influence norm over the search set.
 
     Row-replacement kinds reduce exactly: the norm depends on z only through
     the Mahalanobis radius and the principal axis of sigma0, leaving a
     one-dimensional maximization.  Cellwise kinds search rays and refine the
-    radius by golden section; common random numbers make the profile along a
-    ray smooth, so the refinement is honest.
+    radius by golden section; exact values or common random numbers make the
+    profile along a ray smooth, so the refinement is honest.
     """
-    search = search if search is not None else GesSearch()
     model, rho = ctx.model, ctx.rho
     if ctx.kind == "fdcm":
         t_star = _radial_profile(rho)
@@ -427,36 +417,27 @@ def ges(ctx: InfluenceContext, search: GesSearch | None = None) -> GesResult:
                          rays=(("radial", t_star, value),))
 
     d = ctx.d
-    rays: list[tuple[str, np.ndarray]] = []
-    n_axes = d if search.axes == "all" else 1
-    for k in range(n_axes):
-        e = np.zeros(d)
-        e[k] = 1.0
-        rays.append((f"axis{k + 1}", e))
+    rays = [("axis1", np.eye(d)[0])]
     if d > 1:
         rays.append(("diag", np.full(d, 1.0 / math.sqrt(d))))
-    rng = substream(search.seed, _PATH_GES)
-    for i in range(search.n_random):
+    rng = substream(ctx.mc.seed, _PATH_GES)
+    for i in range(_GES_RANDOM):
         v = rng.standard_normal(d)
         rays.append((f"rand{i + 1}", v / np.linalg.norm(v)))
 
     t_trunc = math.sqrt(truncation_sq(rho))
-
-    def norm_at(zvec: np.ndarray) -> float:
-        return float(np.linalg.norm(_cellwise_value(zvec, ctx)))
-
     best_value = 0.0
     best_z = model.mu0.copy()
     ray_table: list[tuple[str, float, float]] = []
     for label, u in rays:
         scale = t_trunc / float(np.max(np.abs(u)))
-        ts = np.linspace(scale * 0.02, scale * _OVERSHOOT, search.n_radial)
-        vals = [norm_at(model.mu0 + t * u) for t in ts]
+        ts = np.linspace(scale * 0.02, scale * _OVERSHOOT, _GES_RADIAL)
+        vals = [influence(model.mu0 + t * u, ctx).norm for t in ts]
         i = int(np.argmax(vals))
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, len(ts) - 1)]
-        t_best, v_best = _golden_max(lambda t: norm_at(model.mu0 + t * u),
-                                     lo, hi, search.refine)
+        t_best, v_best = _golden_max(lambda t: influence(model.mu0 + t * u, ctx).norm,
+                                     lo, hi, _GES_REFINE)
         if vals[i] > v_best:
             t_best, v_best = float(ts[i]), float(vals[i])
         ray_table.append((label, t_best, v_best))

@@ -6,13 +6,21 @@ std(ddof=1) of the per-draw totals.
 The package evaluates the same expectation on cached (d, n) draws, in another
 float order (one GEMM for the sums over draws).  The draws come from the same
 substream, so the two agree to rounding; the tests state the tolerance.
+
+On a diagonal scatter the expectation has an exact form (exact_value):
+output j is zdev_j h(t_j) / a_psi, with t_j = zdev_j / sigma_j and
+h(t) = E psi(t^2 + V), V ~ chi-square(d - 1).  Here h and a_psi are scipy
+quad integrals against stats.chi2's density, apart from the package's
+quadrature and its Monte Carlo core.
 """
 
+import functools
 import math
 
 import numpy as np
+from scipy import integrate, optimize, stats
 
-from oplab import InfluenceResult, psi_sq
+from oplab import InfluenceResult, psi_sq, psi_sq_prime, truncation_sq
 from oplab.rng import substream
 
 
@@ -37,3 +45,54 @@ def ficm_core(z, ctx, path):
     value = per_draw.mean(axis=0) / ctx.a_psi
     stderr = per_draw.std(axis=0, ddof=1) / math.sqrt(n) / ctx.a_psi
     return InfluenceResult(z=z, value=value, stderr=stderr)
+
+
+def _chi2_integral(f, df, upper):
+    """The integral of f(v) chi2_df(v) over [0, upper]."""
+    val, _ = integrate.quad(lambda v: f(v) * stats.chi2.pdf(v, df), 0.0, upper,
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
+
+
+@functools.lru_cache(maxsize=None)
+def a_psi(rho, d):
+    """(2/d) E[psi'(Q) Q] + E[psi(Q)], Q ~ chi-square(d)."""
+    return _chi2_integral(lambda u: (2.0 / d) * psi_sq_prime(rho, u) * u + psi_sq(rho, u),
+                          d, truncation_sq(rho))
+
+
+@functools.lru_cache(maxsize=None)
+def mean_psi(t, rho, d):
+    """h(t) = E psi(t^2 + V), V ~ chi-square(d - 1): 0 once t^2 reaches the
+    truncation, psi(t^2) at d = 1."""
+    s = float(t) * float(t)
+    cut = truncation_sq(rho)
+    if s >= cut:
+        return 0.0
+    if d == 1:
+        return float(psi_sq(rho, s))
+    return _chi2_integral(lambda v: psi_sq(rho, s + v), d - 1, cut - s)
+
+
+def exact_value(z, model, rho, kind):
+    """The influence of kind (ficm, pcicm-i, pcicm-ii or psicm) at z on a
+    model with diagonal scatter."""
+    d = model.dim
+    sd = np.sqrt(np.diag(model.sigma0))
+    zdev = np.asarray(z, dtype=float) - model.mu0
+    norm = a_psi(rho, d)
+    cell = zdev * np.array([mean_psi(t, rho, d) for t in zdev / sd]) / norm
+    if kind != "psicm":
+        return cell
+    with np.errstate(over="ignore"):  # the +-1e200 points
+        d2 = float(np.sum((zdev / sd) ** 2))
+    return 0.5 * (psi_sq(rho, d2) * zdev / norm + cell)
+
+
+def ficm_ges(rho, d):
+    """sqrt(d) max_t t h(t) / a_psi: the ficm GES on the standard model, on
+    the diagonal, where every coordinate sits at the one-dimensional argmax."""
+    r = math.sqrt(truncation_sq(rho))
+    res = optimize.minimize_scalar(lambda t: -t * mean_psi(t, rho, d), bounds=(0.0, r),
+                                   method="bounded", options={"xatol": 1e-12})
+    return math.sqrt(d) * -res.fun / a_psi(rho, d)

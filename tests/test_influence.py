@@ -1,24 +1,19 @@
 """Influence functions, their Monte Carlo machinery, and sensitivity search."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from oplab import (GesSearch, InfluenceContext, InfluenceResult, MonteCarlo, RhoSpec,
-                   a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
+from oplab import (EllipticalModel, InfluenceContext, InfluenceResult, MonteCarlo,
+                   RhoSpec, a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
                    if_fdcm, if_ficm, if_numeric, if_psicm, influence,
                    mahalanobis_sq, psi_sq, standard_model, truncation_sq)
-from oplab.influence import (_PATH_FICM, _PATH_PSICM, _cellwise_value, _ficm_core,
-                             _ficm_value, _radial_profile)
+from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core, _radial_profile
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
-
-# the module, which the package's influence function shadows as an attribute
-oplab_influence = importlib.import_module("oplab.influence")
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
 RHO1 = RhoSpec(c=1.5476449810245039, convention="scaled-distance")
@@ -32,9 +27,12 @@ FICM_DIRECT_IF = (2.9480966727775395, 0.6367716334533274)   # z=(1, 0.3), d=2
 FICM_DIRECT_SE = (0.0022237009071411806, 0.0012075470546344272)
 
 
-def _ctx(kind, d=2, rho=SQ, **mc_kw):
+def _ctx(kind, d=2, rho=SQ, r=0.0, **mc_kw):
+    """A context on the standard model, or at r != 0 on the equicorrelated
+    one, whose cellwise paths run the Monte Carlo core."""
     mc = MonteCarlo(**mc_kw) if mc_kw else None
-    return InfluenceContext(standard_model(d), rho, kind=kind, mc=mc)
+    model = standard_model(d) if r == 0.0 else equicorrelated_model(d, r)
+    return InfluenceContext(model, rho, kind=kind, mc=mc)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +45,6 @@ def test_context_validation():
         MonteCarlo(n_draws=0)
     with pytest.raises(ValueError):
         a_psi(SQ, 0)
-    with pytest.raises(ValueError):
-        GesSearch(axes="some")
     with pytest.raises(ValueError):
         if_fdcm([1.0, 2.0, 3.0], _ctx("fdcm"))
 
@@ -186,19 +182,20 @@ def test_if_ficm_ridge_persistence():
 
 
 def test_if_ficm_is_reproducible():
-    a = if_ficm([0.7, -0.2], _ctx("ficm", n_draws=30_000, seed=5))
-    b = if_ficm([0.7, -0.2], _ctx("ficm", n_draws=30_000, seed=5))
+    a = if_ficm([0.7, -0.2], _ctx("ficm", r=0.5, n_draws=30_000, seed=5))
+    b = if_ficm([0.7, -0.2], _ctx("ficm", r=0.5, n_draws=30_000, seed=5))
     assert np.array_equal(a.value, b.value)
     assert np.array_equal(a.stderr, b.stderr)
-    c = if_ficm([0.7, -0.2], _ctx("ficm", n_draws=30_000, seed=6))
+    c = if_ficm([0.7, -0.2], _ctx("ficm", r=0.5, n_draws=30_000, seed=6))
     assert not np.array_equal(a.value, c.value)
 
 
 def test_if_psicm_averages_row_and_cell_paths():
-    # the cell half runs on its own substream, so this is a two-estimate
-    # consistency check, not an arithmetic identity
-    kw = dict(n_draws=100_000, seed=77)
-    ctx_p, ctx_f, ctx_r = _ctx("psicm", **kw), _ctx("ficm", **kw), _ctx("fdcm")
+    # on a correlated model the cell half runs the Monte Carlo core on its
+    # own substream, so this is a two-estimate consistency check, not an
+    # arithmetic identity
+    kw = dict(r=0.5, n_draws=100_000, seed=77)
+    ctx_p, ctx_f, ctx_r = _ctx("psicm", **kw), _ctx("ficm", **kw), _ctx("fdcm", r=0.5)
     for z1 in (-1.5, -0.5, 0.5, 1.5):
         for z2 in (-1.0, 0.0, 1.0, 2.0, 3.0):
             z = [z1, z2]
@@ -263,8 +260,10 @@ def test_ficm_core_matches_the_reference_to_rounding(d, convention):
                     ref = _ficm_reference.ficm_core(z, ctx, path)
                 assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.stderr))
                 assert close(got, ref), (z, path)
-        # the psicm path end to end, through its own context
-        ctx = InfluenceContext(model, rho, kind="psicm", mc=mc)
+    # the psicm path end to end, through its own context on the correlated
+    # model; at d = 1 every scatter is diagonal, and influence is exact
+    if d > 1:
+        ctx = InfluenceContext(equicorrelated_model(d, 0.5), rho, kind="psicm", mc=mc)
         z = 0.5 * r * ones
         got = influence(z, ctx)
         row = if_fdcm(z, ctx)
@@ -277,11 +276,10 @@ def test_ficm_core_matches_the_reference_to_rounding(d, convention):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 10, 15, 16, 17])
 def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
     # what still holds bit for bit on the reference cases: the core's cached
-    # draws are the reference's own draws of the model; a result does not
+    # draws are the reference's own draws of the model; and a result does not
     # depend on what the scratch buffers held before (the points run forward,
-    # then backward, and the +-1e200 ones take the NaN-zeroing branch); and
-    # the value-only path gives the core's value bits, over two blocks of
-    # draws from d = 15 on
+    # then backward, and the +-1e200 ones take the NaN-zeroing branch), over
+    # two blocks of draws from d = 15 on
     rho, r, ones, points = _reference_case(d, convention)
     mc = MonteCarlo(n_draws=9097, seed=d)
     for model in (standard_model(d), equicorrelated_model(d, 0.5)):
@@ -292,41 +290,72 @@ def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
             with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
                 forward = [_ficm_core(z, ctx, path) for z in points]
                 backward = [_ficm_core(z, ctx, path) for z in reversed(points)][::-1]
-                values = [_ficm_value(z, ctx, path) for z in points]
-            for z, f, b, v in zip(points, forward, backward, values):
+            for z, f, b in zip(points, forward, backward):
                 assert np.all(np.isfinite(f.value)) and np.all(np.isfinite(f.stderr))
                 assert np.array_equal(f.value, b.value), (z, path)
                 assert np.array_equal(f.stderr, b.stderr), (z, path)
-                assert np.array_equal(v, f.value), (z, path)
-        # the psicm path end to end, through its own context
-        ctx = InfluenceContext(model, rho, kind="psicm", mc=mc)
-        z = 0.5 * r * ones
-        assert np.array_equal(_cellwise_value(z, ctx), influence(z, ctx).value)
 
 
-@pytest.mark.parametrize("kind", ["ficm", "psicm", "pcicm-i", "pcicm-ii"])
-def test_ges_value_path_is_the_influence_value(kind, monkeypatch):
-    # ges reads only the value; its value-only path must give the same bits
-    d = 3
-    rho = RhoSpec(c=calibrate_c(d, 0.5, convention="scaled-distance"),
-                  convention="scaled-distance")
-    r = math.sqrt(truncation_sq(rho))
-    ctx = InfluenceContext(standard_model(d), rho, kind=kind, gamma=0.5,
-                           mc=MonteCarlo(n_draws=4407, seed=4))
-    for z in (np.array([0.3, -0.2, 0.1]) * r, np.array([0.9, 0.0, 0.0]) * r,
-              np.full(d, 0.6 * r), np.array([2.0, 0.4, -0.3]) * r):
-        assert np.array_equal(_cellwise_value(z, ctx), influence(z, ctx).value), z
-    search = GesSearch(axes="first", n_random=1, n_radial=8, refine=6)
-    fast = ges(ctx, search)
-    monkeypatch.setattr(oplab_influence, "_cellwise_value",
-                        lambda z, c: influence(z, c).value)
-    slow = ges(ctx, search)
-    assert fast.value == slow.value and fast.rays == slow.rays
-    assert np.array_equal(fast.argmax_z, slow.argmax_z)
+def _diagonal_models(d):
+    """standard_model(d), and a shifted model with variances 1, 4, 0.25, ..."""
+    return standard_model(d), EllipticalModel(mu0=np.linspace(-1.0, 2.0, d),
+                                              sigma0=np.diag(np.resize([1.0, 4.0, 0.25], d)))
+
+
+def _diagonal_points(model, points):
+    """The reference points in each coordinate's own scale, about mu0."""
+    return [model.mu0 + np.sqrt(np.diag(model.sigma0)) * p for p in points]
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_diagonal_scatter_influence_is_the_exact_form(d, convention):
+    # the cellwise kinds on a diagonal scatter against the scipy quad oracle:
+    # within 1e-10 of the largest reference component, with stderr 0
+    rho, _, _, points = _reference_case(d, convention)
+    for model in _diagonal_models(d):
+        for kind in ("ficm", "pcicm-i", "pcicm-ii", "psicm"):
+            ctx = InfluenceContext(model, rho, kind=kind)
+            for z in _diagonal_points(model, points):
+                with np.errstate(invalid="ignore"):  # psi at the 1e200 points' inf distance
+                    got = influence(z, ctx)
+                    ref = _ficm_reference.exact_value(z, model, rho, kind)
+                assert np.all(np.abs(got.value - ref) <= 1e-10 * np.max(np.abs(ref))), \
+                    (kind, z)
+                assert np.array_equal(got.stderr, np.zeros(d))
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_ficm_core_estimates_the_exact_form(d, convention):
+    # the Monte Carlo core on the same diagonal scatters: within 4 stderr of
+    # the exact form at every component of every reference point, plus 1e-12
+    # (the values are of order one) for the noiseless d = 1, where the core
+    # prices a point on the truncation at a rounding error above 0
+    rho, _, _, points = _reference_case(d, convention)
+    mc = MonteCarlo(n_draws=20_000, seed=d)
+    for model in _diagonal_models(d):
+        ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
+        for z in _diagonal_points(model, points):
+            exact = influence(z, ctx).value
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
+                got = _ficm_core(z, ctx, _PATH_FICM)
+            band = 4.0 * got.stderr + 1e-12
+            assert np.all(np.abs(got.value - exact) <= band), z
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 5, 10])
+def test_ficm_ges_on_the_standard_model_is_the_exact_maximum(d, convention):
+    # the norm is largest on the diagonal, every coordinate at the argmax of
+    # t h(t), so the search must find sqrt(d) max_t t h(t) / a_psi
+    rho = RhoSpec(c=calibrate_c(d, 0.5, convention=convention), convention=convention)
+    res = ges(InfluenceContext(standard_model(d), rho, kind="ficm"))
+    assert res.value == pytest.approx(_ficm_reference.ficm_ges(rho, d), rel=1e-9)
 
 
 def test_ficm_results_are_not_views_of_the_scratch_buffers():
-    ctx = _ctx("ficm", d=3, n_draws=5_000, seed=8)
+    ctx = _ctx("ficm", d=3, r=0.5, n_draws=5_000, seed=8)
     first = if_ficm([0.9, -0.4, 0.2], ctx)
     value, stderr = first.value.copy(), first.stderr.copy()
     second = if_ficm([1.5, 0.7, -1.1], ctx)
@@ -409,9 +438,9 @@ def test_ges_scales_with_the_top_eigenvalue():
 def test_ges_cellwise_search():
     mc = MonteCarlo(n_draws=40_000, seed=12)
     ctx = InfluenceContext(standard_model(2), RHO2, kind="ficm", mc=mc)
-    res = ges(ctx, GesSearch(axes="first", n_random=1, n_radial=10, refine=12))
+    res = ges(ctx)
     assert res.kind == "ficm"
-    assert len(res.rays) == 3  # axis, diagonal, one random ray
+    assert [r[0] for r in res.rays] == ["axis1", "diag", "rand1", "rand2"]
     assert all(v <= res.value + 1e-12 for _, _, v in res.rays)
     # independent cells hurt at least as much as whole-row replacement here
     row = ges(InfluenceContext(standard_model(2), RHO2, kind="fdcm"))
