@@ -141,37 +141,40 @@ def m_scale(r: np.ndarray, spec: RhoSpec, b: float, guess: float | None = None) 
             values[s] = float(np.mean(loss)) - b
         return values[s]
 
-    if guess is None:
-        # np.median's value: the middle order statistic, or the mean of the two
-        pos = r[positive]
-        k = pos.size // 2
-        if pos.size % 2:
-            median = float(np.partition(pos, k)[k])
-        else:
-            part = np.partition(pos, (k - 1, k))
-            median = float((part[k - 1] + part[k]) / 2.0)
-        median = median if median < math.inf else float(pos[pos < math.inf].max())
-        lo = hi = median / spec.c
-        for _ in range(200):
-            if excess(lo) > 0.0:
-                break
-            lo /= 2.0
-        for _ in range(200):
-            if excess(hi) < 0.0:
-                break
-            hi *= 2.0
-    else:
-        lo = hi = float(guess)
-        step = 1e-3
-        for _ in range(200):
-            if not excess(lo) > 0.0:
-                lo = guess / (1.0 + step)
-            elif not excess(hi) < 0.0:
-                hi = guess * (1.0 + step)
+    # (r / s)^2 overflows to inf past 1.3e154: the loss is then 1, as at an
+    # infinite residual
+    with np.errstate(over="ignore"):
+        if guess is None:
+            # np.median's value: the middle order statistic, or the mean of the two
+            pos = r[positive]
+            k = pos.size // 2
+            if pos.size % 2:
+                median = float(np.partition(pos, k)[k])
             else:
-                break
-            step *= 4.0
-    return _brentq(excess, lo, hi, xtol=_M_SCALE_RTOL * lo, rtol=_M_SCALE_RTOL, maxiter=200)
+                part = np.partition(pos, (k - 1, k))
+                median = float((part[k - 1] + part[k]) / 2.0)
+            median = median if median < math.inf else float(pos[pos < math.inf].max())
+            lo = hi = median / spec.c
+            for _ in range(200):
+                if excess(lo) > 0.0:
+                    break
+                lo /= 2.0
+            for _ in range(200):
+                if excess(hi) < 0.0:
+                    break
+                hi *= 2.0
+        else:
+            lo = hi = float(guess)
+            step = 1e-3
+            for _ in range(200):
+                if not excess(lo) > 0.0:
+                    lo = guess / (1.0 + step)
+                elif not excess(hi) < 0.0:
+                    hi = guess * (1.0 + step)
+                else:
+                    break
+                step *= 4.0
+        return _brentq(excess, lo, hi, xtol=_M_SCALE_RTOL * lo, rtol=_M_SCALE_RTOL, maxiter=200)
 
 
 # coord_s: iterations per column, and the step tolerance relative to the scale
@@ -203,40 +206,43 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5) -> LocationScatter:
     scale = np.empty(d)
     worst_iters = 0
     converged = True
-    for j in range(d):
-        col = x[:, j]
-        vals, counts = np.unique(col, return_counts=True)
-        if counts.max() >= n / 2.0 or vals.size < 2:
-            raise DegenerateData(f"column {j} is too concentrated for an S-scale")
-        m = float(np.median(col))
-        s = m_scale(np.abs(col - m), spec, bp)
-        last = None  # the previous step if it was plain; the next one extrapolates from it
-        it = 0
-        for it in range(1, _COORD_S_MAX_ITER + 1):
-            w = weight(spec, (col - m) / s)
-            if w.sum() <= 0.0:
-                raise AllPointsRejected(f"column {j}: all weights vanished")
-            step = float(w @ col / w.sum()) - m
-            s_step = None  # the scale at m + step, when already solved
-            if last:
-                r = step / last
-                if abs(r) < 1.0:
-                    jump = step / (1.0 - r)
-                    s_jump = m_scale(np.abs(col - (m + jump)), spec, bp, guess=s)
-                    if s_jump <= s:
-                        step, s_step = jump, s_jump
-                last = None
+    # a scaled residual past 1.3e154 squares to inf in weight, whose value
+    # there is 0, as at an infinite residual
+    with np.errstate(over="ignore"):
+        for j in range(d):
+            col = x[:, j]
+            vals, counts = np.unique(col, return_counts=True)
+            if counts.max() >= n / 2.0 or vals.size < 2:
+                raise DegenerateData(f"column {j} is too concentrated for an S-scale")
+            m = float(np.median(col))
+            s = m_scale(np.abs(col - m), spec, bp)
+            last = None  # the previous step if it was plain; the next one extrapolates from it
+            it = 0
+            for it in range(1, _COORD_S_MAX_ITER + 1):
+                w = weight(spec, (col - m) / s)
+                if w.sum() <= 0.0:
+                    raise AllPointsRejected(f"column {j}: all weights vanished")
+                step = float(w @ col / w.sum()) - m
+                s_step = None  # the scale at m + step, when already solved
+                if last:
+                    r = step / last
+                    if abs(r) < 1.0:
+                        jump = step / (1.0 - r)
+                        s_jump = m_scale(np.abs(col - (m + jump)), spec, bp, guess=s)
+                        if s_jump <= s:
+                            step, s_step = jump, s_jump
+                    last = None
+                else:
+                    last = step
+                m += step
+                s = s_step if s_step is not None else m_scale(np.abs(col - m), spec, bp, guess=s)
+                if abs(step) < _COORD_S_TOL * s:
+                    break
             else:
-                last = step
-            m += step
-            s = s_step if s_step is not None else m_scale(np.abs(col - m), spec, bp, guess=s)
-            if abs(step) < _COORD_S_TOL * s:
-                break
-        else:
-            converged = False
-        worst_iters = max(worst_iters, it)
-        mu[j] = m
-        scale[j] = s
+                converged = False
+            worst_iters = max(worst_iters, it)
+            mu[j] = m
+            scale[j] = s
     return LocationScatter(mu=mu, sigma=None, scale=scale, iterations=worst_iters,
                            converged=converged)
 
@@ -467,8 +473,11 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
         starts.append((init.mu, init.sigma))
     except EstimationError:
         pass
-    starts.append(_mad_start(x))
-    m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, rng))
+    # a start whose scatter overflows (the MAD start's std, where the MAD is 0,
+    # or an elemental subset's moments) fails at its checked distances
+    with np.errstate(over="ignore"):
+        starts.append(_mad_start(x))
+        m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, rng))
     starts.extend(zip(m, cov))
 
     # known: the centres of the optima reached so far and the inverses of
@@ -561,32 +570,35 @@ def _s_iterate(x, spec, b, m, sigma, tol, known=None, radius=_NEAR) -> tuple | N
     xt = np.ascontiguousarray(x.T)
     guess = None
     it = 0
-    for it in range(1, _S_MAX_ITER + 1):
-        w = weight(spec, dist)
-        wsum = w.sum()
-        if not wsum > 0.0:
-            return None
-        m_new = xt @ w / wsum
-        dev = xt - m_new[:, None]
-        u = dev * np.sqrt(w)
-        shape = np.dot(u, u.T)
-        z = np.matmul(np.linalg.inv(_factor(shape)), dev, out=u)  # u is not needed again
-        z *= z
-        dist = np.sqrt(np.maximum(z.sum(axis=0), 0.0))
-        s = guess = m_scale(dist, spec, b, guess=guess)
-        dist /= s
-        sigma_new = shape * s**2
-        if known is not None and _near_known(m_new, sigma_new, known, radius):
-            return None
-        low = _factor(sigma_new)
-        logdet = float(_chol_logdet(low))
-        if logdet > logdet_prev + 1e-10:
-            break  # determinant rose past float noise: fixed point reached
-        small_step = _step_below(m_new - m, m_new, low, tol)
-        drop = logdet_prev - logdet
-        m, sigma, logdet_prev = m_new, sigma_new, logdet
-        if small_step and drop < 1e-11:
-            break
+    # a row past 1.3e154 in the shape's norm squares to an inf distance (z *= z),
+    # which m_scale counts as a loss of 1 and weight gives weight 0
+    with np.errstate(over="ignore"):
+        for it in range(1, _S_MAX_ITER + 1):
+            w = weight(spec, dist)
+            wsum = w.sum()
+            if not wsum > 0.0:
+                return None
+            m_new = xt @ w / wsum
+            dev = xt - m_new[:, None]
+            u = dev * np.sqrt(w)
+            shape = np.dot(u, u.T)
+            z = np.matmul(np.linalg.inv(_factor(shape)), dev, out=u)  # u is not needed again
+            z *= z
+            dist = np.sqrt(np.maximum(z.sum(axis=0), 0.0))
+            s = guess = m_scale(dist, spec, b, guess=guess)
+            dist /= s
+            sigma_new = shape * s**2
+            if known is not None and _near_known(m_new, sigma_new, known, radius):
+                return None
+            low = _factor(sigma_new)
+            logdet = float(_chol_logdet(low))
+            if logdet > logdet_prev + 1e-10:
+                break  # determinant rose past float noise: fixed point reached
+            small_step = _step_below(m_new - m, m_new, low, tol)
+            drop = logdet_prev - logdet
+            m, sigma, logdet_prev = m_new, sigma_new, logdet
+            if small_step and drop < 1e-11:
+                break
     return m, sigma, logdet_prev, it
 
 

@@ -303,8 +303,11 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
 
     Tuning constants come from calibrate_c at each dimension for the
     multivariate functional and at dimension one for the coordinatewise one,
-    both on the scaled-distance convention.  The ficm influence is exact;
-    the Monte Carlo core (n_draws draws) is checked against it at the argmax.
+    both on the scaled-distance convention.  On the standard model both
+    multivariate GES are 1-D maximizations (ges): the fdcm one over the
+    Mahalanobis radius, the ficm one over t h(t) on the diagonal, with the
+    exact influence.  The Monte Carlo core (n_draws draws) is checked
+    against that influence at the ficm argmax.
     """
     rho1 = ESTIMATORS["coord_s"].rho(1, bp)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .contamination import MODELS, ContaminationSpec
 from .estimators import EstimationError, m_location
-from .numerics import (EllipticalModel, RhoSpec, chi2_truncated_expectation,
+from .numerics import (EllipticalModel, RhoSpec, _brentq, chi2_truncated_expectation,
                        psi_sq, psi_sq_prime, rho_sq_into, truncation_sq)
 from .rng import substream
 
@@ -230,15 +230,22 @@ def _ficm_exact(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceRes
     k != j: output j is zdev_j h(t_j) / a_psi, h(t) = E psi(t^2 + V).
     """
     rho, d = ctx.rho, ctx.d
-    cut = truncation_sq(rho)
     zdev = z - ctx.model.mu0
-    h = np.zeros(d)
-    for j, t in enumerate(zdev / ctx._scale):
-        s = float(t) * float(t)  # a Python float: inf, not a warning, past 1e154
-        if s < cut:  # else h = 0, as psi vanishes beyond the truncation
-            h[j] = psi_sq(rho, s) if d == 1 else chi2_truncated_expectation(
-                lambda v: psi_sq(rho, s + v), d - 1, cut - s, 0.0)
+    # Python float squares: inf, not a warning, past 1e154
+    h = np.array([_shifted_mean(lambda u: psi_sq(rho, u), float(t) * float(t), rho, d)
+                  for t in zdev / ctx._scale])
     return InfluenceResult(z=z, value=zdev * h / ctx.a_psi, stderr=np.zeros(d))
+
+
+def _shifted_mean(f, s: float, rho: RhoSpec, d: int) -> float:
+    """E f(s + V), V ~ chi-square(d - 1), for an f that vanishes from the
+    truncation of rho on: 0 when s reaches it, f(s) at d = 1."""
+    cut = truncation_sq(rho)
+    if s >= cut:
+        return 0.0
+    if d == 1:
+        return float(f(s))
+    return chi2_truncated_expectation(lambda v: f(s + v), d - 1, cut - s, 0.0)
 
 
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:
@@ -366,12 +373,16 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 # ---------------------------------------------------------------------------
 # Gross-error sensitivity.
 
-# The cellwise GES search: rays on the first axis (the others repeat it on
-# spherical models), the diagonal and _GES_RANDOM random directions, each
-# with _GES_RADIAL radii up to _OVERSHOOT times the truncation radius on its
-# largest coordinate, and _GES_REFINE golden-section steps at the best.
+# The cellwise GES search of psicm, and of the Monte Carlo path: rays on the
+# first axis (the others repeat it on spherical models), the diagonal and
+# _GES_RANDOM random directions, each with _GES_RADIAL radii up to _OVERSHOOT
+# times the truncation radius on its largest coordinate, and _GES_REFINE
+# golden-section steps at the best.
 _OVERSHOOT = 1.25
 _GES_RANDOM, _GES_RADIAL, _GES_REFINE = 2, 20, 32
+
+# _cell_profile: grid steps bracketing the argmax, and the root's tolerance
+_PROFILE_GRID, _PROFILE_RTOL = 8, 1e-13
 
 
 @dataclass(frozen=True)
@@ -394,16 +405,57 @@ def _radial_profile(rho: RhoSpec) -> float:
     return math.sqrt(math.sqrt(3.0 * rho.c * rho.c / 11.0))
 
 
+def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
+    """(t*, h(t*)), t* the argmax over (0, sqrt(cut)) of t h(t), with
+    h(t) = E psi(t^2 + V), V ~ chi-square(d - 1): the cellwise analogue of
+    _radial_profile.
+
+    t* is the root of the slope (t h)' = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)],
+    with no boundary term, as psi and psi' vanish at the truncation.  The
+    slope is h(0) > 0 at 0 and negative just inside the truncation; its first
+    sign change on a grid of _PROFILE_GRID steps brackets the root, which
+    _brentq solves to _PROFILE_RTOL relative.  At d = 1, h(t) = psi(t^2) and
+    t* is _radial_profile's closed form."""
+
+    def slope(t: float) -> float:
+        s = t * t
+        return _shifted_mean(lambda u: psi_sq(rho, u) + 2.0 * s * psi_sq_prime(rho, u),
+                             s, rho, d)
+
+    if d == 1:
+        t = _radial_profile(rho)
+    else:
+        grid = np.linspace(0.0, math.sqrt(truncation_sq(rho)), _PROFILE_GRID + 1)
+        lo = 0.0
+        for hi in grid[1:-1]:
+            if slope(hi) <= 0.0:
+                break
+            lo = hi
+        t = _brentq(slope, lo, hi, xtol=_PROFILE_RTOL * hi, rtol=_PROFILE_RTOL)
+    return t, _shifted_mean(lambda u: psi_sq(rho, u), t * t, rho, d)
+
+
 def ges(ctx: InfluenceContext) -> GesResult:
     """Supremum of the influence norm over the search set.
 
     Row-replacement kinds reduce exactly: the norm depends on z only through
     the Mahalanobis radius and the principal axis of sigma0, leaving a
-    one-dimensional maximization.  Cellwise kinds search rays and refine the
-    radius by golden section; exact values or common random numbers make the
+    one-dimensional maximization.  So do the independent-cell kinds on a
+    diagonal sigma0: |IF|^2 is the sum over coordinates of
+    (sigma_j t_j h(t_j) / a_psi)^2, t_j = zdev_j / sigma_j, each term largest
+    at t_j = t* (_cell_profile), so the GES is |sigma| t* h(t*) / a_psi at
+    z = mu0 + t* sigma, on the one ray along sigma.  psicm, and every
+    cellwise kind on the Monte Carlo path, search rays and refine the radius
+    by golden section; exact values or common random numbers make the
     profile along a ray smooth, so the refinement is honest.
     """
     model, rho = ctx.model, ctx.rho
+    if ctx._cellwise is _ficm_exact and _DISPATCH[ctx.kind] is if_ficm:
+        t_star, h_star = _cell_profile(rho, ctx.d)
+        norm = float(np.linalg.norm(ctx._scale))
+        value = norm * t_star * h_star / ctx.a_psi
+        return GesResult(value=value, argmax_z=model.mu0 + t_star * ctx._scale,
+                         kind=ctx.kind, rays=(("sigma", t_star * norm, value),))
     if ctx.kind == "fdcm":
         t_star = _radial_profile(rho)
         evals, vecs = np.linalg.eigh(model.sigma0)

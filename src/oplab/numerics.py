@@ -106,7 +106,11 @@ def _loss(c: float, law: str, s, derivative: int) -> np.ndarray | float:
     """_bisquare_into on fresh buffers: float in, float out; array in, array out."""
     s = np.asarray(s, dtype=float)
     out, work = np.empty_like(s), np.empty_like(s)
-    _bisquare_into(c, law, s, out, work, derivative)
+    # where s or s^2 is inf, p is 0, as it should be, but the squared law's
+    # psi (6/c^2) s p^2 and psi' factor s^2 p are 0 * inf = NaN there, which
+    # the zeroing below mends
+    with np.errstate(over="ignore", invalid="ignore"):
+        _bisquare_into(c, law, s, out, work, derivative)
     if derivative:
         out[work == 0.0] = 0.0  # zero beyond the truncation, also where s or s^2 is inf
     return out if out.ndim else float(out)

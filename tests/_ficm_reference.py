@@ -11,7 +11,8 @@ On a diagonal scatter the expectation has an exact form (exact_value):
 output j is zdev_j h(t_j) / a_psi, with t_j = zdev_j / sigma_j and
 h(t) = E psi(t^2 + V), V ~ chi-square(d - 1).  Here h and a_psi are scipy
 quad integrals against stats.chi2's density, apart from the package's
-quadrature and its Monte Carlo core.
+quadrature and its Monte Carlo core.  So is the slope of t h(t), whose
+scipy brentq root gives the exact GES there (ficm_ges).
 """
 
 import functools
@@ -47,10 +48,10 @@ def ficm_core(z, ctx, path):
     return InfluenceResult(z=z, value=value, stderr=stderr)
 
 
-def _chi2_integral(f, df, upper):
+def _chi2_integral(f, df, upper, epsabs=0.0):
     """The integral of f(v) chi2_df(v) over [0, upper]."""
     val, _ = integrate.quad(lambda v: f(v) * stats.chi2.pdf(v, df), 0.0, upper,
-                            epsabs=0.0, epsrel=1e-13, limit=200)
+                            epsabs=epsabs, epsrel=1e-13, limit=200)
     return val
 
 
@@ -89,10 +90,31 @@ def exact_value(z, model, rho, kind):
     return 0.5 * (psi_sq(rho, d2) * zdev / norm + cell)
 
 
-def ficm_ges(rho, d):
-    """sqrt(d) max_t t h(t) / a_psi: the ficm GES on the standard model, on
-    the diagonal, where every coordinate sits at the one-dimensional argmax."""
+@functools.lru_cache(maxsize=None)
+def mean_slope(t, rho, d):
+    """(t h(t))' = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)], V ~ chi-square(d - 1),
+    to 1e-14 absolute as well as 1e-13 relative: it is 0 at the root."""
+    s = float(t) * float(t)
+
+    def f(u):
+        return psi_sq(rho, u) + 2.0 * s * psi_sq_prime(rho, u)
+
+    cut = truncation_sq(rho)
+    if s >= cut:
+        return 0.0
+    if d == 1:
+        return float(f(s))
+    return _chi2_integral(lambda v: f(s + v), d - 1, cut - s, epsabs=1e-14)
+
+
+def ficm_ges(rho, sd):
+    """(GES, t*) of the independent-cell kinds on a model with diagonal
+    scatter diag(sd^2): |sd| t* h(t*) / a_psi, where t* maximizes t h(t) and
+    every coordinate j sits at sd_j t*.  t* is scipy's brentq root of the
+    slope of t h(t), bracketed by 0.01 and 0.99 times the truncation radius
+    (the slope is 0 at t = 0 under the squared-distance law at d = 1)."""
+    sd = np.asarray(sd, dtype=float)
+    d = sd.size
     r = math.sqrt(truncation_sq(rho))
-    res = optimize.minimize_scalar(lambda t: -t * mean_psi(t, rho, d), bounds=(0.0, r),
-                                   method="bounded", options={"xatol": 1e-12})
-    return math.sqrt(d) * -res.fun / a_psi(rho, d)
+    t = optimize.brentq(mean_slope, 0.01 * r, 0.99 * r, args=(rho, d), xtol=1e-15, rtol=1e-15)
+    return float(np.linalg.norm(sd)) * t * mean_psi(t, rho, d) / a_psi(rho, d), t

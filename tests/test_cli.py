@@ -317,6 +317,19 @@ def test_estimate_m_outvotes_one_overflowing_cell_in_silence(tmp_path):
     assert np.abs(json.loads(done.stdout)["mu"]).max() < 1.0
 
 
+@pytest.mark.parametrize("name", ["mcd", "s", "coord_s"])
+def test_estimate_outvotes_one_overflowing_cell_in_silence(tmp_path, name):
+    # s and coord_s printed numpy overflow warnings on the way (from the
+    # squared distances, the MAD start's std, the elemental starts and the
+    # M-scale loss), which the fits handle as they handle an infinite distance
+    path = _one_overflowing_cell(tmp_path / "cell.csv")
+    done = subprocess.run([sys.executable, "-m", "oplab", "estimate", "--estimator", name,
+                           "--in", str(path)], env=_src_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    assert np.abs(json.loads(done.stdout)["mu"]).max() < 1.0
+
+
 # ---------------------------------------------------------------------------
 # run directories and replay
 

@@ -1,6 +1,8 @@
 """Influence functions, their Monte Carlo machinery, and sensitivity search."""
 
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from scipy import optimize
 from oplab import (EllipticalModel, InfluenceContext, InfluenceResult, MonteCarlo,
                    RhoSpec, a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
                    if_fdcm, if_ficm, if_numeric, if_psicm, influence,
-                   mahalanobis_sq, psi_sq, standard_model, truncation_sq)
+                   mahalanobis_sq, psi_sq, psi_sq_prime, standard_model, truncation_sq)
 from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core, _radial_profile
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
+
+# the module, which the package's `influence` function shadows as an attribute
+influence_module = importlib.import_module("oplab.influence")
 
 SQ = RhoSpec(c=math.sqrt(6.0), convention="squared-distance")
 RHO1 = RhoSpec(c=1.5476449810245039, convention="scaled-distance")
@@ -307,19 +312,20 @@ def _diagonal_points(model, points):
     return [model.mu0 + np.sqrt(np.diag(model.sigma0)) * p for p in points]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
 def test_diagonal_scatter_influence_is_the_exact_form(d, convention):
     # the cellwise kinds on a diagonal scatter against the scipy quad oracle:
-    # within 1e-10 of the largest reference component, with stderr 0
+    # within 1e-10 of the largest reference component, with stderr 0, and
+    # without a numpy warning at the 1e200 points
     rho, _, _, points = _reference_case(d, convention)
     for model in _diagonal_models(d):
         for kind in ("ficm", "pcicm-i", "pcicm-ii", "psicm"):
             ctx = InfluenceContext(model, rho, kind=kind)
             for z in _diagonal_points(model, points):
-                with np.errstate(invalid="ignore"):  # psi at the 1e200 points' inf distance
-                    got = influence(z, ctx)
-                    ref = _ficm_reference.exact_value(z, model, rho, kind)
+                got = influence(z, ctx)
+                ref = _ficm_reference.exact_value(z, model, rho, kind)
                 assert np.all(np.abs(got.value - ref) <= 1e-10 * np.max(np.abs(ref))), \
                     (kind, z)
                 assert np.array_equal(got.stderr, np.zeros(d))
@@ -344,14 +350,49 @@ def test_ficm_core_estimates_the_exact_form(d, convention):
             assert np.all(np.abs(got.value - exact) <= band), z
 
 
+def _assert_exact_ges(model, rho, monkeypatch):
+    """ges of the independent-cell kinds on a diagonal scatter against the
+    oracle, with no ray searched: the value within 1e-10, the argmax t* sigma
+    and its ray's radius t* |sigma| within 1e-9, relative.  Returns the
+    value."""
+    def searched(*args):
+        raise AssertionError("the exact GES searched a ray")
+
+    monkeypatch.setattr(influence_module, "_golden_max", searched)
+    monkeypatch.setattr(influence_module, "influence", searched)
+    sd = np.sqrt(np.diag(model.sigma0))
+    value, t_star = _ficm_reference.ficm_ges(rho, sd)
+    for kind in ("ficm", "pcicm-i", "pcicm-ii"):
+        ctx = InfluenceContext(model, rho, kind=kind)
+        res = ges(ctx)
+        assert res.value == pytest.approx(value, rel=1e-10), kind
+        assert res.argmax_z == pytest.approx(model.mu0 + t_star * sd, rel=1e-9), kind
+        [(label, best_t, best_norm)] = res.rays
+        assert label == "sigma" and best_norm == res.value
+        assert best_t == pytest.approx(t_star * float(np.linalg.norm(sd)), rel=1e-9)
+        assert influence(res.argmax_z, ctx).norm == pytest.approx(res.value, rel=1e-12)
+    return value
+
+
 @pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
 @pytest.mark.parametrize("d", [1, 2, 5, 10])
-def test_ficm_ges_on_the_standard_model_is_the_exact_maximum(d, convention):
+def test_ficm_ges_on_the_standard_model_is_the_exact_maximum(d, convention, monkeypatch):
     # the norm is largest on the diagonal, every coordinate at the argmax of
-    # t h(t), so the search must find sqrt(d) max_t t h(t) / a_psi
+    # t h(t), so ges must return sqrt(d) max_t t h(t) / a_psi there
     rho = RhoSpec(c=calibrate_c(d, 0.5, convention=convention), convention=convention)
-    res = ges(InfluenceContext(standard_model(d), rho, kind="ficm"))
-    assert res.value == pytest.approx(_ficm_reference.ficm_ges(rho, d), rel=1e-9)
+    _assert_exact_ges(standard_model(d), rho, monkeypatch)
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+def test_ficm_ges_on_a_diagonal_scatter_is_the_exact_maximum(convention, monkeypatch):
+    # on diag(1, 4, 0.25) the worst point t* sigma lies on neither the first
+    # axis nor the unit diagonal, where a ray search would look; the GES is
+    # |sigma| t* h(t*) / a_psi, 3.7613 under the 50%-calibrated S loss
+    rho = RhoSpec(c=calibrate_c(3, 0.5, convention=convention), convention=convention)
+    model = EllipticalModel(mu0=np.zeros(3), sigma0=np.diag([1.0, 4.0, 0.25]))
+    value = _assert_exact_ges(model, rho, monkeypatch)
+    if convention == "scaled-distance":
+        assert round(value, 4) == 3.7613
 
 
 def test_ficm_results_are_not_views_of_the_scratch_buffers():
@@ -362,6 +403,23 @@ def test_ficm_results_are_not_views_of_the_scratch_buffers():
     assert not np.array_equal(second.value, value)
     assert np.array_equal(first.value, value)
     assert np.array_equal(first.stderr, stderr)
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+def test_psi_at_an_overflowing_distance_is_zero_in_silence(convention):
+    # past 1e154 the squared distance squares to inf, and at 1e200 in a cell
+    # it is inf itself: psi and psi' are 0 there, and the squared law's
+    # 0 * inf must not warn on the way
+    rho = RhoSpec(c=2.0, convention=convention)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = np.array([1e160, 1e300, np.inf])
+        assert np.array_equal(psi_sq(rho, s), np.zeros(3))
+        assert np.array_equal(psi_sq_prime(rho, s), np.zeros(3))
+        for kind in ("fdcm", "psicm"):
+            for z in ([1e200, 1e200], [1e100, 0.0], [-1e200, 3.0]):
+                got = influence(z, InfluenceContext(standard_model(2), rho, kind=kind))
+                assert np.array_equal(got.value, np.zeros(2))
 
 
 def test_influence_dispatch():
@@ -436,15 +494,23 @@ def test_ges_scales_with_the_top_eigenvalue():
 
 
 def test_ges_cellwise_search():
+    # the rays still serve psicm, whose row half does not split over the
+    # coordinates, and the Monte Carlo path of a correlated model
     mc = MonteCarlo(n_draws=40_000, seed=12)
-    ctx = InfluenceContext(standard_model(2), RHO2, kind="ficm", mc=mc)
-    res = ges(ctx)
-    assert res.kind == "ficm"
-    assert [r[0] for r in res.rays] == ["axis1", "diag", "rand1", "rand2"]
-    assert all(v <= res.value + 1e-12 for _, _, v in res.rays)
-    # independent cells hurt at least as much as whole-row replacement here
-    row = ges(InfluenceContext(standard_model(2), RHO2, kind="fdcm"))
-    assert res.value > row.value
+    found = {}  # kind: GES
+    for model, kind in ((standard_model(2), "psicm"), (equicorrelated_model(2, 0.5), "ficm")):
+        res = ges(InfluenceContext(model, RHO2, kind=kind, mc=mc))
+        assert res.kind == kind
+        assert [r[0] for r in res.rays] == ["axis1", "diag", "rand1", "rand2"]
+        assert all(v <= res.value + 1e-12 for _, _, v in res.rays)
+        found[kind] = res.value
+    # independent cells hurt at least as much as whole-row replacement on the
+    # standard model; psicm's influence is the mean of the two, so its GES is
+    # at most the mean of theirs
+    row, cell = (ges(InfluenceContext(standard_model(2), RHO2, kind=k)).value
+                 for k in ("fdcm", "ficm"))
+    assert cell > row
+    assert found["psicm"] <= 0.5 * (row + cell) + 1e-12
 
 
 def test_coord_ges_golden_and_model_insensitivity():
