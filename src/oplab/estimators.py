@@ -10,6 +10,7 @@ and come out affine-equivariant up to float error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -370,16 +371,37 @@ def m_location(x, sigma, spec: RhoSpec, start=None, max_iter: int = 500) -> Loca
 # ---------------------------------------------------------------------------
 # Multivariate S-estimator.
 
-def _elemental_starts(x: np.ndarray, n_starts: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_subsets(rng: np.random.Generator, n: int, size: int, k: int) -> np.ndarray:
+    """k index subsets of range(n), each of size distinct indices, drawn from
+    rng one after another, as the rows of a (k, size) array."""
+    return np.array([rng.choice(n, size=size, replace=False) for _ in range(k)],
+                    dtype=np.intp).reshape(-1, size)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_subsets(seed: int, n: int, size: int, k: int) -> tuple[np.ndarray, dict]:
+    """_draw_subsets(substream(seed, 0), n, size, k), read-only, and that
+    generator's bit_generator.state after the draws, which callers restore
+    and never change.  The subset searches of one bias_sweep replication
+    share a seed across its t grid, so they draw the same subsets at every t:
+    the cache draws them once.  A replication in flight needs two entries
+    (mcd's and mve's), so 32 serve a bias_sweep at up to 16 threads."""
+    rng = substream(seed, 0)
+    idx = _draw_subsets(rng, n, size, k)
+    idx.flags.writeable = False
+    return idx, rng.bit_generator.state
+
+
+def _elemental_starts(x: np.ndarray, n_starts: int, seed: int) -> np.ndarray:
     """Random (or exhaustive, when fewer exist) index subsets of size d + 1, as
-    the rows of a (k, d + 1) array."""
+    the rows of a (k, d + 1) array; the random ones are the first n_starts
+    draws of substream(seed, 0), from _cached_subsets and read-only."""
     n, d = x.shape
     size = d + 1
     if math.comb(n, size) <= n_starts:
-        starts = list(itertools.combinations(range(n), size))
-    else:
-        starts = [rng.choice(n, size=size, replace=False) for _ in range(n_starts)]
-    return np.array(starts, dtype=np.intp).reshape(-1, size)
+        return np.array(list(itertools.combinations(range(n), size)),
+                        dtype=np.intp).reshape(-1, size)
+    return _cached_subsets(seed, n, size, n_starts)[0]
 
 
 def _moments(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -465,7 +487,6 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
         raise ValueError("bp must lie in (0, 0.5]")
     if n < d + 1:
         raise DegenerateData("need at least d + 1 rows")
-    rng = substream(seed, 0)
 
     starts: list[tuple[np.ndarray, np.ndarray]] = []
     try:
@@ -477,7 +498,7 @@ def s_estimate(x, spec: RhoSpec, bp: float = 0.5, n_starts: int = 20,
     # or an elemental subset's moments) fails at its checked distances
     with np.errstate(over="ignore"):
         starts.append(_mad_start(x))
-        m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, rng))
+        m, cov, _ = _elemental_moments(x, _elemental_starts(x, n_starts, seed))
     starts.extend(zip(m, cov))
 
     # known: the centres of the optima reached so far and the inverses of
@@ -734,8 +755,15 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     with the smallest Mahalanobis distances (ties keep the smallest indices,
     see _concentrate), recompute moments, repeat while the determinant
     drops.  The starts step in lockstep, in chunks of about 2^16 distances,
-    as in FAST-MCD (Rousseeuw and Van Driessen 1999).  Up to 600 rows each
-    chain's result is that of running it alone.  Above 600 rows, FAST-MCD's
+    as in FAST-MCD (Rousseeuw and Van Driessen 1999).  Their distances come
+    from stacked Cholesky factors inverted by forward substitution, which
+    runs the same products at every stack size, so up to 600 rows each
+    chain's result is that of running it alone.  The first n_starts
+    elemental subsets come from a cache (_cached_subsets) with the generator
+    state they leave, so fits that share (seed, n, d, n_starts), as the t
+    grid of a bias_sweep replication does, draw them once; subsets drawn
+    again for singular ones, and the screening sample, continue that stream,
+    so a cached fit is an uncached one.  Above 600 rows, FAST-MCD's
     selective iteration screens the starts first (_screen): each takes 2
     C-steps on a sample of at most 1,500 rows, drawn after the starts from
     the same stream, and only the 10 best chains concentrate on the full
@@ -773,10 +801,14 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     while len(m0) < n_starts and attempts < max_attempts:
         # draw the starts still missing: a singular elemental subset is drawn again
         k = min(n_starts - len(m0), max_attempts - attempts)
+        if attempts:
+            idx = _draw_subsets(rng, n, d + 1, k)
+        else:  # the first batch, from the cache, and rng as those draws left it
+            idx, state = _cached_subsets(seed, n, d + 1, k)
+            rng.bit_generator.state = state
         attempts += k
         with np.errstate(over="ignore"):  # an overflowing start never becomes the result
-            m, _, low = _elemental_moments(
-                x, np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(k)]))
+            m, _, low = _elemental_moments(x, idx)
         m0, low0 = np.concatenate((m0, m)), np.concatenate((low0, low))
     tried = len(m0)
     if not tried:
@@ -814,18 +846,23 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     it covers ceil((n+d+1)/2) points, and the smallest-volume proposal wins.
     The sample-covariance shape always enters as the final candidate, so the
     result is never worse than the classical ellipsoid at the same coverage.
+    The subsets are the first n_trials draws of substream(seed, 0), from the
+    same cache as mcd's starts (_elemental_starts), and the coverage
+    distances come from the candidates' stacked Cholesky factors, inverted
+    by forward substitution.
     """
     x = _as_data(x)
     n, d = x.shape
     if n < d + 1:
         raise DegenerateData("need at least d + 1 rows")
     cover = math.ceil((n + d + 1) / 2)
-    rng = substream(seed, 0)
 
-    # the sample covariance enters as the last candidate
-    m, cov, low = (np.concatenate(parts) for parts in zip(
-        _elemental_moments(x, _elemental_starts(x, n_trials, rng)),
-        _elemental_moments(x, np.arange(n)[None])))
+    # the sample covariance enters as the last candidate; a candidate whose
+    # covariance overflows has a NaN log det and coverage radius, and never wins
+    with np.errstate(over="ignore"):
+        m, cov, low = (np.concatenate(parts) for parts in zip(
+            _elemental_moments(x, _elemental_starts(x, n_trials, seed)),
+            _elemental_moments(x, np.arange(n)[None])))
     if not len(m):
         raise DegenerateData("all MVE subsets were singular")
     chunk = _chunk(x)

@@ -17,8 +17,10 @@ from scipy.optimize import brentq
 
 from oplab import (DegenerateData, EstimationError, LocationScatter, SingularScatter,
                    mahalanobis_sq, mcd, rho, weight)
-from oplab.estimators import _elemental_starts, _mad_start
+from oplab.estimators import _mad_start
 from oplab.rng import substream
+
+from _subset_reference import elemental_starts
 
 
 def m_scale(r, spec, b, rtol=1e-13):
@@ -86,7 +88,7 @@ def s_estimate(x, spec, bp=0.5, n_starts=20, seed=0, max_iter=200, tol=1e-10,
     except EstimationError:
         pass
     starts.append(_mad_start(x))
-    for idx in _elemental_starts(x, n_starts, substream(seed, 0)):
+    for idx in elemental_starts(len(x), x.shape[1] + 1, n_starts, substream(seed, 0)):
         sub = x[idx]
         cov = np.cov(sub, rowvar=False).reshape(x.shape[1], x.shape[1])
         try:

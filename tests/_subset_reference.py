@@ -6,18 +6,20 @@ starts in lockstep on stacked factors (above 600 rows first on a screening
 sample, then the 10 best on all rows), picks a C-step's h closest points by
 partition and reads MVE's coverage order statistic by partition.  This module
 keeps the slow and obvious forms on the same factorization (np.linalg.cholesky,
-distances from the rows of (x - m) L^-T, log det as twice the sum of log
-diag L), so the two can be checked against each other bit for bit.  Both skip
-an elemental start, a concentration chain or an MVE candidate whose scatter
-the Cholesky factorization rejects.
+L^-1 by forward substitution one row at a time, distances from the rows of
+(x - m) L^-T, log det as twice the sum of log diag L), so the two can be
+checked against each other bit for bit.  Both skip an elemental start, a
+concentration chain or an MVE candidate whose scatter the Cholesky
+factorization rejects.  The elemental subsets are drawn here one at a time
+from substream(seed, 0), where the package reads its first batch from a cache.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from oplab import DegenerateData, LocationScatter, SingularScatter, sample_mean
-from oplab.estimators import _elemental_starts
 from oplab.rng import substream
 
 
@@ -28,9 +30,27 @@ def cholesky(sigma):
         raise SingularScatter("scatter matrix is not positive definite") from exc
 
 
+def tril_inv(low):
+    """L^-1 of one lower triangular matrix, row j from the rows above it."""
+    d = len(low)
+    inv = np.zeros_like(low)
+    for j in range(d):
+        inv[j, :j] = -(low[j:j + 1, :j] @ inv[:j, :j])[0] / low[j, j]
+        inv[j, j] = 1.0 / low[j, j]
+    return inv
+
+
 def mahalanobis_sq(x, m, sigma):
-    z = (x - m) @ np.linalg.inv(cholesky(sigma)).T
+    z = (x - m) @ tril_inv(cholesky(sigma)).T
     return np.einsum("ij,ij->i", z, z)
+
+
+def elemental_starts(n, size, n_starts, rng):
+    """Every size-subset of range(n) when there are at most n_starts of them,
+    else n_starts random ones drawn from rng."""
+    if math.comb(n, size) <= n_starts:
+        return [np.array(c) for c in itertools.combinations(range(n), size)]
+    return [rng.choice(n, size=size, replace=False) for _ in range(n_starts)]
 
 
 def moments(sub):
@@ -132,7 +152,7 @@ def mve(x, n_trials=500, seed=0):
     cover = math.ceil((n + d + 1) / 2)
     rng = substream(seed, 0)
     candidates = []
-    for idx in _elemental_starts(x, n_trials, rng):
+    for idx in elemental_starts(n, d + 1, n_trials, rng):
         mom = _subset_moments(x, idx)
         if mom is not None:
             candidates.append(mom)

@@ -317,11 +317,13 @@ def test_estimate_m_outvotes_one_overflowing_cell_in_silence(tmp_path):
     assert np.abs(json.loads(done.stdout)["mu"]).max() < 1.0
 
 
-@pytest.mark.parametrize("name", ["mcd", "s", "coord_s"])
+@pytest.mark.parametrize("name", ["mcd", "s", "coord_s", "mve"])
 def test_estimate_outvotes_one_overflowing_cell_in_silence(tmp_path, name):
-    # s and coord_s printed numpy overflow warnings on the way (from the
-    # squared distances, the MAD start's std, the elemental starts and the
-    # M-scale loss), which the fits handle as they handle an infinite distance
+    # s, coord_s and mve printed numpy overflow warnings on the way (from the
+    # squared distances, the MAD start's std, the elemental starts' moments
+    # and the M-scale loss), which the fits handle as they handle an infinite
+    # distance: an mve candidate whose covariance overflows has a NaN log det
+    # and coverage radius, and never wins
     path = _one_overflowing_cell(tmp_path / "cell.csv")
     done = subprocess.run([sys.executable, "-m", "oplab", "estimate", "--estimator", name,
                            "--in", str(path)], env=_src_env(), capture_output=True,

@@ -843,6 +843,41 @@ def test_mcd_at_six_hundred_rows_is_the_unscreened_search():
         assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 
+def test_cached_subsets_are_the_uncached_draws():
+    # the first batch of elemental subsets comes from a cache: the first k
+    # draws of substream(seed, 0) and the generator state after them, bit for
+    # bit those of drawing them one at a time, and on a hit the same
+    # read-only array
+    for n, size, k in ((100, 6, 60), (2000, 4, 60)):
+        rng = substream(3, 0)
+        ref = np.array([rng.choice(n, size=size, replace=False) for _ in range(k)])
+        estimators._cached_subsets.cache_clear()
+        idx, state = estimators._cached_subsets(3, n, size, k)
+        assert idx.dtype == np.intp and np.array_equal(idx, ref)
+        assert state == rng.bit_generator.state
+        hit, _ = estimators._cached_subsets(3, n, size, k)
+        assert hit is idx and not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 0
+
+
+def test_mcd_draws_on_from_the_cached_subsets():
+    # mcd restores the generator the cached first batch left: on tie-heavy
+    # data some of those subsets are singular and are drawn again, and above
+    # 600 rows the screening sample is drawn after the starts.  With the
+    # cache cold and warm, both fits are the reference's one-at-a-time draws
+    tied = _tie_heavy(100, 5, seed=31)
+    first = estimators._cached_subsets(3, 100, 6, 60)[0]
+    assert len(estimators._elemental_moments(tied, first)[0]) < 60  # redraws happen
+    for x, seed in ((tied, 3), (_shifted_cluster(2000, 3, seed=41), 5)):
+        ref = _subset_reference.mcd(x, n_starts=60, seed=seed)
+        estimators._cached_subsets.cache_clear()
+        for cache in ("cold", "warm"):
+            got = mcd(x, n_starts=60, seed=seed)
+            for key in ("mu", "sigma", "objective", "subset", "iterations", "converged"):
+                assert np.array_equal(getattr(got, key), getattr(ref, key)), (len(x), cache, key)
+
+
 # ---------------------------------------------------------------------------
 # MVE
 
@@ -927,6 +962,49 @@ def test_affine_equivariance(name):
         if name != "mve":  # MVE reports sigma at its own coverage radius
             ref = a @ e0.sigma @ a.T
             assert np.max(np.abs(e1.sigma - ref)) < 1e-6 * max(1.0, np.max(np.abs(ref)))
+
+
+def _subset_fit(name, x):
+    return mcd(x, n_starts=500, seed=11) if name == "mcd" else mve(x, n_trials=400, seed=11)
+
+
+@pytest.mark.parametrize("name", ["mcd", "mve"])
+@pytest.mark.parametrize("rows", [80, 2000])
+def test_subset_searches_are_equivariant_at_extreme_scales(name, rows):
+    # x -> A x + b for A = a I with a in {1e-6, 1e6} and for one general
+    # nonsingular A, each with a shift; the 2000-row data take mcd's
+    # screened path.  Both searches draw subsets by index, so they walk
+    # matched subsets: mcd keeps its subset, both keep iterations and
+    # converged.  mu and sigma are mapped back through A and compared in the
+    # units of x, the objective after removing its det A term.  At a = 1e-6
+    # the shifted rows keep their spread to about |b| eps / a = 1e-9 in those
+    # units, so there the bounds are 1e-8 for mu and 1e-9 relative for sigma
+    # and the objective (the worst seen: 4.4e-9, 9.6e-11, 2.2e-10); the other
+    # maps lose nothing to the shift, and every bound is 1e-12 (the worst
+    # seen: 9.8e-15)
+    if rows == 80:
+        x = substream(103, 0).normal(size=(80, 3))
+        x[:8] *= 5.0
+    else:
+        x = _shifted_cluster(2000, 3, seed=41)
+    rng = np.random.default_rng(12)
+    a_general, b = rng.normal(size=(3, 3)), 3.0 * rng.normal(size=3)
+    e0 = _subset_fit(name, x)
+    for a, mu_tol, rel_tol in ((1e-6 * np.eye(3), 1e-8, 1e-9), (1e6 * np.eye(3), 1e-12, 1e-12),
+                               (a_general, 1e-12, 1e-12)):
+        e1 = _subset_fit(name, x @ a.T + b)
+        assert e1.converged == e0.converged and e1.iterations == e0.iterations
+        if name == "mcd":
+            assert np.array_equal(e1.subset, e0.subset)
+        assert np.max(np.abs(np.linalg.solve(a, e1.mu - b) - e0.mu)) < mu_tol
+        a_inv = np.linalg.inv(a)
+        gap = np.max(np.abs(a_inv @ e1.sigma @ a_inv.T - e0.sigma)) / np.max(np.abs(e0.sigma))
+        assert gap < rel_tol
+        log_det = math.log(abs(np.linalg.det(a)))
+        if name == "mcd":  # the log det of the scatter
+            assert abs(e1.objective - 2.0 * log_det - e0.objective) < rel_tol
+        else:  # the ellipsoid's volume
+            assert abs(e1.objective / math.exp(log_det) / e0.objective - 1.0) < rel_tol
 
 
 def test_coord_median_is_not_rotation_equivariant():
