@@ -14,8 +14,8 @@ from .estimators import (ESTIMATORS, AllPointsRejected, DegenerateData,
 from .experiments import (ExperimentReport, bias_sweep, empirical_breakdown,
                           epsilon0, ges_vs_dim, propagation_demo, table1)
 from .influence import (GesResult, InfluenceContext, InfluenceResult,
-                        MonteCarlo, a_psi, coord_ges, coord_m_fit, ges,
-                        if_fdcm, if_ficm, if_numeric, if_psicm, influence,
+                        MonteCarlo, a_psi, coord_m_fit, ges, if_fdcm,
+                        if_ficm, if_numeric, if_psicm, influence,
                         m_location_fit)
 from .numerics import (CalibrationError, EllipticalModel, InvalidData, RhoSpec,
                        SingularScatter, calibrate_c, chi2_truncated_expectation,
@@ -34,8 +34,8 @@ __all__ = [
     "GesResult", "InfluenceContext", "InfluenceResult",
     "InvalidData", "LocationScatter", "MonteCarlo", "PointMass", "RhoSpec",
     "SingularScatter", "a_psi", "bias_sweep", "calibrate_c",
-    "cell_count_pmf", "chi2_truncated_expectation", "coord_ges",
-    "coord_m_fit", "coord_median", "coord_s", "empirical_breakdown",
+    "cell_count_pmf", "chi2_truncated_expectation", "coord_m_fit",
+    "coord_median", "coord_s", "empirical_breakdown",
     "epsilon0", "equicorrelated_model", "expected_rho", "ges", "ges_vs_dim",
     "if_fdcm", "if_ficm", "if_numeric", "if_psicm", "influence",
     "m_location", "m_location_fit", "m_scale", "mahalanobis_sq", "mcd",

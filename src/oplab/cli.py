@@ -437,14 +437,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add(name: str, help_text: str,
-            out_help: str = "parent of the run directory (default: runs)"):
+            out_help: str = "parent of the run directory (default: runs)",
+            seed_help: str = "master seed"):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None,
                         help="replay a run from its config.json; no other flag "
                              "but --out, --threads and --svg may be given")
         if _COMMANDS[name].seed is not None:  # table1 is deterministic
             sp.add_argument("--seed", type=int, default=None,
-                            help="master seed; OPL_SEED is the fallback")
+                            help=f"{seed_help}; OPL_SEED is the fallback")
         sp.add_argument("--out", default=None, help=out_help)
         return sp
 
@@ -481,7 +482,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--draws", type=int, default=200_000)
     _add_rho_flags(sp, "squared-distance")
 
-    sp = add("ges", "gross-error sensitivity for one model and dimension")
+    sp = add("ges", "gross-error sensitivity for one model and dimension",
+             seed_help="master seed of psicm's random search rays; the other "
+                       "kinds draw nothing")
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     _add_rho_flags(sp, "scaled-distance")

@@ -583,7 +583,9 @@ def _s_iterate(x, spec, b, m, sigma, tol, known=None, radius=_NEAR) -> tuple | N
     and the distances under shape * s^2 are those under the shape divided by
     s.  Each M-scale solve after the first in the loop is warm-started at the
     previous iteration's scale."""
-    dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
+    # m_scale names the non-finite distances of data that overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.sqrt(np.maximum(mahalanobis_sq(x, m, sigma), 0.0))
     s = m_scale(dist, spec, b)
     sigma = sigma * s**2
     dist /= s
@@ -637,7 +639,8 @@ def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> tuple
     sort last, so a chain with more than n - h NaN distances (they overflow)
     has no h-th distance: it is masked out, its row holding rows 0..h-1."""
     k, n = len(m), len(x)
-    d2 = _dist_sq(x, m[:, None, :], low)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is masked out below
+        d2 = _dist_sq(x, m[:, None, :], low)
     kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
     ok = ~np.isnan(kth[:, 0])
     if not ok.all():
@@ -866,9 +869,10 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     if not len(m):
         raise DegenerateData("all MVE subsets were singular")
     chunk = _chunk(x)
-    m2 = np.concatenate([
-        np.partition(_dist_sq(x, m[lo:lo + chunk, None], low[lo:lo + chunk]), cover - 1,
-                     axis=1)[:, cover - 1] for lo in range(0, len(m), chunk)])
+    with np.errstate(over="ignore", invalid="ignore"):  # named below if nothing covers
+        m2 = np.concatenate([
+            np.partition(_dist_sq(x, m[lo:lo + chunk, None], low[lo:lo + chunk]), cover - 1,
+                         axis=1)[:, cover - 1] for lo in range(0, len(m), chunk)])
     logdet = _chol_logdet(low)
 
     best_logvol = np.inf
@@ -879,7 +883,7 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
         logvol = 0.5 * float(logdet[i]) + 0.5 * d * math.log(m2[i])
         if logvol < best_logvol - 1e-14:
             best_logvol = logvol
-            best = (m[i], cov[i] * m2[i])
+            best = i
     if best is None:
         if not np.isfinite(m2).all():
             raise DegenerateData("non-finite squared distances: the data overflow the "
@@ -890,8 +894,12 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     except OverflowError:
         raise DegenerateData(f"the MVE volume overflows: the data give the smallest "
                              f"ellipsoid a log volume of {best_logvol:.6g}") from None
-    m, sigma = best
-    return LocationScatter(mu=m, sigma=sigma, converged=True, iterations=len(logdet),
+    with np.errstate(over="ignore"):  # named just below
+        sigma = cov[best] * m2[best]
+    if not np.isfinite(sigma).all():
+        raise DegenerateData("the MVE scatter overflows: the smallest ellipsoid has "
+                             "an axis past the float range")
+    return LocationScatter(mu=m[best], sigma=sigma, converged=True, iterations=len(logdet),
                            objective=volume)
 
 

@@ -21,8 +21,7 @@ import numpy as np
 from .contamination import (ContaminationSpec, GaussianShift, cell_count_pmf,
                             sample_contaminated)
 from .estimators import ESTIMATORS, EstimationError
-from .influence import (_PATH_FICM, InfluenceContext, MonteCarlo, _ficm_core, coord_ges,
-                        ges, influence)
+from .influence import _PATH_FICM, InfluenceContext, MonteCarlo, _ficm_core, ges, influence
 from .numerics import SingularScatter, standard_model
 from .rng import substream, substream_seed
 
@@ -306,10 +305,13 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
     both on the scaled-distance convention.  On the standard model both
     multivariate GES are 1-D maximizations (ges): the fdcm one over the
     Mahalanobis radius, the ficm one over t h(t) on the diagonal, with the
-    exact influence.  The Monte Carlo core (n_draws draws) is checked
-    against that influence at the ficm argmax.
+    exact influence.  The coordinatewise curve is one value at every d and
+    for both kinds: ges of row replacement on the univariate model.  The
+    Monte Carlo core (n_draws draws) is checked against the exact influence
+    at the ficm argmax.
     """
     rho1 = ESTIMATORS["coord_s"].rho(1, bp)
+    coord_value = ges(InfluenceContext(standard_model(1), rho1, kind="fdcm")).value
 
     def run_dim(d: int) -> tuple[list[tuple], float]:
         """The rows of d, and the Monte Carlo core's largest gap to the exact
@@ -318,7 +320,6 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
         rho_d = ESTIMATORS["s"].rho(d, bp)
         model = standard_model(d)
         mc = MonteCarlo(n_draws=n_draws, seed=substream_seed(seed, 41, d))
-        coord_value = coord_ges(model, rho1).value
         rows = []
         for kind in ("fdcm", "ficm"):
             ctx = InfluenceContext(model, rho_d, kind=kind, mc=mc)

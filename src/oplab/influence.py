@@ -389,42 +389,28 @@ _PROFILE_GRID, _PROFILE_RTOL = 8, 1e-13
 class GesResult:
     value: float
     argmax_z: np.ndarray
-    kind: str
     rays: tuple[tuple[str, float, float], ...] = ()  # (label, best_t, best_norm)
-
-
-def _radial_profile(rho: RhoSpec) -> float:
-    """Radius maximizing psi(r^2) r, the norm of the row-replacement influence
-    along a unit Mahalanobis direction (times 1/a_psi).
-
-    The bisquare gives it in closed form.  Scaled distances: r (1 - r^2/c^2)^2
-    peaks where r^2/c^2 = 1/5.  Squared distances: r^3 (1 - r^4/c^2)^2 peaks
-    where r^4/c^2 = 3/11."""
-    if rho.convention == "scaled-distance":
-        return rho.c / math.sqrt(5.0)
-    return math.sqrt(math.sqrt(3.0 * rho.c * rho.c / 11.0))
 
 
 def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
     """(t*, h(t*)), t* the argmax over (0, sqrt(cut)) of t h(t), with
-    h(t) = E psi(t^2 + V), V ~ chi-square(d - 1): the cellwise analogue of
-    _radial_profile.
+    h(t) = E psi(t^2 + V), V ~ chi-square(d - 1).
 
-    t* is the root of the slope (t h)' = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)],
+    At d = 1, h(t) = psi(t^2) and the bisquare gives t* in closed form.
+    Scaled distances: t (1 - t^2/c^2)^2 peaks where t^2/c^2 = 1/5.  Squared
+    distances: t^3 (1 - t^4/c^2)^2 peaks where t^4/c^2 = 3/11.  Otherwise t*
+    is the root of the slope (t h)' = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)],
     with no boundary term, as psi and psi' vanish at the truncation.  The
     slope is h(0) > 0 at 0 and negative just inside the truncation; its first
     sign change on a grid of _PROFILE_GRID steps brackets the root, which
-    _brentq solves to _PROFILE_RTOL relative.  At d = 1, h(t) = psi(t^2) and
-    t* is _radial_profile's closed form."""
+    _brentq solves to _PROFILE_RTOL relative."""
 
     def slope(t: float) -> float:
         s = t * t
         return _shifted_mean(lambda u: psi_sq(rho, u) + 2.0 * s * psi_sq_prime(rho, u),
                              s, rho, d)
 
-    if d == 1:
-        t = _radial_profile(rho)
-    else:
+    if d > 1:
         grid = np.linspace(0.0, math.sqrt(truncation_sq(rho)), _PROFILE_GRID + 1)
         lo = 0.0
         for hi in grid[1:-1]:
@@ -432,41 +418,44 @@ def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
                 break
             lo = hi
         t = _brentq(slope, lo, hi, xtol=_PROFILE_RTOL * hi, rtol=_PROFILE_RTOL)
+    elif rho.convention == "scaled-distance":
+        t = rho.c / math.sqrt(5.0)
+    else:
+        t = math.sqrt(math.sqrt(3.0 * rho.c * rho.c / 11.0))
     return t, _shifted_mean(lambda u: psi_sq(rho, u), t * t, rho, d)
 
 
 def ges(ctx: InfluenceContext) -> GesResult:
     """Supremum of the influence norm over the search set.
 
-    Row-replacement kinds reduce exactly: the norm depends on z only through
-    the Mahalanobis radius and the principal axis of sigma0, leaving a
-    one-dimensional maximization.  So do the independent-cell kinds on a
-    diagonal sigma0: |IF|^2 is the sum over coordinates of
-    (sigma_j t_j h(t_j) / a_psi)^2, t_j = zdev_j / sigma_j, each term largest
-    at t_j = t* (_cell_profile), so the GES is |sigma| t* h(t*) / a_psi at
-    z = mu0 + t* sigma, on the one ray along sigma.  psicm, and every
-    cellwise kind on the Monte Carlo path, search rays and refine the radius
-    by golden section; exact values or common random numbers make the
-    profile along a ray smooth, so the refinement is honest.
+    Two cases reduce exactly to one step direction and the profile
+    (t*, h(t*)) of _cell_profile, with GES |step| t* h(t*) / a_psi at
+    z = mu0 + t* step.  Row replacement at any sigma0: the norm depends on z
+    only through the Mahalanobis radius t and the principal axis, so the
+    step is sqrt(lambda_max) u along the principal eigenvector u, with the
+    d = 1 profile psi(t^2).  The independent-cell kinds on a diagonal
+    sigma0: |IF|^2 is the sum over coordinates of (sigma_j t_j h(t_j) /
+    a_psi)^2, t_j = zdev_j / sigma_j, each term largest at t_j = t*, so the
+    step is sigma.  Either way rays has one row, the Euclidean radius
+    t* |step| of the argmax.  psicm, and every cellwise kind on the Monte
+    Carlo path, search rays and refine the radius by golden section; exact
+    values or common random numbers make the profile along a ray smooth, so
+    the refinement is honest.
     """
     model, rho = ctx.model, ctx.rho
-    if ctx._cellwise is _ficm_exact and _DISPATCH[ctx.kind] is if_ficm:
-        t_star, h_star = _cell_profile(rho, ctx.d)
-        norm = float(np.linalg.norm(ctx._scale))
-        value = norm * t_star * h_star / ctx.a_psi
-        return GesResult(value=value, argmax_z=model.mu0 + t_star * ctx._scale,
-                         kind=ctx.kind, rays=(("sigma", t_star * norm, value),))
+    exact = None
     if ctx.kind == "fdcm":
-        t_star = _radial_profile(rho)
         evals, vecs = np.linalg.eigh(model.sigma0)
-        u = vecs[:, -1]
-        gain = math.sqrt(float(evals[-1]))
-        value = float(psi_sq(rho, t_star**2)) * t_star * gain / ctx.a_psi
-        # u is a principal eigenvector, so sigma0^{1/2} u = gain * u and the
-        # point mu0 + t*gain*u sits at Mahalanobis radius exactly t
-        argmax = model.mu0 + t_star * gain * u
-        return GesResult(value=value, argmax_z=argmax, kind=ctx.kind,
-                         rays=(("radial", t_star, value),))
+        exact = "radial", math.sqrt(float(evals[-1])) * vecs[:, -1], 1
+    elif ctx._cellwise is _ficm_exact and _DISPATCH[ctx.kind] is if_ficm:
+        exact = "sigma", ctx._scale, ctx.d
+    if exact is not None:
+        label, step, dim = exact
+        t_star, h_star = _cell_profile(rho, dim)
+        gain = float(np.linalg.norm(step))
+        value = gain * t_star * h_star / ctx.a_psi
+        return GesResult(value=value, argmax_z=model.mu0 + t_star * step,
+                         rays=((label, t_star * gain, value),))
 
     d = ctx.d
     rays = [("axis1", np.eye(d)[0])]
@@ -496,28 +485,7 @@ def ges(ctx: InfluenceContext) -> GesResult:
         if v_best > best_value:
             best_value = v_best
             best_z = model.mu0 + t_best * u
-    return GesResult(value=best_value, argmax_z=best_z, kind=ctx.kind,
-                     rays=tuple(ray_table))
-
-
-def coord_ges(model: EllipticalModel, rho1: RhoSpec) -> GesResult:
-    """Gross-error sensitivity of the coordinatewise M-functional.
-
-    Contamination in one cell moves only that coordinate's estimate, so the
-    search runs over single-coordinate rays; the answer is the univariate
-    sensitivity scaled by the largest marginal standard deviation, identical
-    under every contamination model here.
-    """
-    a1 = a_psi(rho1, 1)
-    t_star = _radial_profile(rho1)
-    diag = np.diag(model.sigma0)
-    j = int(np.argmax(diag))
-    s = math.sqrt(float(diag[j]))
-    value = float(psi_sq(rho1, t_star**2)) * t_star * s / a1
-    argmax = model.mu0.copy()
-    argmax[j] += t_star * s
-    return GesResult(value=value, argmax_z=argmax, kind="coordinatewise",
-                     rays=((f"axis{j + 1}", t_star * s, value),))
+    return GesResult(value=best_value, argmax_z=best_z, rays=tuple(ray_table))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:

@@ -19,10 +19,12 @@ def estimating_residual(x, mu, sigma, spec) -> float:
     return math.sqrt(mahalanobis_sq((w[:, None] * (x - mu)).mean(axis=0), 0.0, sigma))
 
 
-def fixed_point_m_location(x, sigma, spec, start=None, max_iter=500, tol=1e-12):
+def fixed_point_m_location(x, sigma, spec, start=None, max_iter=5000, tol=1e-12):
     """(mu, converged, iterations) of the weighted-mean iteration with
     weights psi_sq(d^2), stopped when the step in mu is below tol (relative to
-    1 + max |mu|) and the estimating residual is below 1e-9."""
+    1 + max |mu|) and the estimating residual is below 1e-9.  converged says
+    that this rule fired: a small residual at the max_iter cap does not count,
+    since a slowly contracting iteration is still far from the root there."""
     x = np.asarray(x, dtype=float)
     m = coord_median(x) if start is None else np.asarray(start, dtype=float)
     it = 0
@@ -35,5 +37,5 @@ def fixed_point_m_location(x, sigma, spec, start=None, max_iter=500, tol=1e-12):
         m = m_new
         if step < tol * (1.0 + float(np.max(np.abs(m)))) \
                 and estimating_residual(x, m, sigma, spec) < 1e-9:
-            break
-    return m, estimating_residual(x, m, sigma, spec) < 1e-9, it
+            return m, True, it
+    return m, False, it

@@ -288,6 +288,27 @@ def test_estimate_mve_on_overflowing_data_names_the_overflow(tmp_path, capsys):
     assert err.startswith("oplab: numerical failure:") and "MVE volume overflows" in err
 
 
+@pytest.mark.parametrize("data", ["overflowing_data", "ci_huge"])
+@pytest.mark.parametrize("name", ["mcd", "mve", "s", "m"])
+def test_estimate_on_overflowing_distances_fails_in_one_line(tmp_path, name, data):
+    # numpy's "overflow encountered in matmul" from the squared distances
+    # (and in multiply from mve's scatter) came before the message, although
+    # the fits handle what overflows; ci_huge is the CI workflow's huge.csv
+    if data == "ci_huge":
+        g = np.random.default_rng(6610)
+        x = g.normal(size=(300, 4)) * 10.0 ** g.uniform(-300, 300, size=(300, 4))
+    else:
+        x = overflowing_data()
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, x, delimiter=",", header="x1,x2,x3,x4", comments="", fmt="%.17g")
+    done = subprocess.run([sys.executable, "-m", "oplab", "estimate", "--estimator", name,
+                           "--in", str(path)], env=_src_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stderr.startswith("oplab: numerical failure:"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def _one_overflowing_cell(path):
     """200 normal rows of 3 columns with one 1e200 cell, as a CSV at path."""
     x = np.random.default_rng(5).normal(size=(200, 3))

@@ -2,10 +2,11 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oplab import (ESTIMATORS, AdditiveShift, AllPointsRejected, ContaminationSpec,
@@ -293,9 +294,12 @@ def test_m_location_converged_is_scale_free(seed, log_a, d, max_iter):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
        st.integers(min_value=0, max_value=12), st.booleans())
+@example(seed=155, d=3, shifted=7, explicit_start=False)
 def test_m_location_matches_the_fixed_point_iteration(seed, d, shifted, explicit_start):
     # where the weighted-mean iteration converges, the Newton-accelerated
-    # solve converges too, to the same root, and never needs more iterations
+    # solve converges too, to the same root, and never needs more iterations.
+    # At the example the iteration contracts slowly: cut at 500 steps, with
+    # a residual already below 1e-9, it was 1.165e-8 from the root
     rng = substream(seed, 1)
     x = rng.normal(size=(200, d))
     x[:shifted] += 3.0
@@ -779,6 +783,14 @@ def test_mve_names_the_overflow():
         mve(overflowing_data())
     with pytest.raises(DegenerateData, match="non-finite squared distances"):
         mve(overflowing_data(seed=6611))
+    # a column of scale 1.4e154 leaves the volume finite, but the winner's
+    # first variance, scaled to its coverage radius, is past the float range
+    # (mve returned an inf scatter)
+    x = substream(2, 0).normal(size=(60, 2)) * [1.4e154, 1e-154]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateData, match="MVE scatter overflows"):
+            mve(x)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplab import (ESTIMATORS, ExperimentReport, bias_sweep, empirical_breakdown,
-                   epsilon0, ges_vs_dim, propagation_demo, table1)
+from oplab import (ESTIMATORS, ExperimentReport, InfluenceContext, bias_sweep,
+                   empirical_breakdown, epsilon0, ges, ges_vs_dim, propagation_demo,
+                   standard_model, table1)
 from oplab import estimators
 from oplab.experiments import _parallel_map, write_csv, write_json
 
@@ -185,8 +186,10 @@ def test_ges_vs_dim_small_grid():
     flat = vals[(1, "coordinatewise-s", "fdcm")]
     assert vals[(1, "multivariate-s", "fdcm")] == pytest.approx(flat, rel=1e-9)
     assert vals[(1, "multivariate-s", "ficm")] == pytest.approx(flat, rel=1e-3)
-    # the coordinatewise curve does not move with d
-    assert vals[(2, "coordinatewise-s", "ficm")] == flat
+    # every coordinatewise row is, bit for bit, the univariate row-replacement GES
+    rho1 = ESTIMATORS["coord_s"].rho(1, 0.5)
+    coord = ges(InfluenceContext(standard_model(1), rho1, kind="fdcm")).value
+    assert [g for _, e, _, g, _ in rows if e == "coordinatewise-s"] == [coord] * 4
     # tuning constants grow with dimension
     cs = {d: c for d, e, k, _, c in rows if e == "multivariate-s"}
     assert cs[2] > cs[1]

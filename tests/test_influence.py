@@ -9,10 +9,10 @@ import pytest
 from scipy import optimize
 
 from oplab import (EllipticalModel, InfluenceContext, InfluenceResult, MonteCarlo,
-                   RhoSpec, a_psi, calibrate_c, coord_ges, equicorrelated_model, ges,
+                   RhoSpec, a_psi, calibrate_c, equicorrelated_model, ges,
                    if_fdcm, if_ficm, if_numeric, if_psicm, influence,
                    mahalanobis_sq, psi_sq, psi_sq_prime, standard_model, truncation_sq)
-from oplab.influence import _PATH_FICM, _PATH_PSICM, _ficm_core, _radial_profile
+from oplab.influence import _PATH_FICM, _PATH_PSICM, _cell_profile, _ficm_core
 
 import _ficm_reference
 from _patterns import PatternSampler, g_function
@@ -458,10 +458,11 @@ def test_radial_profile_is_the_exact_maximiser(conv, c):
     else:
         c = math.sqrt(6.0) if c == "sqrt6" else float(c)
     spec = RhoSpec(c=c, convention=conv)
-    t_star = _radial_profile(spec)
+    t_star, h_star = _cell_profile(spec, 1)
     t_max = math.sqrt(truncation_sq(spec))
     assert 0.0 < t_star < t_max
-    peak = float(psi_sq(spec, t_star**2)) * t_star
+    assert h_star == float(psi_sq(spec, t_star**2))
+    peak = h_star * t_star
     ulps = 4 * np.finfo(float).eps * peak
     # on a fine grid the best point is a neighbour of t_star and no higher
     grid = np.linspace(0.0, t_max, 200_001)
@@ -489,8 +490,18 @@ def test_ges_row_replacement_golden():
 
 def test_ges_scales_with_the_top_eigenvalue():
     flat = ges(InfluenceContext(standard_model(2), RHO2, kind="fdcm"))
-    tilted = ges(InfluenceContext(equicorrelated_model(2, 0.6), RHO2, kind="fdcm"))
+    model = equicorrelated_model(2, 0.6)
+    tilted = ges(InfluenceContext(model, RHO2, kind="fdcm"))
     assert tilted.value == pytest.approx(flat.value * math.sqrt(1.6), rel=1e-9)
+    # the argmax lies at Mahalanobis radius t* along the principal axis, and
+    # its ray's radius is the Euclidean one, sqrt(1.6) t*
+    t_star, _ = _cell_profile(RHO2, 1)
+    assert math.sqrt(model.mahalanobis_sq(tilted.argmax_z)) == pytest.approx(t_star, rel=1e-12)
+    [(label, best_t, best_norm)] = tilted.rays
+    assert label == "radial" and best_norm == tilted.value
+    assert best_t == pytest.approx(float(np.linalg.norm(tilted.argmax_z - model.mu0)),
+                                   rel=1e-12)
+    assert best_t == pytest.approx(math.sqrt(1.6) * t_star, rel=1e-12)
 
 
 def test_ges_cellwise_search():
@@ -500,7 +511,6 @@ def test_ges_cellwise_search():
     found = {}  # kind: GES
     for model, kind in ((standard_model(2), "psicm"), (equicorrelated_model(2, 0.5), "ficm")):
         res = ges(InfluenceContext(model, RHO2, kind=kind, mc=mc))
-        assert res.kind == kind
         assert [r[0] for r in res.rays] == ["axis1", "diag", "rand1", "rand2"]
         assert all(v <= res.value + 1e-12 for _, _, v in res.rays)
         found[kind] = res.value
@@ -513,20 +523,15 @@ def test_ges_cellwise_search():
     assert found["psicm"] <= 0.5 * (row + cell) + 1e-12
 
 
-def test_coord_ges_golden_and_model_insensitivity():
-    res = coord_ges(standard_model(3), RHO1)
+def test_coordinatewise_ges_is_the_univariate_row_replacement_ges():
+    # a cell moves only its own coordinate's estimate, so the coordinatewise
+    # functional's GES is ges of row replacement on the univariate model
+    res = ges(InfluenceContext(standard_model(1), RHO1, kind="fdcm"))
     assert res.value == pytest.approx(COORD_GES_FLAT, rel=1e-10)
-    # unit marginals: correlation does not enter the coordinatewise search
-    same = coord_ges(equicorrelated_model(3, 0.5), RHO1)
-    assert same.value == res.value
-    assert res.rays[0][0] == "axis1"
-
-
-def test_coord_ges_tracks_the_largest_marginal():
-    from oplab import EllipticalModel
-    sigma = np.diag([1.0, 4.0, 0.25])
-    model = EllipticalModel(mu0=np.zeros(3), sigma0=sigma)
-    res = coord_ges(model, RHO1)
-    assert res.rays[0][0] == "axis2"
-    assert res.value == pytest.approx(2.0 * COORD_GES_FLAT, rel=1e-10)
-    assert res.argmax_z[0] == 0.0 and res.argmax_z[2] == 0.0
+    [(label, best_t, best_norm)] = res.rays
+    assert label == "radial" and best_norm == res.value and best_t == res.argmax_z[0]
+    # a marginal standard deviation of 2 doubles it, at twice the radius
+    wide = ges(InfluenceContext(EllipticalModel(mu0=[0.0], sigma0=[[4.0]]), RHO1,
+                                kind="fdcm"))
+    assert wide.value == pytest.approx(2.0 * COORD_GES_FLAT, rel=1e-10)
+    assert wide.argmax_z == pytest.approx(2.0 * res.argmax_z, rel=1e-12)
