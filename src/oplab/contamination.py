@@ -176,9 +176,10 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
     structured pattern, see ContaminationSpec.mixture), the d cell uniforms
     unless the row took the pattern, then a GaussianShift's normals, one per
     contaminated cell.  That keeps the dataset schedule-independent: row i is
-    the same at any n.  The loop over rows only draws; the indicators and
-    one values call for every contaminated cell are whole array operations on
-    the draws, with the values a per-row pass would give.
+    the same at any n.  The loop over rows only draws, into preallocated
+    rows; the clean rows from their normals (EllipticalModel.transform_rows),
+    the indicators and one values call for every contaminated cell are whole
+    array operations on the draws, with the values a per-row pass would give.
     """
     if spec.outlier is None and spec.epsilon > 0.0:
         raise ContaminationError("contamination with epsilon > 0 needs an outlier generator")
@@ -190,14 +191,18 @@ def sample_contaminated(model: EllipticalModel, spec: ContaminationSpec, n: int,
     # GaussianShift is the one generator that reads normals: a row takes one
     # per contaminated cell, so its cells are counted in the loop
     gaussian = isinstance(spec.outlier, GaussianShift)
-    x, u_cells, drawn = np.empty((n, d)), np.empty((n, d)), []
+    z, u_cells, drawn = np.empty((n, d)), np.empty((n, d)), []
     for i, rng in enumerate(row_streams(seed, range(n))):
-        x[i] = model.sample(1, rng)[0]
-        u_cells[i] = pattern if rng.random() < p_struct else rng.random(d)
+        rng.standard_normal(out=z[i])
+        if rng.random() < p_struct:
+            u_cells[i] = pattern
+        else:
+            rng.random(out=u_cells[i])
         if gaussian:
             k = np.count_nonzero(u_cells[i] < cell_rate)
             if k:
                 drawn.append(rng.standard_normal(k))
+    x = model.transform_rows(z)
     b = (u_cells < cell_rate).astype(np.int8)
     rows, cols = np.nonzero(b)  # row by row, and by column within a row
     if rows.size:

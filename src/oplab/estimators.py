@@ -669,10 +669,11 @@ def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarra
 
 def _no_chain_left(logdet: np.ndarray):
     """Raise DegenerateData for a search with no chain left: NaN log dets mark
-    chains dropped for non-finite distances, inf ones exact fits."""
+    chains dropped for non-finite distances or log dets, inf ones exact fits."""
     if np.isnan(logdet).any():
-        raise DegenerateData("non-finite squared distances: the data overflow the "
-                             "Mahalanobis distances of the MCD chains")
+        raise DegenerateData("non-finite squared distances or log determinants: the data "
+                             "overflow the Mahalanobis distances or covariances of the "
+                             "MCD chains")
     raise DegenerateData("exact fit: every MCD chain reached a subset on a hyperplane "
                          "(singular covariance, determinant 0), which mcd does not report")
 
@@ -681,10 +682,11 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
     """Concentrate k chains in lockstep from their starts (m, low), stacked.
 
     Every chain steps while its determinant drops by more than 1e-12 in log;
-    one without an h-th distance (_concentrate) or whose new scatter _factor
-    rejects is dropped.  Returns per chain the last log det that dropped
-    (NaN and inf for chains dropped for each of these reasons), its moments
-    and subset, and whether max_csteps cut it while it still dropped."""
+    one without an h-th distance (_concentrate), whose new scatter _factor
+    rejects or whose new log det is not finite is dropped.  Returns per chain
+    the last log det that dropped (inf for a chain dropped for its scatter,
+    NaN for the other two reasons), its moments and subset, and whether
+    max_csteps cut it while it still dropped."""
     k, d = m.shape
     logdet = np.full(k, np.inf)
     best_m, cov = np.empty((k, d)), np.empty((k, d, d))
@@ -702,6 +704,8 @@ def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_cstep
             ok &= factored
             sub, m, cov_new, low, live = (a[ok] for a in (sub, m, cov_new, low, live))
         ld = _chol_logdet(low)
+        # a covariance that overflows can still factor, to an inf log det
+        logdet[live[~np.isfinite(ld)]] = np.nan
         dropped = ld < logdet[live] - 1e-12
         sub, m, cov_new, low, ld, live = (a[dropped] for a in
                                           (sub, m, cov_new, low, ld, live))

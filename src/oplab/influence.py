@@ -17,7 +17,7 @@ derivative of the loss with respect to squared distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -286,33 +286,73 @@ def influence(z, ctx: InfluenceContext) -> InfluenceResult:
 # ---------------------------------------------------------------------------
 # Finite-epsilon derivative oracle.
 
-def m_location_fit(model: EllipticalModel, rho: RhoSpec):
-    """Estimator callable for if_numeric: location M-step at the model scatter."""
+@dataclass(frozen=True)
+class _MFit:
+    """if_numeric's estimator from m_location_fit or coord_m_fit.  Two are
+    equal, and hash alike, when their models' bytes, rho and form are, so a
+    fresh one finds the clean fits if_numeric keeps for its draws."""
 
-    def fit(x: np.ndarray) -> np.ndarray:
-        res = m_location(x, model.sigma0, rho, start=model.mu0)
-        if not res.converged:
-            raise EstimationError("location M-step did not converge")
-        return res.mu
+    model: EllipticalModel = field(compare=False)
+    rho: RhoSpec
+    coordinatewise: bool
+    model_bytes: tuple[bytes, bytes] = field(init=False, repr=False)
 
-    return fit
+    def __post_init__(self):
+        object.__setattr__(self, "model_bytes",
+                           (self.model.mu0.tobytes(), self.model.sigma0.tobytes()))
 
-
-def coord_m_fit(model: EllipticalModel, rho1: RhoSpec):
-    """Coordinatewise variant: univariate M per column at the model scale."""
-    diag = np.diag(model.sigma0)
-
-    def fit(x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        model, rho = self.model, self.rho
+        if not self.coordinatewise:
+            res = m_location(x, model.sigma0, rho, start=model.mu0)
+            if not res.converged:
+                raise EstimationError("location M-step did not converge")
+            return res.mu
+        diag = np.diag(model.sigma0)
         out = np.empty(x.shape[1])
         for j in range(x.shape[1]):
-            res = m_location(x[:, [j]], [[diag[j]]], rho1,
-                             start=[model.mu0[j]])
+            res = m_location(x[:, [j]], [[diag[j]]], rho, start=[model.mu0[j]])
             if not res.converged:
                 raise EstimationError(f"column {j} M-step did not converge")
             out[j] = res.mu[0]
         return out
 
-    return fit
+
+def m_location_fit(model: EllipticalModel, rho: RhoSpec) -> _MFit:
+    """Estimator callable for if_numeric: location M-step at the model scatter."""
+    return _MFit(model, rho, coordinatewise=False)
+
+
+def coord_m_fit(model: EllipticalModel, rho1: RhoSpec) -> _MFit:
+    """Coordinatewise variant: univariate M per column at the model scale."""
+    return _MFit(model, rho1, coordinatewise=True)
+
+
+# if_numeric's draws for the last (model, n_draws, seed) it saw, with the
+# clean fits made on them: (key, (y, u, v), {estimator: {slot: fit}})
+_numeric_entry = None
+
+
+def _numeric_draws(model: EllipticalModel, n: int, seed: int) -> tuple[tuple, dict]:
+    """if_numeric's clean sample y ~ model, its cell uniforms u (n, d) and row
+    uniforms v (n,), read-only, with the clean-fit memo of that draw set.
+
+    One entry is kept, for the last (model bytes, n, seed): a new key drops
+    the old entry before drawing, so two are never alive at once, and the
+    entry is swapped as one tuple, so a thread never pairs one key with
+    another's arrays."""
+    global _numeric_entry
+    key = (model.mu0.tobytes(), model.sigma0.tobytes(), n, seed)
+    entry = _numeric_entry
+    if entry is None or entry[0] != key:
+        entry = _numeric_entry = None
+        draws = (model.sample(n, substream(seed, _PATH_NUMERIC, 0)),
+                 substream(seed, _PATH_NUMERIC, 1).random((n, model.dim)),
+                 substream(seed, _PATH_NUMERIC, 2).random(n))
+        for a in draws:
+            a.flags.writeable = False
+        entry = _numeric_entry = (key, draws, {})
+    return entry[1], entry[2]
 
 
 def if_numeric(z, ctx: InfluenceContext, estimator=None,
@@ -326,6 +366,17 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
     through genuinely flipped cells and the slope noise stays near
     1/sqrt(n_draws * eps).  Bootstrap over draws (same row indices at every
     rate) gives the stderr.
+
+    The draws depend only on (model, n_draws, seed), so they are cached
+    (_numeric_draws): the last key's clean sample and uniforms stay in
+    memory, n_draws * (2d + 1) floats, until a call with another key.  With
+    them are kept the estimator's clean fits, on all rows and on the b-th
+    bootstrap draw of the seed's stream (the same at any n_boot), so a call
+    that repeats an (estimator, rows) pair reuses its fit.  An estimator is
+    matched by equality: the fits of m_location_fit and coord_m_fit are
+    equal for equal models and rho, any other callable only to itself, and
+    one that cannot be hashed is refit on every call.  An estimator must
+    therefore give the same fit of the same rows on every call.
     """
     z = _as_point(z, ctx.d)
     if not eps_grid or any(not 0.0 < e <= 0.01 for e in eps_grid):
@@ -334,9 +385,11 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
     if estimator is None:
         estimator = m_location_fit(ctx.model, ctx.rho)
     n, d = ctx.mc.n_draws, ctx.d
-    y = ctx.model.sample(n, substream(ctx.mc.seed, _PATH_NUMERIC, 0))
-    u = substream(ctx.mc.seed, _PATH_NUMERIC, 1).random((n, d))
-    v = substream(ctx.mc.seed, _PATH_NUMERIC, 2).random(n)
+    (y, u, v), fits = _numeric_draws(ctx.model, n, ctx.mc.seed)
+    try:
+        clean = fits.setdefault(estimator, {})
+    except TypeError:  # unhashable: nothing to key its fits by
+        clean = {}
 
     def dataset(eps: float) -> np.ndarray:
         spec = ContaminationSpec(model=ctx.kind, epsilon=eps, gamma=ctx.gamma)
@@ -348,9 +401,12 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 
     datasets = [dataset(e) for e in eps_grid]
 
-    def slope_at_zero(idx=None) -> np.ndarray:
-        """Slope on the rows idx (a bootstrap draw), or on every row."""
-        t0 = estimator(y if idx is None else y[idx])
+    def slope_at_zero(slot=None, idx=None) -> np.ndarray:
+        """Slope on the rows idx, bootstrap draw slot, or on every row."""
+        if slot not in clean:
+            # a copy: an estimator may return the same buffer on every call
+            clean[slot] = np.array(estimator(y if idx is None else y[idx]))
+        t0 = clean[slot]
         secants = np.array([(estimator(x if idx is None else x[idx]) - t0) / e
                             for x, e in zip(datasets, eps_grid)])
         if len(eps_grid) == 1:
@@ -362,8 +418,8 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
     value = slope_at_zero()
     if n_boot > 1:
         boot_rng = substream(ctx.mc.seed, _PATH_NUMERIC, 3)
-        boots = np.array([slope_at_zero(boot_rng.integers(0, n, n))
-                          for _ in range(n_boot)])
+        boots = np.array([slope_at_zero(b, boot_rng.integers(0, n, n))
+                          for b in range(n_boot)])
         stderr = boots.std(axis=0, ddof=1)
     else:
         stderr = np.full(d, np.nan)

@@ -253,6 +253,12 @@ class EllipticalModel:
         z = rng.standard_normal((int(n), self.dim))
         return self.mu0 + z @ self._chol.T
 
+    def transform_rows(self, z: np.ndarray) -> np.ndarray:
+        """mu0 + L z_i for each row z_i of the (n, d) standard normals z: row i
+        is sample(1)'s product on it, bit for bit, which a 2-D product of
+        the whole array need not give."""
+        return self.mu0 + np.matmul(z[:, None, :], self._chol.T)[:, 0]
+
     def mahalanobis_sq(self, x) -> np.ndarray | float:
         return mahalanobis_sq(x, self.mu0, self.sigma0)
 

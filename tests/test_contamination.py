@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import (MODELS, AdditiveShift, ContaminationError,
-                   ContaminationSpec, GaussianShift, InvalidData, PointMass,
-                   cell_count_pmf, equicorrelated_model, outlier_from_dict,
+                   ContaminationSpec, EllipticalModel, GaussianShift, InvalidData,
+                   PointMass, cell_count_pmf, equicorrelated_model, outlier_from_dict,
                    read_dataset, sample_contaminated, standard_model,
                    write_dataset)
 from oplab.cli import main
@@ -265,10 +265,19 @@ def test_generation_matches_the_per_row_generators(model, tmp_path):
         assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
         got, ref = contaminate(y, spec, seed=k), gen_ref.contaminate(y, spec, seed=k)
         assert np.array_equal(got.x, ref.x) and np.array_equal(got.b, ref.b), outlier
-    # a non-identity Cholesky factor, and five columns, for every outlier kind
-    wide = (AdditiveShift(t=10.0), PointMass((4.0, -3.0, 2.0, 0.5, -7.0)),
-            GaussianShift(mean=5.0, var=2.0))
-    for clean, outliers in ((equicorrelated_model(3, 0.5), OUTLIERS), (standard_model(5), wide)):
+    # non-identity Cholesky factors, one, five and fifteen columns, for every
+    # outlier kind: the clean rows are one stacked product of the normals,
+    # which must be each row's own product
+    def wide(d):
+        return (AdditiveShift(t=10.0), PointMass(tuple(np.linspace(-7.0, 4.0, d))),
+                GaussianShift(mean=5.0, var=2.0))
+
+    def general(d):
+        a = substream(4, d).normal(size=(d, d))
+        return EllipticalModel(substream(5, d).normal(size=d), a @ a.T + 0.5 * np.eye(d))
+
+    for clean, outliers in ((equicorrelated_model(3, 0.5), OUTLIERS), (standard_model(5), wide(5)),
+                            (general(1), wide(1)), (general(15), wide(15))):
         for k, outlier in enumerate(outliers):
             spec = _spec(model, 0.3, outlier=outlier)
             got, ref = sample_contaminated(clean, spec, 300, seed=k), \

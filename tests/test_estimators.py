@@ -774,6 +774,18 @@ def test_overflowing_distances_are_degenerate_data(name):
         fit(overflowing_data(), rho=fit.rho(4))
 
 
+def test_mcd_names_an_overflowing_covariance():
+    # a column of scale 1.4e154 makes every chain's first variance, and so its
+    # log det, inf: no chain's determinant dropped below its initial inf,
+    # and mcd called the data an exact fit
+    x = substream(2, 0).normal(size=(60, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateData, match="non-finite .* log determinants"):
+            mcd(x * [1.4e154, 1.0])
+        assert np.all(np.isfinite(mcd(x * [1e150, 1.0]).sigma))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mve_names_the_overflow():
     # on overflowing_data the smallest ellipsoid's volume is past the float

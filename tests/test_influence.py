@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 from scipy import optimize
 
 from oplab import (EllipticalModel, InfluenceContext, InfluenceResult, MonteCarlo,
-                   RhoSpec, a_psi, calibrate_c, equicorrelated_model, ges,
-                   if_fdcm, if_ficm, if_numeric, if_psicm, influence,
+                   RhoSpec, a_psi, calibrate_c, coord_m_fit, equicorrelated_model, ges,
+                   if_fdcm, if_ficm, if_numeric, if_psicm, influence, m_location_fit,
                    mahalanobis_sq, psi_sq, psi_sq_prime, standard_model, truncation_sq)
 from oplab.influence import _PATH_FICM, _PATH_PSICM, _cell_profile, _ficm_core
 
@@ -437,6 +439,155 @@ def test_if_numeric_recovers_the_closed_form():
     ref = if_fdcm([1.0, 0.3], _ctx("fdcm"))
     assert np.all(np.abs(num.value - ref.value) < 4.0 * num.stderr + 0.05)
     assert np.all(num.stderr > 0.0)
+
+
+@pytest.mark.parametrize("make_fit", [m_location_fit, coord_m_fit])
+def test_if_numeric_reuses_draws_and_clean_fits_bit_for_bit(make_fit, monkeypatch):
+    # each kind's call, cold, is its call after the other kinds filled the
+    # cache with their draws and clean fits (the clean fits are shared: the
+    # rows and the estimator are the same); a fresh factory's fit is equal
+    # to the last one, so the warm calls make no clean fit at all
+    model = equicorrelated_model(2, 0.5)
+    z = [1.0, -0.4]
+    kinds = ("fdcm", "ficm", "psicm")
+
+    class Unhashable:  # never memoized: every clean fit made afresh
+        __hash__ = None
+
+        def __call__(self, x):
+            return make_fit(model, SQ)(x)
+
+    def call(kind, estimator=None):
+        ctx = InfluenceContext(model, SQ, kind=kind, mc=MonteCarlo(n_draws=4_000, seed=8))
+        return if_numeric(z, ctx, estimator=estimator or make_fit(model, SQ), n_boot=3)
+
+    cold = {}
+    for kind in kinds:
+        influence_module._numeric_entry = None
+        cold[kind] = call(kind)
+        ref = call(kind, Unhashable())
+        assert cold[kind].value.tobytes() == ref.value.tobytes(), kind
+        assert cold[kind].stderr.tobytes() == ref.stderr.tobytes(), kind
+    fits = []
+    real = influence_module.m_location
+    monkeypatch.setattr(influence_module, "m_location",
+                        lambda x, *a, **kw: fits.append(len(x)) or real(x, *a, **kw))
+    for kind in kinds:
+        warm = call(kind)
+        assert warm.value.tobytes() == cold[kind].value.tobytes(), kind
+        assert warm.stderr.tobytes() == cold[kind].stderr.tobytes(), kind
+    per_fit = 1 if make_fit is m_location_fit else 2
+    # 4 row sets (all rows, 3 bootstrap draws) x 2 rates, per kind
+    assert len(fits) == 3 * 4 * 2 * per_fit
+    assert make_fit(model, SQ) == make_fit(model, SQ)
+    assert hash(make_fit(model, SQ)) == hash(make_fit(model, SQ))
+    assert make_fit(model, SQ) != make_fit(standard_model(2), SQ)
+    assert make_fit(model, SQ) != make_fit(model, RHO2)
+    assert m_location_fit(model, SQ) != coord_m_fit(model, SQ)
+
+
+def test_if_numeric_keeps_the_draws_of_the_last_key_only():
+    model = standard_model(2)
+    (y, u, v), _ = influence_module._numeric_draws(model, 500, 3)
+    for a in (y, u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    ctx = InfluenceContext(model, SQ, kind="ficm", mc=MonteCarlo(n_draws=500, seed=3))
+    if_numeric([1.0, 0.3], ctx, n_boot=1)
+    draws, fits = influence_module._numeric_draws(model, 500, 3)
+    assert draws[0] is y and len(fits) == 1
+    # another seed, size, center or scatter replaces the entry, fits included
+    for key in ((model, 500, 4), (model, 501, 3), (EllipticalModel([0.0, 1e-300], np.eye(2)), 500, 3),
+                (equicorrelated_model(2, 0.1), 500, 3)):
+        warm, fits2 = influence_module._numeric_draws(*key)
+        assert warm[0] is not y and not fits2
+        influence_module._numeric_entry = None
+        cold, _ = influence_module._numeric_draws(*key)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(warm, cold))
+    # and coming back draws the same arrays again
+    (y3, u3, v3), _ = influence_module._numeric_draws(model, 500, 3)
+    assert y3 is not y
+    assert all(a.tobytes() == b.tobytes() for a, b in ((y, y3), (u, u3), (v, v3)))
+
+
+def test_if_numeric_draws_under_threads_match_their_key():
+    # threads asking for different keys swap the one entry under each other;
+    # each must still get its own key's draws, never another key's
+    keys = [(standard_model(2), 300, s) for s in (1, 2, 3)] + [(standard_model(3), 300, 1)]
+    ref = []
+    for key in keys:
+        influence_module._numeric_entry = None
+        ref.append([a.tobytes() for a in influence_module._numeric_draws(*key)[0]])
+    bad = []
+
+    def worker(i):
+        for j in range(100):
+            k = (i + j) % len(keys)
+            try:
+                draws, _ = influence_module._numeric_draws(*keys[k])
+            except Exception as exc:  # a thread's error would be lost
+                bad.append(repr(exc))
+                return
+            if [a.tobytes() for a in draws] != ref[k]:
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not bad
+
+
+def test_if_numeric_refits_estimators_it_cannot_match():
+    model = standard_model(2)
+    ctx = InfluenceContext(model, SQ, kind="fdcm", mc=MonteCarlo(n_draws=2_000, seed=9))
+    fit = m_location_fit(model, SQ)
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return fit(x)
+
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, x):
+            return counted(x)
+
+    influence_module._numeric_entry = None
+    ref = if_numeric([1.0, 0.3], ctx, n_boot=1)
+    for make in (lambda: (lambda x: counted(x)), Unhashable):
+        calls.clear()
+        for _ in range(2):  # a fresh callable each time: nothing to reuse
+            res = if_numeric([1.0, 0.3], ctx, estimator=make(), n_boot=1)
+            assert res.value.tobytes() == ref.value.tobytes()
+        assert len(calls) == 2 * 3
+    # the same lambda again reuses its clean fit; the unhashable one is not kept
+    est = lambda x: counted(x)  # noqa: E731
+    calls.clear()
+    if_numeric([1.0, 0.3], ctx, estimator=est, n_boot=1)
+    if_numeric([0.5, 0.3], ctx, estimator=est, n_boot=1)
+    assert len(calls) == 3 + 2
+    _, fits = influence_module._numeric_draws(model, 2_000, 9)
+    assert not any(isinstance(k, Unhashable) for k in fits)
+
+    class Buffered:  # returns one buffer, which every fit overwrites
+        out = np.empty(2)
+
+        def __call__(self, x):
+            self.out[:] = fit(x)
+            return self.out
+
+    est = Buffered()
+    for _ in range(2):  # the kept clean fit is a copy, not the buffer
+        res = if_numeric([1.0, 0.3], ctx, estimator=est, n_boot=1)
+        assert res.value.tobytes() == ref.value.tobytes()
 
 
 def test_if_numeric_validates_the_rate_grid():
