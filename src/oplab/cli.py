@@ -124,21 +124,32 @@ def _resolve_c(c, convention: str, bp: float, d: int) -> float:
     """The influence and ges constant.  Explicit c wins; otherwise the
     truncation-at-sqrt(6) constant on the squared-distance convention and the
     breakdown-calibrated constant on the scaled one."""
+    if not 0.0 < bp <= 0.5:
+        raise _UsageError(f"--bp must lie in (0, 0.5], got {bp}")
     if c is not None:
-        if not c > 0:
-            raise _UsageError("--c must be positive")
+        if not 0.0 < c < math.inf:
+            raise _UsageError(f"--c must be positive and finite, got {c}")
         return float(c)
     if convention == "squared-distance":
         return math.sqrt(6.0)
     return calibrate_c(d, bp, convention=convention)
 
 
+# the least value of a count, by config key: (flag, least).  A stderr needs
+# two draws.
+_AT_LEAST = {"draws": ("--draws", 2), "replications": ("--reps", 1)}
+
+
 def _flags(args) -> dict:
-    """A command's config: its flags by name, with the seed, the pool size
-    and a run directory's parent resolved.  --out is None in the parser, so
-    that a replay can tell an explicit --out runs from no --out at all."""
+    """A command's config: its flags by name, with the counts of _AT_LEAST
+    checked and the seed, the pool size and a run directory's parent
+    resolved.  --out is None in the parser, so that a replay can tell an
+    explicit --out runs from no --out at all."""
     cmd = _COMMANDS[args.command]
     p = {k: v for k, v in vars(args).items() if k not in ("config", "seed")}
+    for key, (flag, least) in _AT_LEAST.items():
+        if key in p and p[key] < least:
+            raise _UsageError(f"{flag} must be at least {least}, got {p[key]}")
     if cmd.seed is not None:
         p["seed"] = _resolve_seed(args)
     if "threads" in p:
@@ -309,10 +320,10 @@ def _build_ges(args) -> dict:
 
 def _context(p: dict, model) -> InfluenceContext:
     """The influence or ges config's context on model; ges draws nothing, so
-    its config has no draws."""
-    draws = {"n_draws": p["draws"]} if "draws" in p else {}
+    its config has neither draws nor a seed."""
+    mc = MonteCarlo(n_draws=p["draws"], seed=p["seed"]) if "draws" in p else None
     return InfluenceContext(model, RhoSpec(c=p["c"], convention=p["convention"]),
-                            kind=p["kind"], mc=MonteCarlo(seed=p["seed"], **draws))
+                            kind=p["kind"], mc=mc)
 
 
 def _ges(p: dict) -> ExperimentReport:
@@ -389,7 +400,7 @@ _COMMANDS = {
     "influence": _Command(_influence, build=_build_influence, seed=2024, run_dir="influence",
                           line="influence: {n_points} points, max |IF| = {max_norm:.4f}; "
                                "wrote {run_dir}"),
-    "ges": _Command(_ges, build=_build_ges, seed=31, run_dir="ges",
+    "ges": _Command(_ges, build=_build_ges, run_dir="ges",
                     line="ges[{kind}, d={d}] = {ges:.6f}; wrote {run_dir}"),
     "table1": _Command(lambda p: experiments.table1(**_kwargs(p)), run_dir="table1"),
     "fig2": _Command(_fig2, seed=31, run_dir="ges_vs_dim", chart=_fig2_chart),
@@ -437,15 +448,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     def add(name: str, help_text: str,
-            out_help: str = "parent of the run directory (default: runs)",
-            seed_help: str = "master seed"):
+            out_help: str = "parent of the run directory (default: runs)"):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None,
                         help="replay a run from its config.json; no other flag "
                              "but --out, --threads and --svg may be given")
-        if _COMMANDS[name].seed is not None:  # table1 is deterministic
+        if _COMMANDS[name].seed is not None:  # table1 and ges draw nothing
             sp.add_argument("--seed", type=int, default=None,
-                            help=f"{seed_help}; OPL_SEED is the fallback")
+                            help="master seed; OPL_SEED is the fallback")
         sp.add_argument("--out", default=None, help=out_help)
         return sp
 
@@ -482,9 +492,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--draws", type=int, default=200_000)
     _add_rho_flags(sp, "squared-distance")
 
-    sp = add("ges", "gross-error sensitivity for one model and dimension",
-             seed_help="master seed of psicm's random search rays; the other "
-                       "kinds draw nothing")
+    sp = add("ges", "gross-error sensitivity for one model and dimension")
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     _add_rho_flags(sp, "scaled-distance")

@@ -78,11 +78,16 @@ def _as_data(x) -> np.ndarray:
 
 
 def sample_mean(x) -> LocationScatter:
-    """Sample mean with the sample covariance when n >= d + 1."""
+    """Sample mean with the sample covariance when n >= d + 1; DegenerateData
+    when the data overflow either."""
     x = _as_data(x)
     n, d = x.shape
-    mu = x.mean(axis=0)
-    sigma = np.cov(x, rowvar=False).reshape(d, d) if n >= d + 1 else None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mu = x.mean(axis=0)
+        sigma = np.cov(x, rowvar=False).reshape(d, d) if n >= d + 1 else None
+    for name, value in (("mean", mu), ("covariance", sigma)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise DegenerateData(f"non-finite sample {name}: the data overflow it")
     obj = float("nan")
     if sigma is not None:
         sign, logdet = np.linalg.slogdet(sigma)

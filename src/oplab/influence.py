@@ -31,19 +31,19 @@ from .rng import substream
 _PATH_FICM = 11
 _PATH_PSICM = 13
 _PATH_NUMERIC = 17
-_PATH_GES = 19
 
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Sampling budget for the Monte Carlo influence paths."""
+    """Sampling budget for the Monte Carlo influence paths; a stderr needs
+    at least 2 draws."""
 
     n_draws: int = 200_000
     seed: int = 2024
 
     def __post_init__(self):
-        if self.n_draws < 1:
-            raise ValueError("n_draws must be positive")
+        if self.n_draws < 2:
+            raise ValueError(f"n_draws must be at least 2, got {self.n_draws}")
 
 
 def a_psi(rho: RhoSpec, d: int) -> float:
@@ -429,15 +429,7 @@ def if_numeric(z, ctx: InfluenceContext, estimator=None,
 # ---------------------------------------------------------------------------
 # Gross-error sensitivity.
 
-# The cellwise GES search of psicm, and of the Monte Carlo path: rays on the
-# first axis (the others repeat it on spherical models), the diagonal and
-# _GES_RANDOM random directions, each with _GES_RADIAL radii up to _OVERSHOOT
-# times the truncation radius on its largest coordinate, and _GES_REFINE
-# golden-section steps at the best.
-_OVERSHOOT = 1.25
-_GES_RANDOM, _GES_RADIAL, _GES_REFINE = 2, 20, 32
-
-# _cell_profile: grid steps bracketing the argmax, and the root's tolerance
+# profile maximizations: grid steps bracketing the argmax, and the root's tolerance
 _PROFILE_GRID, _PROFILE_RTOL = 8, 1e-13
 
 
@@ -448,6 +440,26 @@ class GesResult:
     rays: tuple[tuple[str, float, float], ...] = ()  # (label, best_t, best_norm)
 
 
+def _cell_slope(rho: RhoSpec, d: int, t: float) -> float:
+    """(t h)'(t) = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)], h(t) = E psi(t^2 + V),
+    V ~ chi-square(d - 1), with no boundary term, as psi and psi' vanish at
+    the truncation."""
+    s = t * t
+    return _shifted_mean(lambda u: psi_sq(rho, u) + 2.0 * s * psi_sq_prime(rho, u), s, rho, d)
+
+
+def _first_max(slope, end: float) -> float:
+    """The first sign change from + to - of a profile's slope on (0, end],
+    bracketed on a grid of _PROFILE_GRID steps and solved by _brentq to
+    _PROFILE_RTOL relative; end when the slope stays positive."""
+    lo = 0.0
+    for hi in np.linspace(0.0, end, _PROFILE_GRID + 1)[1:]:
+        if slope(hi) <= 0.0:
+            return _brentq(slope, lo, hi, xtol=_PROFILE_RTOL * hi, rtol=_PROFILE_RTOL)
+        lo = hi
+    return end
+
+
 def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
     """(t*, h(t*)), t* the argmax over (0, sqrt(cut)) of t h(t), with
     h(t) = E psi(t^2 + V), V ~ chi-square(d - 1).
@@ -455,25 +467,10 @@ def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
     At d = 1, h(t) = psi(t^2) and the bisquare gives t* in closed form.
     Scaled distances: t (1 - t^2/c^2)^2 peaks where t^2/c^2 = 1/5.  Squared
     distances: t^3 (1 - t^4/c^2)^2 peaks where t^4/c^2 = 3/11.  Otherwise t*
-    is the root of the slope (t h)' = E[psi(t^2 + V) + 2 t^2 psi'(t^2 + V)],
-    with no boundary term, as psi and psi' vanish at the truncation.  The
-    slope is h(0) > 0 at 0 and negative just inside the truncation; its first
-    sign change on a grid of _PROFILE_GRID steps brackets the root, which
-    _brentq solves to _PROFILE_RTOL relative."""
-
-    def slope(t: float) -> float:
-        s = t * t
-        return _shifted_mean(lambda u: psi_sq(rho, u) + 2.0 * s * psi_sq_prime(rho, u),
-                             s, rho, d)
-
+    is the root of _cell_slope, which is h(0) > 0 at 0 and negative just
+    inside the truncation (_first_max)."""
     if d > 1:
-        grid = np.linspace(0.0, math.sqrt(truncation_sq(rho)), _PROFILE_GRID + 1)
-        lo = 0.0
-        for hi in grid[1:-1]:
-            if slope(hi) <= 0.0:
-                break
-            lo = hi
-        t = _brentq(slope, lo, hi, xtol=_PROFILE_RTOL * hi, rtol=_PROFILE_RTOL)
+        t = _first_max(lambda t: _cell_slope(rho, d, t), math.sqrt(truncation_sq(rho)))
     elif rho.convention == "scaled-distance":
         t = rho.c / math.sqrt(5.0)
     else:
@@ -481,89 +478,76 @@ def _cell_profile(rho: RhoSpec, d: int) -> tuple[float, float]:
     return t, _shifted_mean(lambda u: psi_sq(rho, u), t * t, rho, d)
 
 
-def ges(ctx: InfluenceContext) -> GesResult:
-    """Supremum of the influence norm over the search set.
+def _psicm_ges(ctx: InfluenceContext) -> GesResult:
+    """psicm's GES on sigma0 = s^2 I, exactly: the largest over k = 1..d of
+    the maxima along u_k = (1, ..., 1, 0, ..., 0) / sqrt(k).
 
-    Two cases reduce exactly to one step direction and the profile
-    (t*, h(t*)) of _cell_profile, with GES |step| t* h(t*) / a_psi at
-    z = mu0 + t* step.  Row replacement at any sigma0: the norm depends on z
-    only through the Mahalanobis radius t and the principal axis, so the
-    step is sqrt(lambda_max) u along the principal eigenvector u, with the
-    d = 1 profile psi(t^2).  The independent-cell kinds on a diagonal
-    sigma0: |IF|^2 is the sum over coordinates of (sigma_j t_j h(t_j) /
-    a_psi)^2, t_j = zdev_j / sigma_j, each term largest at t_j = t*, so the
-    step is sigma.  Either way rays has one row, the Euclidean radius
-    t* |step| of the argmax.  psicm, and every cellwise kind on the Monte
-    Carlo path, search rays and refine the radius by golden section; exact
-    values or common random numbers make the profile along a ray smooth, so
-    the refinement is honest.
+    In standard units w = (z - mu0) / s, 2 a_psi IF_j = s w_j (P + h(w_j)),
+    with P = psi(|w|^2) the row half and h(t) = E psi(t^2 + V) the cell
+    half, so at w = t sqrt(k) u_k the norm is
+    s sqrt(k) t (P(k t^2) + h(t)) / (2 a_psi).  Its slope in t is the row
+    slope psi(r) + 2 r psi'(r) at r = k t^2 plus _cell_slope.  The row half
+    vanishes from t = sqrt(cut / k) on, so the profile is split there: below,
+    the first maximum of _first_max; beyond, sqrt(k) t h(t), largest at
+    _cell_profile's t* when t* lies beyond the split.  rays has one row per
+    k, labelled k1 to kd, with the Euclidean radius s sqrt(k) t_k of its
+    argmax."""
+    model, rho, d = ctx.model, ctx.rho, ctx.d
+    s, cut = float(ctx._scale[0]), truncation_sq(rho)
+    t_star, _ = _cell_profile(rho, d)
+
+    def norm(k: int, t: float) -> float:
+        h = _shifted_mean(lambda u: psi_sq(rho, u), t * t, rho, d)
+        return s * math.sqrt(k) * t * (psi_sq(rho, k * t * t) + h) / (2.0 * ctx.a_psi)
+
+    def row_slope(r: float) -> float:
+        return psi_sq(rho, r) + 2.0 * r * psi_sq_prime(rho, r)
+
+    found = []  # (norm, k, t) at each k's argmax
+    for k in range(1, d + 1):
+        split = math.sqrt(cut / k)
+        ts = [_first_max(lambda t: row_slope(k * t * t) + _cell_slope(rho, d, t), split)]
+        if t_star > split:
+            ts.append(t_star)
+        found.append(max((norm(k, t), k, t) for t in ts))
+    value, k, t = max(found)
+    step = np.zeros(d)
+    step[:k] = s * t
+    return GesResult(value=value, argmax_z=model.mu0 + step,
+                     rays=tuple((f"k{k}", s * math.sqrt(k) * t, v) for v, k, t in found))
+
+
+def ges(ctx: InfluenceContext) -> GesResult:
+    """Supremum of the influence norm, exactly.
+
+    Two cases reduce to one step direction and the profile (t*, h(t*)) of
+    _cell_profile, with GES |step| t* h(t*) / a_psi at z = mu0 + t* step.
+    Row replacement at any sigma0: the norm depends on z only through the
+    Mahalanobis radius t and the principal axis, so the step is
+    sqrt(lambda_max) u along the principal eigenvector u, with the d = 1
+    profile psi(t^2).  The independent-cell kinds on a diagonal sigma0:
+    |IF|^2 is the sum over coordinates of (sigma_j t_j h(t_j) / a_psi)^2,
+    t_j = zdev_j / sigma_j, each term largest at t_j = t*, so the step is
+    sigma.  Either way rays has one row, the Euclidean radius t* |step| of
+    the argmax.  psicm on a multiple of the identity is _psicm_ges.  Any
+    other case, a cellwise kind off a diagonal sigma0 or psicm off a
+    multiple of the identity, raises ValueError.
     """
     model, rho = ctx.model, ctx.rho
-    exact = None
     if ctx.kind == "fdcm":
         evals, vecs = np.linalg.eigh(model.sigma0)
-        exact = "radial", math.sqrt(float(evals[-1])) * vecs[:, -1], 1
-    elif ctx._cellwise is _ficm_exact and _DISPATCH[ctx.kind] is if_ficm:
-        exact = "sigma", ctx._scale, ctx.d
-    if exact is not None:
-        label, step, dim = exact
-        t_star, h_star = _cell_profile(rho, dim)
-        gain = float(np.linalg.norm(step))
-        value = gain * t_star * h_star / ctx.a_psi
-        return GesResult(value=value, argmax_z=model.mu0 + t_star * step,
-                         rays=((label, t_star * gain, value),))
-
-    d = ctx.d
-    rays = [("axis1", np.eye(d)[0])]
-    if d > 1:
-        rays.append(("diag", np.full(d, 1.0 / math.sqrt(d))))
-    rng = substream(ctx.mc.seed, _PATH_GES)
-    for i in range(_GES_RANDOM):
-        v = rng.standard_normal(d)
-        rays.append((f"rand{i + 1}", v / np.linalg.norm(v)))
-
-    t_trunc = math.sqrt(truncation_sq(rho))
-    best_value = 0.0
-    best_z = model.mu0.copy()
-    ray_table: list[tuple[str, float, float]] = []
-    for label, u in rays:
-        scale = t_trunc / float(np.max(np.abs(u)))
-        ts = np.linspace(scale * 0.02, scale * _OVERSHOOT, _GES_RADIAL)
-        vals = [influence(model.mu0 + t * u, ctx).norm for t in ts]
-        i = int(np.argmax(vals))
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        t_best, v_best = _golden_max(lambda t: influence(model.mu0 + t * u, ctx).norm,
-                                     lo, hi, _GES_REFINE)
-        if vals[i] > v_best:
-            t_best, v_best = float(ts[i]), float(vals[i])
-        ray_table.append((label, t_best, v_best))
-        if v_best > best_value:
-            best_value = v_best
-            best_z = model.mu0 + t_best * u
-    return GesResult(value=best_value, argmax_z=best_z, rays=tuple(ray_table))
-
-
-def _golden_max(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = f(c), f(e)
-    for _ in range(iters):
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = f(e)
-    t = (a + b) / 2.0
-    ft = f(t)
-    if fc > ft:
-        t, ft = c, fc
-    if fe > ft:
-        t, ft = e, fe
-    return float(t), float(ft)
+        label, step, dim = "radial", math.sqrt(float(evals[-1])) * vecs[:, -1], 1
+    elif ctx._scale is None:
+        raise ValueError(f"no exact GES for {ctx.kind} on a scatter that is not diagonal")
+    elif ctx.kind == "psicm":
+        if np.any(ctx._scale != ctx._scale[0]):
+            raise ValueError("no exact GES for psicm on a scatter that is not a "
+                             "multiple of the identity")
+        return _psicm_ges(ctx)
+    else:
+        label, step, dim = "sigma", ctx._scale, ctx.d
+    t_star, h_star = _cell_profile(rho, dim)
+    gain = float(np.linalg.norm(step))
+    value = gain * t_star * h_star / ctx.a_psi
+    return GesResult(value=value, argmax_z=model.mu0 + t_star * step,
+                     rays=((label, t_star * gain, value),))

@@ -289,7 +289,7 @@ def test_estimate_mve_on_overflowing_data_names_the_overflow(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("data", ["overflowing_data", "ci_huge"])
-@pytest.mark.parametrize("name", ["mcd", "mve", "s", "m"])
+@pytest.mark.parametrize("name", ["mcd", "mve", "s", "m", "mean"])
 def test_estimate_on_overflowing_distances_fails_in_one_line(tmp_path, name, data):
     # numpy's "overflow encountered in matmul" from the squared distances
     # (and in multiply from mve's scatter) came before the message, although
@@ -336,6 +336,18 @@ def test_estimate_m_outvotes_one_overflowing_cell_in_silence(tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0 and done.stderr == ""
     assert np.abs(json.loads(done.stdout)["mu"]).max() < 1.0
+
+
+def test_estimate_mean_names_an_overflowing_covariance(tmp_path):
+    # one 1e200 cell overflows the sample covariance; the fit used to print
+    # numpy's "overflow encountered in dot" and report an infinite scatter
+    path = _one_overflowing_cell(tmp_path / "cell.csv")
+    done = subprocess.run([sys.executable, "-m", "oplab", "estimate", "--estimator", "mean",
+                           "--in", str(path)], env=_src_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("oplab: numerical failure: non-finite sample covariance: "
+                           "the data overflow it\n")
 
 
 @pytest.mark.parametrize("name", ["mcd", "s", "coord_s", "mve"])
@@ -457,12 +469,12 @@ def test_replay_rejects_missing_and_unknown_keys(configs, tmp_path, capsys, comm
 
 # the settings that only tests set, now constants: the GES searches of fig2 and
 # ges, m's plug-in scatter, and fig3's mixing weights and figure sample; and
-# ges's draws, since its influence is exact
+# ges's draws and seed, since its GES is exact for every kind
 _REMOVED = [("fig2", "rays", "first"), ("fig2", "n_random", 2), ("fig2", "n_radial", 20),
             ("fig2", "refine", 32), ("ges", "rays", "all"), ("ges", "n_random", 4),
             ("ges", "n_radial", 24), ("ges", "refine", 48), ("estimate", "scatter", "mcd"),
             ("fig3", "transform", [[0.64, 0.77], [0.78, 0.62]]), ("fig3", "figure_n", 20),
-            ("ges", "draws", 100000)]
+            ("ges", "draws", 100000), ("ges", "seed", 31)]
 
 
 @pytest.mark.parametrize("command,key,value", _REMOVED)
@@ -512,6 +524,33 @@ def test_replay_with_explicit_out_runs_writes_under_the_working_directory(
     capsys.readouterr()
 
 
+# flag values outside their domain, each refused at the boundary with the
+# flag named: the --bp and --c cases, --draws 0 and --reps 0 used to exit 2 or
+# 1 through a traceback; --draws 1 wrote NaN stderrs or failed a check, and
+# fig4 --reps 0 exited 0 with failed checks
+_OUT_OF_DOMAIN = [
+    (["ges", "--bp", "0"], "--bp"), (["ges", "--bp", "0.7"], "--bp"),
+    (["ges", "--bp", "nan"], "--bp"), (["influence", "--bp", "-0.1"], "--bp"),
+    (["ges", "--c", "inf"], "--c"), (["influence", "--c", "inf"], "--c"),
+    (["influence", "--draws", "0"], "--draws"),
+    (["influence", "--r", "0.5", "--draws", "1"], "--draws"),
+    (["fig2", "--draws", "0"], "--draws"), (["fig2", "--draws", "1"], "--draws"),
+    (["breakdown", "--reps", "0"], "--reps"), (["fig4", "--reps", "0"], "--reps"),
+    (["fig4", "--reps", "-1"], "--reps"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _OUT_OF_DOMAIN,
+                         ids=[" ".join(argv) for argv, _ in _OUT_OF_DOMAIN])
+def test_flags_outside_their_domain_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("oplab: error: " + flag) and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_replay_rejects_mismatched_command(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["table1", "--out", str(out)]) == 0
@@ -533,6 +572,23 @@ def test_ges_run_writes_rays(tmp_path, capsys):
     # row replacement reduces to a single radial profile
     assert [r[0] for r in rrows] == ["radial"]
     assert "ges[fdcm, d=2]" in capsys.readouterr().out
+
+
+def test_ges_psicm_writes_one_ray_per_k(tmp_path, capsys):
+    # the k = 4 diagonal of d = 5 beats the full diagonal's 3.457874; the
+    # defaults give 2.378801
+    out = tmp_path / "g"
+    assert main(["ges", "--kind", "psicm", "--d", "5", "--convention", "squared-distance",
+                 "--c", "10.087454037228385", "--out", str(out)]) == 0
+    summary = json.loads((out / "ges" / "summary.json").read_text())
+    assert summary["ges"] >= 3.458623
+    assert summary["argmax_z"][:4] == [summary["argmax_z"][0]] * 4 and summary["argmax_z"][4] == 0
+    _, rrows = _read_csv(out / "ges" / "rays.csv")
+    assert [r[0] for r in rrows] == ["k1", "k2", "k3", "k4", "k5"]
+    assert max(float(r[2]) for r in rrows) == summary["ges"] == float(rrows[3][2])
+    assert main(["ges", "--kind", "psicm", "--out", str(tmp_path / "h")]) == 0
+    assert "ges[psicm, d=2] = 2.378801" in capsys.readouterr().out
+    assert "seed" not in json.loads((tmp_path / "h" / "ges" / "config.json").read_text())
 
 
 def test_table1_run(tmp_path, monkeypatch, capsys):

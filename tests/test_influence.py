@@ -29,7 +29,7 @@ RHO2 = RhoSpec(c=2.6608033926979555, convention="scaled-distance")
 # Frozen by tests/make_oracles.py.
 GES_FDCM_D2 = 2.3906723751055754       # sup-norm, d=2, 50%-calibrated loss
 GES_FDCM_D2_RADIUS = 1.1899471980603271
-COORD_GES_FLAT = 2.8499468517647566    # univariate 50% loss, unit marginals
+FLAT_COORD_GES = 2.8499468517647566    # univariate 50% loss, unit marginals
 FICM_DIRECT_IF = (2.9480966727775395, 0.6367716334533274)   # z=(1, 0.3), d=2
 FICM_DIRECT_SE = (0.0022237009071411806, 0.0012075470546344272)
 
@@ -354,13 +354,12 @@ def test_ficm_core_estimates_the_exact_form(d, convention):
 
 def _assert_exact_ges(model, rho, monkeypatch):
     """ges of the independent-cell kinds on a diagonal scatter against the
-    oracle, with no ray searched: the value within 1e-10, the argmax t* sigma
-    and its ray's radius t* |sigma| within 1e-9, relative.  Returns the
-    value."""
+    oracle, with no influence evaluated: the value within 1e-10, the argmax
+    t* sigma and its ray's radius t* |sigma| within 1e-9, relative.  Returns
+    the value."""
     def searched(*args):
-        raise AssertionError("the exact GES searched a ray")
+        raise AssertionError("the exact GES evaluated the influence")
 
-    monkeypatch.setattr(influence_module, "_golden_max", searched)
     monkeypatch.setattr(influence_module, "influence", searched)
     sd = np.sqrt(np.diag(model.sigma0))
     value, t_star = _ficm_reference.ficm_ges(rho, sd)
@@ -388,8 +387,8 @@ def test_ficm_ges_on_the_standard_model_is_the_exact_maximum(d, convention, monk
 @pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
 def test_ficm_ges_on_a_diagonal_scatter_is_the_exact_maximum(convention, monkeypatch):
     # on diag(1, 4, 0.25) the worst point t* sigma lies on neither the first
-    # axis nor the unit diagonal, where a ray search would look; the GES is
-    # |sigma| t* h(t*) / a_psi, 3.7613 under the 50%-calibrated S loss
+    # axis nor the unit diagonal; the GES is |sigma| t* h(t*) / a_psi, 3.7613
+    # under the 50%-calibrated S loss
     rho = RhoSpec(c=calibrate_c(3, 0.5, convention=convention), convention=convention)
     model = EllipticalModel(mu0=np.zeros(3), sigma0=np.diag([1.0, 4.0, 0.25]))
     value = _assert_exact_ges(model, rho, monkeypatch)
@@ -655,34 +654,117 @@ def test_ges_scales_with_the_top_eigenvalue():
     assert best_t == pytest.approx(math.sqrt(1.6) * t_star, rel=1e-12)
 
 
-def test_ges_cellwise_search():
-    # the rays still serve psicm, whose row half does not split over the
-    # coordinates, and the Monte Carlo path of a correlated model
-    mc = MonteCarlo(n_draws=40_000, seed=12)
-    found = {}  # kind: GES
-    for model, kind in ((standard_model(2), "psicm"), (equicorrelated_model(2, 0.5), "ficm")):
-        res = ges(InfluenceContext(model, RHO2, kind=kind, mc=mc))
-        assert [r[0] for r in res.rays] == ["axis1", "diag", "rand1", "rand2"]
-        assert all(v <= res.value + 1e-12 for _, _, v in res.rays)
-        found[kind] = res.value
-    # independent cells hurt at least as much as whole-row replacement on the
-    # standard model; psicm's influence is the mean of the two, so its GES is
-    # at most the mean of theirs
-    row, cell = (ges(InfluenceContext(standard_model(2), RHO2, kind=k)).value
-                 for k in ("fdcm", "ficm"))
+def test_ges_refuses_the_cases_it_has_no_exact_branch_for():
+    # a cellwise kind off a diagonal scatter, whose influence is Monte Carlo,
+    # and psicm off a multiple of the identity
+    with pytest.raises(ValueError, match="not diagonal"):
+        ges(_ctx("ficm", rho=RHO2, r=0.5))
+    model = EllipticalModel(mu0=np.zeros(2), sigma0=np.diag([1.0, 4.0]))
+    with pytest.raises(ValueError, match="multiple of the identity"):
+        ges(InfluenceContext(model, RHO2, kind="psicm"))
+    # independent cells hurt more than whole rows on the standard model, and
+    # psicm's influence is the mean of the two, so its GES is at most the
+    # mean of theirs
+    row, cell, mixed = (ges(InfluenceContext(standard_model(2), RHO2, kind=k)).value
+                        for k in ("fdcm", "ficm", "psicm"))
     assert cell > row
-    assert found["psicm"] <= 0.5 * (row + cell) + 1e-12
+    assert mixed <= 0.5 * (row + cell)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+
+
+def _psicm_norm(rho: RhoSpec, d: int):
+    """|IF| of psicm on the standard model, written out independently of
+    oplab.influence: z (psi(|z|^2) + h(z_j)) / (2 a_psi) with the cell half
+    h(t) = E psi(t^2 + V), V ~ chi2(d - 1), integrated in sqrt(V) against
+    the chi density on 256 Gauss-Legendre nodes, one row per coordinate."""
+    cut, a = truncation_sq(rho), a_psi(rho, d)
+    x, w = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS  # on [0, 1]
+    k = d - 1
+
+    def h(s):
+        if k == 0:
+            return psi_sq(rho, s)
+        span = np.sqrt(np.maximum(cut - s, 0.0))[:, None]
+        v = span * x
+        chi = v ** (k - 1) * np.exp(-0.5 * v * v) / (2.0 ** (0.5 * k - 1.0) * math.gamma(0.5 * k))
+        return (span * psi_sq(rho, s[:, None] + v * v) * chi) @ w
+
+    def norm(z):
+        s = z * z
+        return float(np.linalg.norm(z * (psi_sq(rho, s.sum()) + h(s)))) / (2.0 * a)
+    return norm
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 8])
+def test_psicm_ges_is_the_supremum_over_the_whole_space(d, convention, monkeypatch):
+    # an L-BFGS-B multistart over all of R^d, from 4 points drawn in the
+    # truncation ball, never beats the k-coordinate maximum by 1e-9
+    # relative; it falls short by up to 4e-8.  Searching k = d alone misses
+    # the supremum by 8.7e-7 to 2.6% where it lies on 1 < k < d coordinates
+    # (squared distance: d = 4, 5, 6 at bp 0.5; d = 3, 4, 5, 6, 8 at bp 0.25)
+    def searched(*args):
+        raise AssertionError("the exact GES evaluated the influence")
+
+    monkeypatch.setattr(influence_module, "influence", searched)
+    monkeypatch.setattr(influence_module, "substream", searched)
+    for c in (calibrate_c(d, 0.5, convention=convention), math.sqrt(6.0),
+              calibrate_c(d, 0.25, convention=convention)):
+        rho = RhoSpec(c=c, convention=convention)
+        ctx = InfluenceContext(standard_model(d), rho, kind="psicm")
+        res = ges(ctx)
+        norm, rng = _psicm_norm(rho, d), np.random.default_rng(d)
+        radius = math.sqrt(truncation_sq(rho) / d)
+        oracle = max(-optimize.minimize(lambda z: -norm(z), rng.uniform(-radius, radius, d),
+                                        method="L-BFGS-B").fun for _ in range(4))
+        assert res.value >= oracle * (1.0 - 1e-9), c
+        assert if_psicm(res.argmax_z, ctx).norm == pytest.approx(res.value, rel=1e-12)
+        assert norm(res.argmax_z) == pytest.approx(res.value, rel=1e-12)
+        # one ray per k, each the norm at its radius along u_k; the argmax
+        # has k equal coordinates and zeros after them
+        assert [r[0] for r in res.rays] == [f"k{k}" for k in range(1, d + 1)]
+        for k, (_, best_t, best_norm) in enumerate(res.rays, start=1):
+            u = np.r_[np.ones(k), np.zeros(d - k)] / math.sqrt(k)
+            assert if_psicm(best_t * u, ctx).norm == pytest.approx(best_norm, rel=1e-12)
+        k = int(np.count_nonzero(res.argmax_z))
+        assert max(r[2] for r in res.rays) == res.value == res.rays[k - 1][2]
+        assert np.all(res.argmax_z[:k] == res.argmax_z[0]) and res.argmax_z[0] > 0
+
+
+@pytest.mark.parametrize("convention", ["squared-distance", "scaled-distance"])
+@pytest.mark.parametrize("d", [2, 5, 8, 10, 15])
+def test_psicm_ges_rays_are_the_maxima_along_each_diagonal(d, convention):
+    # each k's norm is the maximum along u_k: on a 64-step grid of radii up
+    # to where the cell half vanishes, refined by a bounded scalar search
+    # about the grid's best.  At d = 10 and 15, and at d = 5 and 8 under the
+    # squared distance, some of them lie beyond the row half's truncation,
+    # at _cell_profile's t*
+    for bp in (0.1, 0.25, 0.5):
+        rho = RhoSpec(c=calibrate_c(d, bp, convention=convention), convention=convention)
+        res = ges(InfluenceContext(standard_model(d), rho, kind="psicm"))
+        norm = _psicm_norm(rho, d)
+        for k, (_, best_t, best_norm) in enumerate(res.rays, start=1):
+            u = np.r_[np.ones(k), np.zeros(d - k)] / math.sqrt(k)
+            grid = np.linspace(0.0, math.sqrt(k * truncation_sq(rho)), 65)
+            i = int(np.argmax([norm(r * u) for r in grid]))
+            found = optimize.minimize_scalar(lambda r: -norm(r * u), method="bounded",
+                                             bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 64)]),
+                                             options={"xatol": 1e-12})
+            assert best_norm >= -found.fun * (1.0 - 1e-12), (bp, k)
+            assert norm(best_t * u) == pytest.approx(best_norm, rel=1e-12)
 
 
 def test_coordinatewise_ges_is_the_univariate_row_replacement_ges():
     # a cell moves only its own coordinate's estimate, so the coordinatewise
     # functional's GES is ges of row replacement on the univariate model
     res = ges(InfluenceContext(standard_model(1), RHO1, kind="fdcm"))
-    assert res.value == pytest.approx(COORD_GES_FLAT, rel=1e-10)
+    assert res.value == pytest.approx(FLAT_COORD_GES, rel=1e-10)
     [(label, best_t, best_norm)] = res.rays
     assert label == "radial" and best_norm == res.value and best_t == res.argmax_z[0]
     # a marginal standard deviation of 2 doubles it, at twice the radius
     wide = ges(InfluenceContext(EllipticalModel(mu0=[0.0], sigma0=[[4.0]]), RHO1,
                                 kind="fdcm"))
-    assert wide.value == pytest.approx(2.0 * COORD_GES_FLAT, rel=1e-10)
+    assert wide.value == pytest.approx(2.0 * FLAT_COORD_GES, rel=1e-10)
     assert wide.argmax_z == pytest.approx(2.0 * res.argmax_z, rel=1e-12)
