@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .contamination import (MODELS, ContaminationError, ContaminationSpec,
-                            AdditiveShift, GaussianShift, PointMass,
                             outlier_from_dict, read_dataset,
                             sample_contaminated, write_dataset)
 from .estimators import ESTIMATORS, EstimationError
@@ -57,20 +56,25 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Small parsers for flag payloads.
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, flag: str = "--grid") -> list[float]:
     """start:stop:step with an inclusive endpoint; negatives allowed."""
     parts = str(text).split(":")
     if len(parts) != 3:
-        raise _UsageError(f"grid {text!r} must look like start:stop:step")
+        raise _UsageError(f"{flag} {text!r} must look like start:stop:step")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"grid {text!r} has a non-numeric part") from None
+        raise _UsageError(f"{flag} {text!r} has a non-numeric part") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UsageError(f"{flag} {text!r} has a non-finite part")
     if step <= 0:
-        raise _UsageError("grid step must be positive")
+        raise _UsageError(f"{flag} step must be positive")
     if stop < start:
-        raise _UsageError("grid stop must not be below start")
-    count = int(math.floor((stop - start) / step + 1e-9))
+        raise _UsageError(f"{flag} stop must not be below start")
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise _UsageError(f"{flag} {text!r} has too many points")
+    count = int(math.floor(span + 1e-9))
     return [round(start + k * step, 12) for k in range(count + 1)]
 
 
@@ -81,6 +85,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise _UsageError(f"{flag} expects comma-separated numbers") from None
     if not vals:
         raise _UsageError(f"{flag} is empty")
+    if not all(map(math.isfinite, vals)):
+        raise _UsageError(f"{flag} expects finite numbers, got {text!r}")
     return vals
 
 
@@ -92,12 +98,12 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     return out
 
 
-def _parse_estimators(text: str) -> list[str]:
-    ests = [e.strip() for e in text.split(",") if e.strip()]
-    bad = [e for e in ests if e not in ESTIMATORS]
-    if bad or not ests:
-        raise _UsageError(f"--estimators must be among {tuple(ESTIMATORS)}, got {bad}")
-    return ests
+def _parse_gauss(text: str) -> list[float]:
+    """--gauss mean or mean,var as [mean, var], var 1 by default."""
+    mv = _parse_floats(text, "--gauss")
+    if len(mv) not in (1, 2):
+        raise _UsageError("--gauss expects mean or mean,var")
+    return mv if len(mv) == 2 else mv + [1.0]
 
 
 def _resolve_seed(args) -> int:
@@ -112,48 +118,171 @@ def _resolve_seed(args) -> int:
     return _COMMANDS[args.command].seed
 
 
-def _threads(args) -> int:
-    if args.threads is None:
-        return 1
-    if args.threads < 1:
-        raise _UsageError("--threads must be at least 1")
-    return int(args.threads)
-
-
 def _resolve_c(c, convention: str, bp: float, d: int) -> float:
     """The influence and ges constant.  Explicit c wins; otherwise the
     truncation-at-sqrt(6) constant on the squared-distance convention and the
     breakdown-calibrated constant on the scaled one."""
-    if not 0.0 < bp <= 0.5:
-        raise _UsageError(f"--bp must lie in (0, 0.5], got {bp}")
     if c is not None:
-        if not 0.0 < c < math.inf:
-            raise _UsageError(f"--c must be positive and finite, got {c}")
         return float(c)
     if convention == "squared-distance":
         return math.sqrt(6.0)
     return calibrate_c(d, bp, convention=convention)
 
 
-# the least value of a count, by config key: (flag, least).  A stderr needs
-# two draws.
-_AT_LEAST = {"draws": ("--draws", 2), "replications": ("--reps", 1)}
+# ---------------------------------------------------------------------------
+# Flag domains: the one place that says which values a command accepts.
+
+def _real(v) -> bool:
+    """An int or a float: a bool, a string or a list is not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _between(lo: float, hi: float) -> Callable[[object], bool]:
+    """A number in the open interval (lo, hi); NaN is in none."""
+    return lambda v: _real(v) and lo < v < hi
+
+
+def _count(least: int) -> Callable[[object], bool]:
+    return lambda v: _real(v) and isinstance(v, int) and v >= least
+
+
+def _one_of(names) -> Callable[[object], bool]:
+    return lambda v: isinstance(v, str) and v in names
+
+
+def _or_none(test: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda v: v is None or test(v)
+
+
+_FINITE, _POSITIVE = _between(-math.inf, math.inf), _between(0.0, math.inf)
+_PATH_OR_NONE = _or_none(lambda v: isinstance(v, str))
+
+# Every config key's domain: (flag, test, what the flag's value must be).  A
+# (command, key) entry overrides the key's own.  Counts are ints, never bools
+# or floats; None passes only where a run's config may hold it.
+_DOMAINS: dict = {
+    "out": ("--out", lambda v: isinstance(v, str), "must be a path"),
+    ("simulate", "out"): ("--out", _PATH_OR_NONE, "must be a path"),
+    ("estimate", "out"): ("--out", _PATH_OR_NONE, "must be a path"),
+    "input": ("--in", _PATH_OR_NONE, "must be a path"),
+    "svg": ("--svg", lambda v: isinstance(v, bool), "must be true or false"),
+    "seed": ("--seed", _count(-math.inf), "must be an integer"),
+    "threads": ("--threads", _count(1), "must be an integer of at least 1"),
+    "model": ("--model", _one_of(MODELS), f"must be one of {', '.join(MODELS)}"),
+    "kind": ("--kind", _one_of(MODELS), f"must be one of {', '.join(MODELS)}"),
+    "convention": ("--convention", _one_of(CONVENTIONS),
+                   f"must be one of {', '.join(CONVENTIONS)}"),
+    "estimator": ("--estimator", _one_of(ESTIMATORS),
+                  f"must be one of {', '.join(ESTIMATORS)}"),
+    "estimators": ("--estimators", _one_of(ESTIMATORS),
+                   f"must be a list of names among {', '.join(ESTIMATORS)}"),
+    "d": ("--d", _count(1), "must be an integer of at least 1"),
+    "d_grid": ("--d-grid", _count(1), "must be a list of integers of at least 1"),
+    "n": ("--n", _count(2), "must be an integer of at least 2"),
+    ("simulate", "n"): ("--n", _count(1), "must be an integer of at least 1"),
+    "draws": ("--draws", _count(2), "must be an integer of at least 2, as a stderr "
+                                    "needs two draws"),
+    "replications": ("--reps", _count(1), "must be an integer of at least 1"),
+    "starts": ("--starts", _or_none(_count(1)), "must be an integer of at least 1"),
+    "mcd_starts": ("--mcd-starts", _count(1), "must be an integer of at least 1"),
+    "mve_trials": ("--mve-trials", _count(1), "must be an integer of at least 1"),
+    "bp": ("--bp", lambda v: _real(v) and 0 < v <= 0.5, "must lie in (0, 0.5]"),
+    "c": ("--c", _POSITIVE, "must be positive and finite"),
+    ("estimate", "c"): ("--c", _or_none(_POSITIVE), "must be positive and finite"),
+    "r": ("--r", _between(-1.0, 1.0), "must lie in (-1, 1)"),
+    "eps": ("--eps", lambda v: _real(v) and 0 <= v <= 1, "must lie in [0, 1]"),
+    "gamma": ("--gamma", _or_none(lambda v: _real(v) and 0 < v <= 1), "must lie in (0, 1]"),
+    "eps_grid": ("--eps-grid", _between(0.0, 1.0), "must be a list of rates in (0, 1)"),
+    "delta": ("--delta", lambda v: _real(v) and 0 <= v < 0.5, "must lie in [0, 0.5)"),
+    "grid": ("--grid", _FINITE, "must be a list of finite numbers"),
+    "t_grid": ("--t-grid", _FINITE, "must be a list of finite numbers"),
+    "shift_mean": ("--shift-mean", _FINITE, "must be finite"),
+    "shift_var": ("--shift-var", _POSITIVE, "must be positive and finite"),
+    "t_large": ("--t-large", _FINITE, "must be finite"),
+    "threshold": ("--threshold", _POSITIVE, "must be positive and finite"),
+}
+# the keys whose value is a non-empty list, checked element by element
+_LISTS = frozenset({"estimators", "d_grid", "eps_grid", "grid", "t_grid"})
+
+
+def _domain(command: str, key: str) -> tuple | None:
+    return _DOMAINS.get((command, key), _DOMAINS.get(key))
+
+
+def _check(command: str, p: dict) -> None:
+    """A usage error naming the flag of the first value of p outside its
+    domain in _DOMAINS.  p is a command's flags before their defaults
+    resolve, with the unset (None) ones left out, or a config about to run."""
+    for key, value in p.items():
+        if (domain := _domain(command, key)) is None:
+            continue
+        flag, test, words = domain
+        if key in _LISTS and not (isinstance(value, list) and value):
+            raise _UsageError(f"{flag} {words}, got {value!r}")
+        for v in value if key in _LISTS else [value]:
+            if not test(v):
+                raise _UsageError(f"{flag} {words}, got {v!r}")
+
+
+# simulate's outlier kinds: the flag that sets each, and its number fields
+_OUTLIERS = {"additive-shift": ("--shift", "t"), "point-mass": ("--point", "z"),
+             "gaussian-shift": ("--gauss", "mean", "var")}
+
+
+def _check_simulate(p: dict) -> None:
+    """The outlier is one of _OUTLIERS with finite numbers, a positive --gauss
+    variance and one --point coordinate per --d; --gamma meets
+    ContaminationSpec's rules for --model and --eps."""
+    o = p["outlier"]
+    flag, *fields = _OUTLIERS.get(str(o.get("kind")) if isinstance(o, dict) else "", ("",))
+    if not fields or o.keys() != {"kind", *fields}:
+        raise _UsageError(f"--shift, --point or --gauss: the outlier must be one of "
+                          f"{', '.join(_OUTLIERS)} with its fields, got {o!r}")
+    nums = o["z"] if "z" in o else [o[f] for f in fields]
+    if not isinstance(nums, list) or not nums or not all(map(_FINITE, nums)):
+        raise _UsageError(f"{flag} must be finite, got {nums!r}")
+    if "var" in o and not o["var"] > 0:
+        raise _UsageError(f"--gauss variance must be positive, got {o['var']!r}")
+    if "z" in o and len(nums) != p["d"]:
+        raise _UsageError(f"--point needs {p['d']} coordinates, got {len(nums)}")
+    try:
+        ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p["gamma"])
+    except ContaminationError as exc:
+        raise _UsageError(f"--gamma: {exc}") from None
+
+
+def _check_influence(p: dict) -> None:
+    """The equicorrelated scatter is positive definite: r > -1/(d - 1)."""
+    d, r = p["d"], p["r"]
+    if d > 1 and not r * (d - 1) > -1:
+        raise _UsageError(f"--r must exceed -1/(d - 1) = {-1 / (d - 1):.6g} "
+                          f"at --d {d}, got {r!r}")
+
+
+# the rules that tie one key of a config to another, by command
+_ACROSS = {"simulate": _check_simulate, "influence": _check_influence}
+
+
+def _check_config(p: dict) -> None:
+    """Refuse a config about to run, fresh or replayed, before anything is
+    written: each value in its domain, then its command's cross-key rules."""
+    _check(p["command"], p)
+    if p["command"] in _ACROSS:
+        _ACROSS[p["command"]](p)
 
 
 def _flags(args) -> dict:
-    """A command's config: its flags by name, with the counts of _AT_LEAST
-    checked and the seed, the pool size and a run directory's parent
-    resolved.  --out is None in the parser, so that a replay can tell an
-    explicit --out runs from no --out at all."""
+    """A command's config: its flags by name, checked against _DOMAINS, with
+    the seed, the pool size and a run directory's parent resolved.  --out is
+    None in the parser, so that a replay can tell an explicit --out runs from
+    no --out at all."""
     cmd = _COMMANDS[args.command]
     p = {k: v for k, v in vars(args).items() if k not in ("config", "seed")}
-    for key, (flag, least) in _AT_LEAST.items():
-        if key in p and p[key] < least:
-            raise _UsageError(f"{flag} must be at least {least}, got {p[key]}")
+    _check(args.command, {k: v for k, v in p.items() if v is not None})
     if cmd.seed is not None:
         p["seed"] = _resolve_seed(args)
-    if "threads" in p:
-        p["threads"] = _threads(args)
+    if "threads" in p and p["threads"] is None:
+        p["threads"] = 1
     if cmd.run_dir is not None and p["out"] is None:
         p["out"] = "runs"
     return p
@@ -189,39 +318,24 @@ def _announce(report: ExperimentReport, run_dir: str) -> None:
 # simulate
 
 def _build_simulate(args) -> dict:
+    """The outlier of --point, --gauss or --shift (default 10), in the form
+    the outlier classes' to_dict writes; _check_simulate checks it."""
     p = _flags(args)
     shift, point, gauss = p.pop("shift"), p.pop("point"), p.pop("gauss")
-    d = p["d"]
-    if d < 1 or p["n"] < 1:
-        raise _UsageError("--d and --n must be positive")
     if point is not None:
-        z = _parse_floats(point, "--point")
-        if len(z) != d:
-            raise _UsageError(f"--point needs {d} coordinates, got {len(z)}")
-        p["outlier"] = PointMass(tuple(z)).to_dict()
+        p["outlier"] = {"kind": "point-mass", "z": point}
     elif gauss is not None:
-        mv = _parse_floats(gauss, "--gauss")
-        if len(mv) not in (1, 2):
-            raise _UsageError("--gauss expects mean or mean,var")
-        p["outlier"] = GaussianShift(mv[0], mv[1] if len(mv) == 2 else 1.0).to_dict()
+        p["outlier"] = {"kind": "gaussian-shift", "mean": gauss[0], "var": gauss[1]}
     else:
-        p["outlier"] = AdditiveShift(10.0 if shift is None else shift).to_dict()
-    try:
-        _contamination_spec(p)
-    except ContaminationError as exc:
-        raise _UsageError(str(exc)) from None
+        p["outlier"] = {"kind": "additive-shift", "t": 10.0 if shift is None else shift}
     return p
-
-
-def _contamination_spec(p: dict) -> ContaminationSpec:
-    return ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p["gamma"],
-                             outlier=outlier_from_dict(p["outlier"]))
 
 
 def _simulate(p: dict) -> None:
     if p["out"] is None:
         raise _UsageError("simulate requires --out")
-    spec = _contamination_spec(p)
+    spec = ContaminationSpec(model=p["model"], epsilon=p["eps"], gamma=p["gamma"],
+                             outlier=outlier_from_dict(p["outlier"]))
     _write_config(_sidecar(p["out"]), p)
     data = sample_contaminated(standard_model(p["d"]), spec, p["n"], p["seed"])
     out = Path(p["out"])
@@ -254,8 +368,6 @@ def _estimate(p: dict) -> None:
     except OSError as exc:
         raise _UsageError(f"cannot read {p['input']}: {exc}") from None
     est, seed = p["estimator"], p["seed"]
-    if est not in ESTIMATORS:
-        raise _UsageError(f"unknown estimator {est!r}")
     fit = ESTIMATORS[est]
     rho = fit.rho(x.shape[1], p["bp"], p["convention"], p["c"])
     if rho is not None:
@@ -274,13 +386,6 @@ def _estimate(p: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # influence
-
-def _build_influence(args) -> dict:
-    p = _build_ges(args)
-    if not -1.0 < p["r"] < 1.0:
-        raise _UsageError("--r must lie in (-1, 1)")
-    return p
-
 
 def _influence(p: dict) -> ExperimentReport:
     d, grid = p["d"], p["grid"]
@@ -312,8 +417,6 @@ def _influence(p: dict) -> ExperimentReport:
 def _build_ges(args) -> dict:
     """Also builds influence's config: both resolve the loss constant at d."""
     p = _flags(args)
-    if p["d"] < 1:
-        raise _UsageError("--d must be positive")
     p["c"] = _resolve_c(p["c"], p["convention"], p["bp"], p["d"])
     return p
 
@@ -397,7 +500,7 @@ class _Command:
 _COMMANDS = {
     "simulate": _Command(_simulate, build=_build_simulate, seed=7),
     "estimate": _Command(_estimate, build=_build_estimate, seed=0),
-    "influence": _Command(_influence, build=_build_influence, seed=2024, run_dir="influence",
+    "influence": _Command(_influence, build=_build_ges, seed=2024, run_dir="influence",
                           line="influence: {n_points} points, max |IF| = {max_norm:.4f}; "
                                "wrote {run_dir}"),
     "ges": _Command(_ges, build=_build_ges, run_dir="ges",
@@ -469,9 +572,9 @@ def _build_parser() -> _Parser:
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--shift", type=float, default=None,
                      help="add a constant to contaminated cells (default 10)")
-    grp.add_argument("--point", default=None,
+    grp.add_argument("--point", type=lambda t: _parse_floats(t, "--point"), default=None,
                      help="point-mass replacement, comma-separated coordinates")
-    grp.add_argument("--gauss", default=None,
+    grp.add_argument("--gauss", type=_parse_gauss, default=None,
                      help="gaussian replacement cells, 'mean' or 'mean,var'")
 
     sp = add("estimate", "fit one location/scatter estimator to a CSV dataset",
@@ -487,7 +590,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--kind", choices=MODELS, default="ficm")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--r", type=float, default=0.0,
-                    help="equicorrelation of the model scatter")
+                    help="equicorrelation of the model scatter, above -1/(d - 1)")
     sp.add_argument("--grid", type=_parse_grid, default="-8:8:0.5")
     sp.add_argument("--draws", type=int, default=200_000)
     _add_rho_flags(sp, "squared-distance")
@@ -519,11 +622,13 @@ def _build_parser() -> _Parser:
 
     sp = add("fig4", "componentwise bias sweep over the outlier size")
     sp.add_argument("--d", type=int, default=15)
-    sp.add_argument("--n", type=int, default=100)
+    sp.add_argument("--n", type=int, default=100,
+                    help="need not exceed --d; a subset fit (mcd, mve, s, m) on at most "
+                         "d rows fails, and is counted as a failed fit")
     sp.add_argument("--eps", type=float, default=0.15)
-    sp.add_argument("--t-grid", type=_parse_grid, default="0:100:5")
-    sp.add_argument("--estimators", type=_parse_estimators,
-                    default="mean,coord_median,mcd,mve")
+    sp.add_argument("--t-grid", type=lambda t: _parse_grid(t, "--t-grid"), default="0:100:5")
+    sp.add_argument("--estimators", default="mean,coord_median,mcd,mve",
+                    type=lambda t: [e.strip() for e in t.split(",") if e.strip()])
     sp.add_argument("--reps", dest="replications", type=int, default=20)
     sp.add_argument("--mcd-starts", type=int, default=100)
     sp.add_argument("--mve-trials", type=int, default=200)
@@ -533,16 +638,24 @@ def _build_parser() -> _Parser:
     sp = add("breakdown", "empirical breakdown rate on a contamination grid")
     sp.add_argument("--estimator", choices=tuple(ESTIMATORS), default="mcd")
     sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--eps-grid", type=_parse_grid, default="0.02:0.40:0.02")
+    sp.add_argument("--eps-grid", type=lambda t: _parse_grid(t, "--eps-grid"),
+                    default="0.02:0.40:0.02")
     sp.add_argument("--t-large", type=float, default=1000.0)
     sp.add_argument("--reps", dest="replications", type=int, default=5)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=int, default=200,
+                    help="need not exceed --d; a subset fit (mcd, mve, s, m) on at most "
+                         "d rows fails, and counts as breaking the estimator")
     sp.add_argument("--threshold", type=float, default=10.0)
     sp.add_argument("--bp", type=float, default=0.5)
     sp.add_argument("--mcd-starts", type=int, default=100)
     sp.add_argument("--mve-trials", type=int, default=200)
     sp.add_argument("--threads", type=int, default=None)
 
+    # each typed flag's help ends with its domain, in the words of _DOMAINS
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.type is not None and (domain := _domain(name, action.dest)):
+                action.help = "; ".join(filter(None, (action.help, domain[2])))
     parser.commands = sub.choices
     return parser
 
@@ -569,7 +682,8 @@ def _reject_replay_conflicts(parser: _Parser, argv: list[str], command: str) -> 
 
 
 def _replay(args, built: dict) -> dict:
-    """The config in args.config, checked against the keys that build writes.
+    """The config in args.config, checked against the keys that build writes;
+    main checks its values, as those of a fresh run, with _check_config.
 
     A replay may redirect output, change the pool size or add the figure;
     built holds those flags resolved and checked."""
@@ -626,6 +740,7 @@ def main(argv: list[str] | None = None) -> int:
         params = cmd.build(args)
         if args.config:
             params = _replay(args, params)
+        _check_config(params)
         _drive(cmd, params)
     except (_UsageError, InvalidData) as exc:
         print(f"oplab: error: {exc}", file=sys.stderr)

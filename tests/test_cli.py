@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 
 import oplab
 from oplab import calibrate_c
-from oplab.cli import _COMMANDS, _merge_negative_payloads, _parse_grid, _UsageError, main
+from oplab.cli import (_COMMANDS, _build_parser, _domain, _merge_negative_payloads, _parse_grid,
+                       _UsageError, main)
 
 from _datasets import overflowing_data
 
@@ -527,7 +529,10 @@ def test_replay_with_explicit_out_runs_writes_under_the_working_directory(
 # flag values outside their domain, each refused at the boundary with the
 # flag named: the --bp and --c cases, --draws 0 and --reps 0 used to exit 2 or
 # 1 through a traceback; --draws 1 wrote NaN stderrs or failed a check, and
-# fig4 --reps 0 exited 0 with failed checks
+# fig4 --reps 0 exited 0 with failed checks.  From --d-grid 0 on: the ones
+# that exited 2 with an internal message, or 0 (--eps 1.5, --mcd-starts 0,
+# fig3 --n 1, --threshold nan, a point at inf), and the non-finite payloads,
+# a grid whose point count overflows among them
 _OUT_OF_DOMAIN = [
     (["ges", "--bp", "0"], "--bp"), (["ges", "--bp", "0.7"], "--bp"),
     (["ges", "--bp", "nan"], "--bp"), (["influence", "--bp", "-0.1"], "--bp"),
@@ -537,6 +542,15 @@ _OUT_OF_DOMAIN = [
     (["fig2", "--draws", "0"], "--draws"), (["fig2", "--draws", "1"], "--draws"),
     (["breakdown", "--reps", "0"], "--reps"), (["fig4", "--reps", "0"], "--reps"),
     (["fig4", "--reps", "-1"], "--reps"),
+    (["fig2", "--d-grid", "0"], "--d-grid"), (["table1", "--d-grid", "0"], "--d-grid"),
+    (["fig4", "--d", "0"], "--d"), (["breakdown", "--d", "0"], "--d"),
+    (["table1", "--delta", "0.7"], "--delta"), (["fig3", "--shift-var", "0"], "--shift-var"),
+    (["breakdown", "--eps-grid", "0:0.4:0.2"], "--eps-grid"), (["fig4", "--eps", "1.5"], "--eps"),
+    (["fig4", "--mcd-starts", "0"], "--mcd-starts"), (["fig3", "--n", "1"], "--n"),
+    (["breakdown", "--threshold", "nan"], "--threshold"),
+    (["influence", "--grid", "0:inf:1"], "--grid"), (["influence", "--grid", "0:1:inf"], "--grid"),
+    (["influence", "--grid", "0:1e300:1e-300"], "--grid"),
+    (["table1", "--d-grid", "1e400"], "--d-grid"), (["simulate", "--point", "1,inf"], "--point"),
 ]
 
 
@@ -548,7 +562,93 @@ def test_flags_outside_their_domain_are_usage_errors(tmp_path, capsys, argv, fla
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("oplab: error: " + flag) and captured.err.count("\n") == 1
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())  # no run directory, no dataset, no sidecar
+
+
+def _typed_flags():
+    """(command, flag, action) for every flag of every command that takes a
+    payload, --config and simulate's outlier flags aside."""
+    for command, sp in _build_parser().commands.items():
+        for action in sp._actions:
+            if action.option_strings and action.type is not None \
+                    and action.dest not in ("shift", "point", "gauss"):
+                yield command, action.option_strings[0], action
+
+
+def test_every_typed_flag_has_a_domain():
+    missing = [(command, flag) for command, flag, action in _typed_flags()
+               if _domain(command, action.dest) is None]
+    assert missing == []
+
+
+def _refused_by_its_domain(command, action, text):
+    """Whether the payload text of action fails its parser or its domain."""
+    try:
+        value = action.type(text)
+    except (ValueError, _UsageError):
+        return True
+    _, test, _ = _domain(command, action.dest)
+    values = value if isinstance(value, list) else [value]
+    return not values or not all(test(v) for v in values)
+
+
+_EDGES = ["0", "-1", "nan", "inf", "1e9"]
+
+
+@pytest.mark.parametrize("command,flag,action", list(_typed_flags()),
+                         ids=[f"{c} {f}" for c, f, _ in _typed_flags()])
+def test_zero_negative_and_non_finite_payloads_are_refused_by_their_domain(
+        tmp_path, capsys, command, flag, action):
+    # every edge value that the flag's domain refuses exits 1 with one line
+    # naming the flag, before anything is written; the ones it admits are
+    # valid input and are not run here
+    for text in _EDGES:
+        if not _refused_by_its_domain(command, action, text):
+            continue
+        out = tmp_path / "out"
+        assert main([command, f"{flag}={text}", "--out", str(out)]) == 1, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, text
+        assert flag in captured.err and captured.err.count("\n") == 1, text
+        assert not any(tmp_path.iterdir()), text
+
+
+# the same domains, written into a config and replayed: a replay used to
+# check only the config's keys, so these ran, failed deep inside (exit 2 or a
+# traceback) or exited 0, most after creating the run directory
+_BAD_CONFIGS = [
+    ("influence", "draws", 1, "--draws"), ("influence", "bp", 0.9, "--bp"),
+    ("influence", "d", "2", "--d"), ("influence", "draws", 100.5, "--draws"),
+    ("influence", "d", True, "--d"), ("influence", "grid", [0.0, math.inf], "--grid"),
+    ("fig4", "threads", 0, "--threads"), ("fig4", "replications", 0, "--reps"),
+    ("simulate", "outlier", {"kind": "point-mass", "z": [1.0, 2.0, 3.0]}, "--point"),
+    ("simulate", "outlier", {"kind": "point-mass", "z": [1.0, math.inf]}, "--point"),
+    ("simulate", "outlier", {"kind": "gaussian-shift", "mean": 1.0, "var": -1.0}, "--gauss"),
+    ("fig2", "d_grid", [0], "--d-grid"), ("table1", "d_grid", [0], "--d-grid"),
+    ("table1", "d_grid", [math.inf], "--d-grid"), ("fig4", "d", 0, "--d"),
+    ("breakdown", "d", 0, "--d"), ("table1", "delta", 0.7, "--delta"),
+    ("fig3", "shift_var", 0.0, "--shift-var"),
+    ("breakdown", "eps_grid", [0.0, 0.2, 0.4], "--eps-grid"), ("fig4", "eps", 1.5, "--eps"),
+    ("fig4", "mcd_starts", 0, "--mcd-starts"), ("fig3", "n", 1, "--n"),
+    ("breakdown", "threshold", math.nan, "--threshold"), ("estimate", "starts", 0, "--starts"),
+    ("estimate", "estimator", "median", "--estimator"),
+    ("fig4", "estimators", "mean", "--estimators"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,flag", _BAD_CONFIGS,
+                         ids=[f"{c} {k}={v!r}" for c, k, v, _ in _BAD_CONFIGS])
+def test_replayed_values_outside_their_domain_are_usage_errors(configs, tmp_path, capsys,
+                                                                 command, key, value, flag):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**json.loads(configs[command][0].read_text()), key: value}))
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert main([command, "--config", str(path), "--out", str(fresh / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("oplab: error: " + flag) and captured.err.count("\n") == 1
+    assert not fresh.exists()
 
 
 def test_replay_rejects_mismatched_command(tmp_path, capsys):
