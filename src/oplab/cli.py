@@ -192,17 +192,21 @@ _DOMAINS: dict = {
     "r": ("--r", _between(-1.0, 1.0), "must lie in (-1, 1)"),
     "eps": ("--eps", lambda v: _real(v) and 0 <= v <= 1, "must lie in [0, 1]"),
     "gamma": ("--gamma", _or_none(lambda v: _real(v) and 0 < v <= 1), "must lie in (0, 1]"),
-    "eps_grid": ("--eps-grid", _between(0.0, 1.0), "must be a list of rates in (0, 1)"),
+    "eps_grid": ("--eps-grid", _between(0.0, 1.0),
+                 "must be a strictly increasing list of rates in (0, 1)"),
     "delta": ("--delta", lambda v: _real(v) and 0 <= v < 0.5, "must lie in [0, 0.5)"),
     "grid": ("--grid", _FINITE, "must be a list of finite numbers"),
-    "t_grid": ("--t-grid", _FINITE, "must be a list of finite numbers"),
+    "t_grid": ("--t-grid", _FINITE, "must be a strictly increasing list of finite numbers"),
     "shift_mean": ("--shift-mean", _FINITE, "must be finite"),
     "shift_var": ("--shift-var", _POSITIVE, "must be positive and finite"),
     "t_large": ("--t-large", _FINITE, "must be finite"),
     "threshold": ("--threshold", _POSITIVE, "must be positive and finite"),
 }
-# the keys whose value is a non-empty list, checked element by element
-_LISTS = frozenset({"estimators", "d_grid", "eps_grid", "grid", "t_grid"})
+# the keys whose value is a non-empty list, checked element by element, and
+# whether the list must be strictly increasing: the grids whose checks read
+# their points in order
+_LISTS = {"estimators": False, "d_grid": False, "eps_grid": True, "grid": False,
+          "t_grid": True}
 
 
 def _domain(command: str, key: str) -> tuple | None:
@@ -222,6 +226,8 @@ def _check(command: str, p: dict) -> None:
         for v in value if key in _LISTS else [value]:
             if not test(v):
                 raise _UsageError(f"{flag} {words}, got {v!r}")
+        if _LISTS.get(key) and any(b <= a for a, b in zip(value, value[1:])):
+            raise _UsageError(f"{flag} {words}, got {value!r}")
 
 
 # simulate's outlier kinds: the flag that sets each, and its number fields

@@ -21,7 +21,7 @@ import numpy as np
 from .contamination import (ContaminationSpec, GaussianShift, cell_count_pmf,
                             sample_contaminated)
 from .estimators import ESTIMATORS, EstimationError
-from .influence import _PATH_FICM, InfluenceContext, MonteCarlo, _ficm_core, ges, influence
+from .influence import InfluenceContext, MonteCarlo, _ficm_core, ges, influence
 from .numerics import SingularScatter, standard_model
 from .rng import substream, substream_seed
 
@@ -44,9 +44,6 @@ class ExperimentReport:
 
     tables: dict[str, tuple[list[str], list[tuple]]]
     summary: dict = field(default_factory=dict)
-
-    def passed(self) -> bool:
-        return all(a["passed"] for a in self.summary.get("assertions", []))
 
     def write(self, run_dir: str) -> None:
         """Write results.csv, summary.json and any extra tables into run_dir."""
@@ -161,14 +158,12 @@ def propagation_demo(n: int = 20_000, eps: float = 0.3, shift_mean: float = 10.0
     sample_rows = [tuple(fig.x[i]) + tuple(fig_mixed[i]) + tuple(int(v) for v in fig.b[i])
                    for i in range(_FIGURE_ROWS)]
 
-    pmf_clean, pmf_one, pmf_two = (cell_count_pmf(spec, 2, k) for k in (0, 1, 2))
-    checks = [
-        _assertion("frac0 within 0.01 of law", abs(frac[0] - pmf_clean) <= 0.01,
-                   f"{frac[0]:.4f} vs {pmf_clean:.4f}"),
-        _assertion("frac1 within 0.01 of law", abs(frac[1] - pmf_one) <= 0.01,
-                   f"{frac[1]:.4f} vs {pmf_one:.4f}"),
-        _assertion("frac2 within 0.01 of law", abs(frac[2] - pmf_two) <= 0.01,
-                   f"{frac[2]:.4f} vs {pmf_two:.4f}"),
+    # 0.01 at the default n, 2.8 standard errors of frac0, and as many at any n
+    band = 0.01 * (20_000 / n) ** 0.5
+    law = [cell_count_pmf(spec, 2, k) for k in (0, 1, 2)]
+    checks = [_assertion(f"frac{k} within {band:.3g} of law", abs(frac[k] - law[k]) <= band,
+                         f"{frac[k]:.4f} vs {law[k]:.4f}") for k in (0, 1, 2)]
+    checks += [
         _assertion("median of mixed col 1 exceeds 1.0", med_l[0] > 1.0,
                    f"{med_l[0]:.4f}"),
         _assertion("median of raw col 1 stays below 0.6", med_x[0] < 0.6,
@@ -327,7 +322,7 @@ def ges_vs_dim(d_grid: tuple[int, ...] = (1, 2, 3, 5, 8, 10, 12, 15),
             rows.append((d, "multivariate-s", kind, res.value, rho_d.c))
             rows.append((d, "coordinatewise-s", kind, coord_value, rho1.c))
         exact = influence(res.argmax_z, ctx).value
-        sampled = _ficm_core(res.argmax_z, ctx, _PATH_FICM)
+        sampled = _ficm_core(res.argmax_z, ctx)
         sigma = sampled.stderr + 0.25e-12 * np.max(np.abs(exact))
         return rows, float(np.max(np.abs(sampled.value - exact) / sigma))
 
@@ -385,8 +380,9 @@ def empirical_breakdown(estimator: str = "mcd", d: int = 2,
         raise ValueError(f"unknown estimator {estimator!r}")
     if eps_grid is None:
         eps_grid = tuple(round(0.02 * k, 2) for k in range(1, 21))
-    if any(not 0.0 < e < 1.0 for e in eps_grid) or list(eps_grid) != sorted(eps_grid):
-        raise ValueError("eps_grid must be increasing rates in (0, 1)")
+    if any(not 0.0 < e < 1.0 for e in eps_grid) \
+            or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("eps_grid must be strictly increasing rates in (0, 1)")
     model = standard_model(d)
     fit = ESTIMATORS[estimator]
     rho = fit.rho(d, bp)

@@ -4,8 +4,8 @@ The engine evaluates the limiting derivative of the location functional along
 the contamination paths from `contamination`.  Full-row replacement gives the
 classical closed form; independent-cell replacement needs expectations over
 partially replaced draws: chi-square integrals on a diagonal scatter, else
-Monte Carlo with common random numbers (every call regenerates the same
-substream, so influence surfaces over a z-grid are smooth and two calls at
+Monte Carlo with common random numbers (every call on a context reuses its
+one draw set, so influence surfaces over a z-grid are smooth and two calls at
 different z share all sampling noise).
 
 Normalization: every influence vector is psi-weighted displacement divided by
@@ -16,6 +16,7 @@ derivative of the loss with respect to squared distance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,11 +72,11 @@ class InfluenceContext:
 
     kind selects the contamination path; gamma is only meaningful for
     pcicm-i.  The cellwise paths are exact on a diagonal sigma0 and Monte
-    Carlo otherwise.  The context caches the z-independent parts of the
-    Monte Carlo state (the draws in a (d, n) layout, their precision
-    products) for reuse across a z-grid, together with the buffers every
-    cellwise evaluation writes into.  So a context must not be shared
-    across threads: give each thread its own.
+    Carlo otherwise.  The Monte Carlo draws depend only on the kind, mc and
+    the model, so the context makes them once (_draws), with their precision
+    products and the buffers every cellwise evaluation writes into, for reuse
+    across a z-grid.  So a context must not be shared across threads: give
+    each thread its own.
     """
 
     def __init__(self, model: EllipticalModel, rho: RhoSpec, kind: str = "fdcm",
@@ -94,27 +95,22 @@ class InfluenceContext:
         diagonal = not np.any(model.sigma0[~np.eye(self.d, dtype=bool)])
         self._scale = np.sqrt(np.diag(model.sigma0)) if diagonal else None
         self._cellwise = _ficm_exact if diagonal else _ficm_core
-        self._cache_key = None
-        self._cache_val = None
 
-    def _draws(self, path: int):
-        """Model draws for path in a (d, n) layout, cached for the last path:
-        ydev = Y - mu0, its precision product doubled (2 Sigma^-1 ydev) and
-        the squared distances d2y.  With them live the cellwise core's
-        buffers (_ficm_sums): a (d, n) one for the per-draw totals and three
-        (d, block) scratch ones."""
-        key = (path, self.mc.n_draws, self.mc.seed)
-        if self._cache_key != key:
-            rng = substream(self.mc.seed, path)
-            ydev = (self.model.sample(self.mc.n_draws, rng) - self.model.mu0).T.copy()
-            proj2 = self._sigma_inv @ ydev
-            d2y = np.einsum("ij,ij->j", ydev, proj2)
-            proj2 *= 2.0
-            block = min(max(_BLOCK_CELLS // self.d, 1), ydev.shape[1])
-            self._cache_key = key
-            self._cache_val = (ydev, proj2, d2y, np.empty_like(ydev),
-                               np.empty((3, self.d, block)))
-        return self._cache_val
+    @functools.cached_property
+    def _draws(self):
+        """Model draws in a (d, n) layout: ydev = Y - mu0, its precision
+        product doubled (2 Sigma^-1 ydev) and the squared distances d2y, then
+        _ficm_core's buffers, a (d, n) one for the per-draw totals and three
+        (d, block) scratch ones.  psicm draws from _PATH_PSICM, so that its
+        cell half and a ficm context's estimate are two estimates, and every
+        other kind from _PATH_FICM."""
+        rng = substream(self.mc.seed, _PATH_PSICM if self.kind == "psicm" else _PATH_FICM)
+        ydev = (self.model.sample(self.mc.n_draws, rng) - self.model.mu0).T.copy()
+        proj2 = self._sigma_inv @ ydev
+        d2y = np.einsum("ij,ij->j", ydev, proj2)
+        proj2 *= 2.0
+        block = min(max(_BLOCK_CELLS // self.d, 1), ydev.shape[1])
+        return ydev, proj2, d2y, np.empty_like(ydev), np.empty((3, self.d, block))
 
 
 @dataclass(frozen=True)
@@ -154,23 +150,26 @@ def if_fdcm(z, ctx: InfluenceContext) -> InfluenceResult:
 _BLOCK_CELLS = 131072
 
 
-def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
-    """Sums over draws of the per-draw totals T of _ficm_core, and T itself
-    into the context's (d, n) totals buffer.
+def _ficm_core(z: np.ndarray, ctx: InfluenceContext) -> InfluenceResult:
+    """Sum over single-coordinate patterns, one shared sample for all of them.
 
-    The draws go in blocks of the context's scratch width.  Per block:
-    pinning coordinate k at z_k moves a draw's squared distance to
-    (d2y + delta_k (2 Sigma^-1 ydev)_k) + delta_k^2 (Sigma^-1)_kk, with
-    delta = zdev - ydev; one bisquare pass gives psi (d, w), pattern k in
-    row k; and one GEMM m = psi ydev^T adds to the sums, output j taking
-    m[k, j] over the other patterns k plus psi_j's sum times zdev_j.
+    For output j the per-draw total is
+    T_j = (sum over k != j of psi_k) ydev_j + psi_j zdev_j, where psi_k is
+    psi at the draw's squared distance with coordinate k pinned at z_k.  So
+    one draw set prices every pattern in O(n d).  The draws go in blocks of
+    the context's scratch width.  Per block: pinning coordinate k at z_k moves
+    a draw's squared distance to (d2y + delta_k (2 Sigma^-1 ydev)_k) +
+    delta_k^2 (Sigma^-1)_kk, with delta = zdev - ydev; one bisquare pass gives
+    psi (d, w), pattern k in row k; and T goes into the context's (d, n)
+    totals buffer.  The value is the mean of T over the draws, and the stderr
+    numpy's std(ddof=1) of T, in two passes.  The float order differs from
+    the plain expressions in tests/_ficm_reference.py, which checks both to a
+    stated tolerance.  Nothing returned is a view of a buffer.
     """
-    ydev, proj2, d2y, totals, (a, b, c) = ctx._draws(path)
+    ydev, proj2, d2y, totals, (a, b, c) = ctx._draws
     inv_diag = np.diag(ctx._sigma_inv)[:, None]
     zdev = z - ctx.model.mu0
-    d, n = ydev.shape
-    m = np.zeros((d, d))
-    psi_sum = np.zeros(d)
+    n = ydev.shape[1]
     for lo in range(0, n, a.shape[1]):
         cols = slice(lo, min(lo + a.shape[1], n))
         w = cols.stop - lo
@@ -183,47 +182,28 @@ def _ficm_sums(z: np.ndarray, ctx: InfluenceContext, path: int) -> np.ndarray:
         psi *= inv_diag
         bb += psi
         rho_sq_into(ctx.rho, bb, psi, ab, derivative=1)  # p into ab
-        sums = psi.sum(axis=1)
+        sums = psi.sum(axis=0)
         # psi is 0 wherever p == 0, except on the squared-distance law where
         # s is inf: p^2 s (6/c^2) is NaN there, and psi_sq's zeroing beyond
         # the truncation is needed only then
         if np.isnan(sums).any():
             np.copyto(psi, 0.0, where=ab == 0.0)
-            sums = psi.sum(axis=1)
-        m += psi @ yb.T
-        psi_sum += sums
+            sums = psi.sum(axis=0)
         t = totals[:, cols]  # T = (sum over patterns - psi) ydev + psi zdev
-        np.subtract(psi.sum(axis=0), psi, out=t)
+        np.subtract(sums, psi, out=t)
         t *= yb
         np.multiply(psi, zdev[:, None], out=ab)
         t += ab
-    return m.sum(axis=0) - np.diagonal(m) + psi_sum * zdev
-
-
-def _ficm_core(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResult:
-    """Sum over single-coordinate patterns, one shared sample for all of them.
-
-    For output j the per-draw total is
-    T_j = (sum over k != j of psi_k) ydev_j + psi_j zdev_j, where psi_k is
-    psi at the draw's squared distance with coordinate k pinned at z_k.  So
-    one draw set prices every pattern in O(n d) (_ficm_sums).  The value is
-    the mean of T from the GEMM sums, and the stderr numpy's std(ddof=1) of
-    T over the draws.  The float order differs from the plain expressions in
-    tests/_ficm_reference.py, which checks both to a stated tolerance.
-    Nothing returned is a view of a buffer.
-    """
-    _, _, _, totals, _ = ctx._draws(path)
-    n = totals.shape[1]
-    mean = _ficm_sums(z, ctx, path) / n
-    totals -= (totals.sum(axis=1) / n)[:, None]
+    mean = totals.sum(axis=1) / n
+    totals -= mean[:, None]
     np.square(totals, out=totals)
     var = totals.sum(axis=1) / (n - 1)
     return InfluenceResult(z=z, value=mean / ctx.a_psi,
                            stderr=np.sqrt(var) / math.sqrt(n) / ctx.a_psi)
 
 
-def _ficm_exact(z: np.ndarray, ctx: InfluenceContext, path: int) -> InfluenceResult:
-    """_ficm_core's expectation on a diagonal sigma0 (path unused), stderr 0.
+def _ficm_exact(z: np.ndarray, ctx: InfluenceContext) -> InfluenceResult:
+    """_ficm_core's expectation on a diagonal sigma0, stderr 0.
 
     Pattern k's squared distance is t_k^2 + V, t_k = zdev_k / sigma_k, with V
     chi-square(d - 1) and even in each ydev_j, so E[psi_k ydev_j] = 0 for
@@ -251,19 +231,20 @@ def _shifted_mean(f, s: float, rho: RhoSpec, d: int) -> float:
 def if_ficm(z, ctx: InfluenceContext) -> InfluenceResult:
     """Independent-cell replacement: only single-cell patterns survive the
     limit, so the influence is the sum of their g-values over a_psi."""
-    return ctx._cellwise(_as_point(z, ctx.d), ctx, _PATH_FICM)
+    return ctx._cellwise(_as_point(z, ctx.d), ctx)
 
 
 def if_psicm(z, ctx: InfluenceContext) -> InfluenceResult:
     """Half the full-row influence plus half the cellwise one.
 
-    On the Monte Carlo path the cellwise half runs on its own substream, so
-    comparing against the average of if_fdcm and if_ficm is a genuine
-    two-estimate consistency check rather than an arithmetic identity.
+    On the Monte Carlo path a psicm context's draws come from their own
+    substream, so comparing against the average of if_fdcm and if_ficm is a
+    genuine two-estimate consistency check rather than an arithmetic
+    identity.
     """
     z = _as_point(z, ctx.d)
     row = if_fdcm(z, ctx)
-    cell = ctx._cellwise(z, ctx, _PATH_PSICM)
+    cell = ctx._cellwise(z, ctx)
     return InfluenceResult(z=z, value=0.5 * (row.value + cell.value),
                            stderr=0.5 * cell.stderr)
 

@@ -4,8 +4,9 @@ intermediate, psi_sq on the pinned distances, and numpy's mean and
 std(ddof=1) of the per-draw totals.
 
 The package evaluates the same expectation on cached (d, n) draws, in another
-float order (one GEMM for the sums over draws).  The draws come from the same
-substream, so the two agree to rounding; the tests state the tolerance.
+float order (the per-draw totals built block by block, summed row by row).
+The draws come from the same substream, so the two agree to rounding; the
+tests state the tolerance.
 
 On a diagonal scatter the expectation has an exact form (exact_value):
 output j is zdev_j h(t_j) / a_psi, with t_j = zdev_j / sigma_j and

@@ -190,8 +190,8 @@ def test_criterion_07_sensitivity_ordering_by_dimension(capsys):
     coords = [val(d, "coordinatewise-s", k)
               for d in (5, 10, 15) for k in ("fdcm", "ficm")]
     flat = max(coords) - min(coords)
-    ok = report.passed() and all(i > f for i, f in margins.values()) \
-        and flat < 1e-9
+    ok = all(a["passed"] for a in report.summary["assertions"]) \
+        and all(i > f for i, f in margins.values()) and flat < 1e-9
     _report(capsys, 7, "cellwise sensitivity exceeds rowwise as d grows", ok,
             "ficm vs fdcm " + ", ".join(
                 f"d={d}: {i:.2f}>{f:.2f}" for d, (i, f) in margins.items())
@@ -211,8 +211,8 @@ def test_criterion_08_bias_sweep_behavior(capsys):
     mve100 = curves[(100.0, "mve")][0]
     mean_rel = max(abs(curves[(t, "mean")][1] - 0.15 * t) / (0.15 * t)
                    for t in (5.0, 10.0, 20.0, 50.0, 100.0))
-    ok = report.passed() and cm_worst < 1.0 and mcd100 > 5.0 and mve100 > 5.0 \
-        and mean_rel <= 0.20
+    ok = all(a["passed"] for a in report.summary["assertions"]) and cm_worst < 1.0 \
+        and mcd100 > 5.0 and mve100 > 5.0 and mean_rel <= 0.20
     _report(capsys, 8, "bias growth at d=15, eps=0.15, 20 replications", ok,
             f"coord_median worst {cm_worst:.3f} < 1; mcd/mve at t=100: "
             f"{mcd100:.1f}/{mve100:.1f} > 5, nondecreasing past t=10; "

@@ -633,6 +633,10 @@ _BAD_CONFIGS = [
     ("breakdown", "threshold", math.nan, "--threshold"), ("estimate", "starts", 0, "--starts"),
     ("estimate", "estimator", "median", "--estimator"),
     ("fig4", "estimators", "mean", "--estimators"),
+    ("breakdown", "eps_grid", [0.3, 0.1], "--eps-grid"),
+    ("breakdown", "eps_grid", [0.1, 0.1, 0.2], "--eps-grid"),
+    ("fig4", "t_grid", [100.0, 50.0, 0.0], "--t-grid"),
+    ("fig4", "t_grid", [0.0, 50.0, 50.0], "--t-grid"),
 ]
 
 

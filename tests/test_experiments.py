@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 from oplab import (ESTIMATORS, ExperimentReport, InfluenceContext, bias_sweep,
                    empirical_breakdown, epsilon0, ges, ges_vs_dim, propagation_demo,
                    standard_model, table1)
-from oplab import estimators
+from oplab import estimators, experiments
 from oplab.experiments import _parallel_map, write_csv, write_json
+
+
+def _failed(rep):
+    """The names of the report's assertions that failed."""
+    return [a["name"] for a in rep.summary["assertions"] if not a["passed"]]
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +65,7 @@ def test_clean_majority_threshold():
 
 def test_table1_matches_the_bound():
     rep = table1()
-    assert rep.passed()
+    assert not _failed(rep)
     header, rows = rep.tables["results"]
     assert header == ["d", "eps0", "eps0_2dp"]
     for d, v, r in rows:
@@ -74,7 +79,7 @@ def test_table1_matches_the_bound():
 
 def test_propagation_demo_fractions_and_medians():
     rep = propagation_demo()
-    assert rep.passed()
+    assert not _failed(rep)
     vals = dict(rep.tables["results"][1])
     assert abs(vals["frac_0_cells"] - 0.49) <= 0.01
     assert abs(vals["frac_1_cell"] - 0.42) <= 0.01
@@ -88,14 +93,26 @@ def test_propagation_demo_fractions_and_medians():
     assert len(rep.tables["sample"][1]) == 20
 
 
+@pytest.mark.parametrize("planted", [0.0, -0.06, 0.06])
+def test_propagation_demo_fraction_band_follows_n(monkeypatch, planted):
+    # at n = 2000 the band is 0.01 sqrt(10): the true law passes all five
+    # checks, and a law planted 0.06 off in either direction fails the three
+    # fraction checks
+    law = experiments.cell_count_pmf
+    monkeypatch.setattr(experiments, "cell_count_pmf",
+                        lambda spec, d, k: law(spec, d, k) + planted)
+    rep = propagation_demo(n=2000)
+    assert len(rep.summary["assertions"]) == 5
+    fractions = [f"frac{k} within 0.0316 of law" for k in (0, 1, 2)]
+    assert _failed(rep) == ([] if planted == 0.0 else fractions)
+
+
 def test_propagation_demo_clean_case_fails_the_mixing_check():
     rep = propagation_demo(n=2000, eps=0.0)
     vals = dict(rep.tables["results"][1])
     assert vals["frac_0_cells"] == 1.0
     assert abs(vals["median_l1"]) < 0.2
-    assert not rep.passed()
-    failed = [a["name"] for a in rep.summary["assertions"] if not a["passed"]]
-    assert failed == ["median of mixed col 1 exceeds 1.0"]
+    assert _failed(rep) == ["median of mixed col 1 exceeds 1.0"]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +184,6 @@ def test_bias_sweep_reports_cells_where_every_fit_failed():
     (check,) = rep.summary["assertions"]
     assert not check["passed"]
     assert "(10.0, 'mcd')" in check["detail"]
-    assert not rep.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +191,7 @@ def test_bias_sweep_reports_cells_where_every_fit_failed():
 
 def test_ges_vs_dim_small_grid():
     rep = ges_vs_dim(d_grid=(1, 2), n_draws=20_000)
-    assert rep.passed()
+    assert not _failed(rep)
     header, rows = rep.tables["results"]
     assert header == ["d", "estimator", "model", "ges", "c"]
     assert len(rows) == 8
@@ -207,7 +223,7 @@ def test_breakdown_mcd_d15_matches_the_bound():
     grid = tuple(round(0.02 * k, 2) for k in range(1, 11))
     rep = empirical_breakdown(estimator="mcd", d=15, eps_grid=grid,
                               replications=3, n=200, mcd_starts=60)
-    assert rep.passed()
+    assert not _failed(rep)
     s = rep.summary
     assert s["bound"] == pytest.approx(epsilon0(0.0, 15))
     assert s["eps_star_hat"] is not None
@@ -225,7 +241,7 @@ def test_breakdown_coord_median_survives_dense_cells():
     rep = empirical_breakdown(estimator="coord_median", d=2, eps_grid=grid,
                               replications=3, n=300)
     assert rep.summary["eps_star_hat"] is None
-    assert rep.passed()
+    assert not _failed(rep)
 
 
 def test_breakdown_univariate_s_near_half():
@@ -248,6 +264,8 @@ def test_breakdown_validation():
         empirical_breakdown(estimator="trimmed", d=2)
     with pytest.raises(ValueError):
         empirical_breakdown(eps_grid=(0.2, 0.1))
+    with pytest.raises(ValueError):
+        empirical_breakdown(eps_grid=(0.1, 0.1, 0.2))
     with pytest.raises(ValueError):
         empirical_breakdown(eps_grid=(0.0, 0.1))
 

@@ -212,6 +212,21 @@ def test_if_psicm_averages_row_and_cell_paths():
             assert np.all(np.abs(ps.value - avg) < band)
 
 
+def test_psicm_and_ficm_contexts_draw_from_their_own_substreams():
+    # a context's draws follow its kind: psicm's own, and one set for every
+    # independent-cell kind.  On one shared set criterion 05's comparison of
+    # if_psicm with the average of if_fdcm and if_ficm would hold bit for bit
+    kw = dict(r=0.5, n_draws=2_000, seed=77)
+    ctx_p, ctx_f = _ctx("psicm", **kw), _ctx("ficm", **kw)
+    assert not np.array_equal(ctx_p._draws[0], ctx_f._draws[0])
+    for kind in ("pcicm-i", "pcicm-ii"):
+        assert np.array_equal(_ctx(kind, **kw)._draws[0], ctx_f._draws[0])
+    z = [0.5, 1.0]
+    fd = if_fdcm(z, _ctx("fdcm", r=0.5))
+    assert not np.array_equal(if_psicm(z, ctx_p).value,
+                              0.5 * (fd.value + if_ficm(z, ctx_f).value))
+
+
 def test_if_psicm_far_rows_leave_half_the_cell_value():
     # z = (1, 100): the full-row distance exceeds truncation, so only the
     # cell half contributes
@@ -259,14 +274,14 @@ def test_ficm_core_matches_the_reference_to_rounding(d, convention):
                 and np.all(np.abs(got.stderr - ref.stderr) <= 1e-10 * ref.stderr))
 
     for model in (standard_model(d), equicorrelated_model(d, 0.5)):
-        ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
-        for z in points:
-            for path in (_PATH_FICM, _PATH_PSICM):
+        for kind, path in (("ficm", _PATH_FICM), ("psicm", _PATH_PSICM)):
+            ctx = InfluenceContext(model, rho, kind=kind, mc=mc)
+            for z in points:
                 with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
-                    got = _ficm_core(z, ctx, path)
+                    got = _ficm_core(z, ctx)
                     ref = _ficm_reference.ficm_core(z, ctx, path)
                 assert np.all(np.isfinite(got.value)) and np.all(np.isfinite(got.stderr))
-                assert close(got, ref), (z, path)
+                assert close(got, ref), (z, kind)
     # the psicm path end to end, through its own context on the correlated
     # model; at d = 1 every scatter is diagonal, and influence is exact
     if d > 1:
@@ -290,17 +305,17 @@ def test_ficm_core_matches_the_reference_bit_for_bit(d, convention):
     rho, r, ones, points = _reference_case(d, convention)
     mc = MonteCarlo(n_draws=9097, seed=d)
     for model in (standard_model(d), equicorrelated_model(d, 0.5)):
-        ctx = InfluenceContext(model, rho, kind="ficm", mc=mc)
-        for path in (_PATH_FICM, _PATH_PSICM):
-            ydev = ctx._draws(path)[0]
+        for kind, path in (("ficm", _PATH_FICM), ("psicm", _PATH_PSICM)):
+            ctx = InfluenceContext(model, rho, kind=kind, mc=mc)
+            ydev = ctx._draws[0]
             assert np.array_equal(ydev, (_ficm_reference.draws(ctx, path) - model.mu0).T)
             with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
-                forward = [_ficm_core(z, ctx, path) for z in points]
-                backward = [_ficm_core(z, ctx, path) for z in reversed(points)][::-1]
+                forward = [_ficm_core(z, ctx) for z in points]
+                backward = [_ficm_core(z, ctx) for z in reversed(points)][::-1]
             for z, f, b in zip(points, forward, backward):
                 assert np.all(np.isfinite(f.value)) and np.all(np.isfinite(f.stderr))
-                assert np.array_equal(f.value, b.value), (z, path)
-                assert np.array_equal(f.stderr, b.stderr), (z, path)
+                assert np.array_equal(f.value, b.value), (z, kind)
+                assert np.array_equal(f.stderr, b.stderr), (z, kind)
 
 
 def _diagonal_models(d):
@@ -347,7 +362,7 @@ def test_ficm_core_estimates_the_exact_form(d, convention):
         for z in _diagonal_points(model, points):
             exact = influence(z, ctx).value
             with np.errstate(over="ignore", invalid="ignore"):  # the 1e200 points
-                got = _ficm_core(z, ctx, _PATH_FICM)
+                got = _ficm_core(z, ctx)
             band = 4.0 * got.stderr + 1e-12
             assert np.all(np.abs(got.value - exact) <= band), z
 
