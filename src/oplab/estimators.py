@@ -13,15 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_from_p,
-                       _bisquare_into, _brentq, _dist_sq, _factor, calibrate_c,
-                       mahalanobis_sq, rho, rho_sq_into, spd_cholesky, truncation_sq,
-                       weight)
+from .numerics import (InvalidData, RhoSpec, SingularScatter, _bisquare_from_p, _dist_sq,
+                       _factor, calibrate_c, mahalanobis_sq, rho, rho_sq_into, spd_cholesky,
+                       truncation_sq, weight)
 from .rng import substream
 
 
@@ -104,83 +104,78 @@ def coord_median(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # M-scale: solve mean rho(r / s) = b for s > 0 on nonnegative residuals r.
 
-# m_scale's relative tolerance on the root and its bracket
-_M_SCALE_RTOL = 1e-13
+# m_scale's relative tolerance on the root, and a cap on its Newton steps above
+# the 537 fourfold safeguard steps that cross every positive float
+_M_SCALE_RTOL, _M_SCALE_MAX_STEPS = 1e-13, 600
 
 
 def m_scale(r: np.ndarray, spec: RhoSpec, b: float, guess: float | None = None) -> float:
-    """The scale s > 0 that solves mean rho(r / s) = b, by Brent's method.
+    """The scale s > 0 that solves mean rho(r / s) = b, by safeguarded Newton.
 
     mean rho(r / s) falls from the share of nonzero residuals at s -> 0 to that
     of infinite ones as s grows, so a root exists only when r has no NaN, more
     than a share b nonzero and less than b infinite; otherwise DegenerateData.
-    The bracket comes from one of two searches.  Cold (no guess): from
-    median(r > 0) / c (max(r < inf) / c if that is inf), halve the lower end
-    and double the upper end until the ends straddle the root.  Warm, from a
-    guess > 0 such as the previous scale of a fixed-point iteration: step out
-    from the guess by a relative 1e-3 that grows fourfold each time, so a guess
-    near the root gives a bracket about 1e-3 wide and Brent needs few loss
-    passes.  Both brackets and the tolerances xtol = 1e-13 lo and rtol = 1e-13
-    are relative, so the solve does not depend on the units of r (scaling r by
-    a scales the brackets and the root by a); their roots agree to about 1e-13.
+    The iteration runs in u = (s0 / s)^2 from u = 1, where s0 is the guess (such
+    as the previous scale of a fixed-point iteration) or, cold, median(r > 0) / c
+    (max(r < inf) / c if that is inf).  With q = (r / (s0 c))^2 and
+    p = max(1 - u q, 0), mean rho = g(u) = 1 - sum p^3 / n, and its slope is
+    g'(u) = 3 sum p^2 q / n = 3 (sum p^2 - sum p^3) / (n u).  g rises and is
+    concave in u, so Newton steps from below the root climb to it and a step
+    from above lands below it once.  A step never divides u by more than 4, and
+    where g' = 0 (every nonzero residual at loss 1) u is divided by 4.  The
+    iteration stops once a step is within 2e-13 u, so s within 1e-13 of the
+    root, or once a step from below lands above the root, which only the
+    rounding of g can do: g' is then so small that the float noise of g spans
+    more than 2e-13 u.  q and s0 scale with r, so the solve does not depend
+    on its units.
     """
     r = np.asarray(r, dtype=float)
+    n = r.size
     n_nan, n_inf = np.count_nonzero(np.isnan(r)), np.count_nonzero(np.isinf(r))
-    if n_nan or n_inf >= b * r.size:
+    if n_nan or n_inf >= b * n:
         raise DegenerateData(f"non-finite squared distances: {n_nan} NaN and {n_inf} "
-                             f"infinite of {r.size} residuals leave no scale root")
+                             f"infinite of {n} residuals leave no scale root")
     positive = r > 0.0
     # as s -> 0 the mean tends to the fraction of nonzero residuals
-    if np.count_nonzero(positive) <= b * r.size:
+    if np.count_nonzero(positive) <= b * n:
         raise DegenerateData("too many zero residuals for the scale constraint")
-    # excess keeps each scale's value: _brentq evaluates the bracket ends again,
-    # and both bracket searches start from one point.  No reference cycle runs
-    # through the closure, so its two residual-sized buffers are freed when
-    # m_scale returns; held until a garbage collection, as in a cycle, they
-    # raised the pipeline benchmark's peak memory by about 8 MB
-    t, work, values = np.empty_like(r), np.empty_like(r), {}
-
-    def excess(s: float) -> float:
-        if s not in values:
-            np.divide(r, s, out=t)
-            loss = _bisquare_into(spec.c, "squared-distance", t, t, work, 0)
-            values[s] = float(np.mean(loss)) - b
-        return values[s]
-
-    # (r / s)^2 overflows to inf past 1.3e154: the loss is then 1, as at an
-    # infinite residual
-    with np.errstate(over="ignore"):
-        if guess is None:
-            # np.median's value: the middle order statistic, or the mean of the two
-            pos = r[positive]
-            k = pos.size // 2
-            if pos.size % 2:
-                median = float(np.partition(pos, k)[k])
-            else:
-                part = np.partition(pos, (k - 1, k))
-                median = float((part[k - 1] + part[k]) / 2.0)
-            median = median if median < math.inf else float(pos[pos < math.inf].max())
-            lo = hi = median / spec.c
-            for _ in range(200):
-                if excess(lo) > 0.0:
-                    break
-                lo /= 2.0
-            for _ in range(200):
-                if excess(hi) < 0.0:
-                    break
-                hi *= 2.0
+    if guess is None:
+        # np.median's value: the middle order statistic, or the mean of the two
+        pos = r[positive]
+        k = pos.size // 2
+        if pos.size % 2:
+            median = float(np.partition(pos, k)[k])
         else:
-            lo = hi = float(guess)
-            step = 1e-3
-            for _ in range(200):
-                if not excess(lo) > 0.0:
-                    lo = guess / (1.0 + step)
-                elif not excess(hi) < 0.0:
-                    hi = guess * (1.0 + step)
-                else:
-                    break
-                step *= 4.0
-        return _brentq(excess, lo, hi, xtol=_M_SCALE_RTOL * lo, rtol=_M_SCALE_RTOL, maxiter=200)
+            part = np.partition(pos, (k - 1, k))
+            median = float((part[k - 1] + part[k]) / 2.0)
+        s0 = (median if median < math.inf else float(pos[pos < math.inf].max())) / spec.c
+    else:
+        s0 = float(guess)
+    q, p = np.empty_like(r), np.empty_like(r)
+    # q overflows to inf past (r / (s0 c)) = 1.3e154, and u q past the largest
+    # float: p is then 0 and the loss 1, as at an infinite residual
+    with np.errstate(over="ignore"):
+        np.divide(r, s0 * spec.c, out=q)
+        q *= q
+        np.minimum(q, sys.float_info.max, out=q)  # p^2 q is 0, not 0 * inf = NaN, at p = 0
+        u, below = 1.0, False
+        for _ in range(_M_SCALE_MAX_STEPS):
+            np.multiply(q, -u, out=p)
+            p += 1.0
+            np.maximum(p, 0.0, out=p)
+            sum_p2 = float(np.dot(p, p))
+            p *= p
+            sum_p2q = float(np.dot(p, q))
+            excess = 1.0 - b - (sum_p2 - u * sum_p2q) / n  # g(u) - b: sum p^3 = sum p^2 (1 - u q)
+            if below and excess > 0.0:
+                return s0 / math.sqrt(u)  # only rounding lands a step from below above the root
+            below = excess < 0.0
+            slope = 3.0 * sum_p2q / n
+            u_new = max(u - excess / slope, u / 4.0) if slope > 0.0 else u / 4.0
+            if abs(u_new - u) <= 2.0 * _M_SCALE_RTOL * u:
+                return s0 / math.sqrt(u_new)
+            u = u_new
+    raise EstimationError(f"the M-scale solve did not converge in {_M_SCALE_MAX_STEPS} steps")
 
 
 # coord_s: iterations per column, and the step tolerance relative to the scale
@@ -198,9 +193,12 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5) -> LocationScatter:
     from g(m) to that from m, the step is (g(m) - m) / (1 - r).  It is taken
     only when |r| < 1, so when g contracts there, and when the scale solved
     at its end is no larger than the current one, as a plain step never
-    raises it; otherwise the plain step.  The iteration stops once a step is
-    below 1e-11 times the scale, or after 200 iterations.  Each scale solve
-    after the first is warm-started at the column's previous scale.
+    raises it; otherwise the plain step.  "No larger" allows the scale
+    solve's relative 1e-13: near the fixed point s(m) is flat, and the two
+    scales differ by less than their rounding.  The iteration stops once a
+    step is below 1e-11 times the scale, or after 200 iterations.  Each
+    scale solve after the first is warm-started at the column's previous
+    scale.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -235,7 +233,7 @@ def coord_s(x, spec: RhoSpec, bp: float = 0.5) -> LocationScatter:
                     if abs(r) < 1.0:
                         jump = step / (1.0 - r)
                         s_jump = m_scale(np.abs(col - (m + jump)), spec, bp, guess=s)
-                        if s_jump <= s:
+                        if s_jump <= s * (1.0 + _M_SCALE_RTOL):
                             step, s_step = jump, s_jump
                     last = None
                 else:

@@ -199,6 +199,9 @@ def bias_sweep(d: int = 15, n: int = 100, eps: float = 0.15,
     """
     if t_grid is None:
         t_grid = tuple(float(t) for t in range(0, 101, 5))
+    # the nondecreasing-bias checks read the curves in grid order
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be strictly increasing")
     model = standard_model(d)
     unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:

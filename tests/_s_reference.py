@@ -3,11 +3,13 @@ M-scale solve, and checked Mahalanobis distances at every S iteration.  Its
 iterations and start selection are the package's: every start iterates to
 the step tolerance, and the winner iterates on to a step of 1e-12.
 
-The package's M-scale reads the median by partition and evaluates each scale
-once on reused buffers, and its S iterations build the shape as one symmetric
-rank-k update, factor it once and rescale distances rather than recompute
-them.  This module keeps the slow and obvious forms.  m_scale here is the
-package's bit for bit; the S fit agrees to float noise.
+The package's M-scale solves its constraint by safeguarded Newton steps on
+reused buffers, and its S iterations build the shape as one symmetric rank-k
+update, factor it once and rescale distances rather than recompute them.
+This module keeps the slow and obvious forms: m_scale here brackets the root
+by halving and doubling from median(r > 0) / c and solves it by Brent's
+method.  It agrees with the package's m_scale to about 1e-13, and the S fit
+to float noise.
 """
 
 import math
@@ -23,7 +25,9 @@ from oplab.rng import substream
 from _subset_reference import elemental_starts
 
 
-def m_scale(r, spec, b, rtol=1e-13):
+def m_scale_bracket(r, spec, b):
+    """(excess, lo, hi): excess(s) = mean rho(r / s) - b changes sign between
+    lo and hi."""
     r = np.asarray(r, dtype=float)
     pos = r[r > 0.0]
     if pos.size <= b * r.size:
@@ -41,6 +45,11 @@ def m_scale(r, spec, b, rtol=1e-13):
         if excess(hi) < 0.0:
             break
         hi *= 2.0
+    return excess, lo, hi
+
+
+def m_scale(r, spec, b, rtol=1e-13):
+    excess, lo, hi = m_scale_bracket(r, spec, b)
     return float(brentq(excess, lo, hi, xtol=rtol * lo, rtol=rtol, maxiter=200))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from oplab import (ESTIMATORS, AdditiveShift, AllPointsRejected, ContaminationSpec,
                    DegenerateData, InvalidData, LocationScatter, RhoSpec,
@@ -81,8 +82,9 @@ def test_m_scale_solves_the_constraint(seed, b):
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=3000),
        st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=-6.0, max_value=6.0),
        st.sampled_from((1, 2, 5)), st.booleans())
-def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, ties):
-    # the median by partition, odd and even sizes, and each scale evaluated once
+def test_m_scale_finds_the_root_to_1e_14(seed, n, zeros, log_a, d, ties):
+    # the median by partition, odd and even sizes, cold and from guesses 1e3
+    # off either way, against a Brent root to four machine epsilons
     spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
     rng = substream(seed, 5)
     r = np.abs(rng.normal(size=n)) * 10.0 ** log_a
@@ -93,7 +95,10 @@ def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, tie
         with pytest.raises(DegenerateData):
             m_scale(r, spec, 0.5)
         return
-    assert m_scale(r, spec, 0.5) == _s_reference.m_scale(r, spec, 0.5)
+    excess, lo, hi = _s_reference.m_scale_bracket(r, spec, 0.5)
+    root = optimize.brentq(excess, lo, hi, xtol=9e-16 * lo, rtol=9e-16, maxiter=500)
+    for guess in (None, root * 1e3, root * 1e-3):
+        assert abs(m_scale(r, spec, 0.5, guess=guess) - root) <= 1e-14 * root
 
 
 @settings(max_examples=80, deadline=None)
@@ -101,8 +106,8 @@ def test_m_scale_matches_the_reference_bit_for_bit(seed, n, zeros, log_a, d, tie
        st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=-6.0, max_value=6.0),
        st.sampled_from((1, 2, 5)), st.booleans(), st.floats(min_value=-3.0, max_value=3.0))
 def test_warm_m_scale_finds_the_cold_root(seed, n, zeros, log_a, d, ties, log_guess):
-    # the warm bracket steps out from any guess within 1e3 of the root, and
-    # Brent then stops within its relative tolerance of the cold solve
+    # Newton steps from any guess within 1e3 of the root stop within the
+    # relative tolerance of the cold solve
     spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
     rng = substream(seed, 8)
     r = np.abs(rng.normal(size=n)) * 10.0 ** log_a
@@ -117,6 +122,50 @@ def test_warm_m_scale_finds_the_cold_root(seed, n, zeros, log_a, d, ties, log_gu
     cold = m_scale(r, spec, 0.5)
     warm = m_scale(r, spec, 0.5, guess=cold * 10.0 ** log_guess)
     assert abs(warm - cold) <= 1e-12 * cold
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=5, max_value=3000),
+       st.sampled_from((1, 2, 5)), st.sampled_from((1e-250, 1e-6, 1e6, 1e250)))
+def test_m_scale_scales_with_its_residuals(seed, n, d, a):
+    # m_scale(a r) = a m_scale(r), in silence however far a moves r from 1
+    spec = RhoSpec(c=calibrate_c(d, 0.5), convention="scaled-distance")
+    r = np.abs(substream(seed, 9).normal(size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s, s_a = m_scale(r, spec, 0.5), m_scale(a * r, spec, 0.5)
+        assert abs(s_a - a * s) <= 1e-14 * a * s
+        assert abs(m_scale(a * r, spec, 0.5, guess=a * s) - a * s) <= 1e-14 * a * s
+
+
+@pytest.mark.parametrize("n", [10, 11, 60, 501])
+def test_m_scale_on_overflowing_residuals_is_silent(n):
+    # a 1e200 residual overflows q = (r / (s0 c))^2 and b n - 1 infinite ones
+    # make q infinite: both count as a loss of 1, with no RuntimeWarning
+    r = np.abs(substream(n, 0).normal(size=n))
+    huge, inf = r.copy(), r.copy()
+    huge[::3] = 1e200
+    inf[:math.ceil(0.5 * n) - 1] = np.inf
+    for x in (huge, inf):
+        for guess in (None, 1e-3, 1.0, 1e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                s = m_scale(x, SCAL2, 0.5, guess=guess)
+            with np.errstate(over="ignore"):
+                assert float(np.mean(rho(SCAL2, x / s))) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_m_scale_on_residuals_spread_over_600_decades(seed):
+    # few residuals lie near the root, so the slope of the constraint is so
+    # small there that its float noise spans more than the step tolerance
+    r = np.abs(substream(seed, 10).normal(size=300)) * 10.0 ** substream(seed, 11).uniform(
+        -300.0, 300.0, size=300)
+    spec = RhoSpec(c=calibrate_c(1, 0.5), convention="scaled-distance")
+    for guess in (None, 1e-100, 1.0, 1e100):
+        s = m_scale(r, spec, 0.5, guess=guess)
+        with np.errstate(over="ignore"):
+            assert float(np.mean(rho(spec, r / s))) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_m_scale_frees_its_buffers_on_return():

@@ -151,6 +151,14 @@ def test_bias_sweep_estimator_validation():
         bias_sweep(d=2, n=20, estimators=("mean", "mode"), replications=1)
 
 
+@pytest.mark.parametrize("t_grid", [(100.0, 50.0, 10.0), (0.0, 10.0, 10.0)])
+def test_bias_sweep_refuses_a_grid_that_is_not_strictly_increasing(t_grid):
+    # read in reverse, the same biases would fail the nondecreasing check
+    with pytest.raises(ValueError, match="t_grid must be strictly increasing"):
+        bias_sweep(d=3, n=60, t_grid=t_grid, estimators=("mcd",), replications=3,
+                   mcd_starts=20)
+
+
 def test_bias_sweep_runs_every_registered_estimator():
     rep = bias_sweep(d=2, n=40, eps=0.1, t_grid=(0.0, 50.0), estimators=tuple(ESTIMATORS),
                      replications=2, mcd_starts=20, mve_trials=20)

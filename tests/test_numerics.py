@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize, stats
 
-from oplab import estimators, numerics
+from oplab import numerics
 from oplab import (CalibrationError, RhoSpec, SingularScatter,
                    calibrate_c, chi2_truncated_expectation,
                    equicorrelated_model, expected_rho, mahalanobis_sq, psi_sq,
@@ -20,6 +20,7 @@ from oplab.numerics import (CONVENTIONS, _bisquare_from_p, _bisquare_into, _bren
 from oplab.rng import substream
 
 import _loss_reference
+import _s_reference
 import _subset_reference
 from _s_weight_reference import rho_inverse
 
@@ -455,9 +456,9 @@ class _Twin:
         return _brentq(f, a, b, **kw)
 
 
-def test_brentq_matches_scipy_on_the_m_scale_solve(monkeypatch):
+def test_brentq_matches_scipy_on_the_m_scale_solve():
+    # the Brent solve of the reference M-scale, on its bracket
     twin = _Twin()
-    monkeypatch.setattr(estimators, "_brentq", twin)
     rng = np.random.default_rng(77)
     spec = RhoSpec(c=calibrate_c(1, 0.5), convention="scaled-distance")
     for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
@@ -465,7 +466,8 @@ def test_brentq_matches_scipy_on_the_m_scale_solve(monkeypatch):
             r = scale * np.abs(rng.standard_normal(n) * rng.exponential(size=n))
             r[rng.random(n) < 0.1] = 0.0
             for b in (0.5, 0.25):
-                s = estimators.m_scale(r, spec, b)
+                excess, lo, hi = _s_reference.m_scale_bracket(r, spec, b)
+                s = twin(excess, lo, hi, xtol=1e-13 * lo, rtol=1e-13, maxiter=200)
                 assert np.mean(rho(spec, r / s)) == pytest.approx(b, abs=1e-12)
     assert twin.solves == 40
 
