@@ -631,19 +631,21 @@ def _s_iterate(x, spec, b, m, sigma, tol, known=None, radius=_NEAR) -> tuple | N
 # ---------------------------------------------------------------------------
 # Minimum covariance determinant.
 
-def _concentrate(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> tuple:
+def _concentrate(xt: np.ndarray, m: np.ndarray, low: np.ndarray, h: int) -> tuple:
     """One concentration step for k chains at once: for chain i, the h points
     closest to m[i] in the Mahalanobis distance of the scatter whose Cholesky
     factor is low[i], as a (k, h) array of sorted indices, and a mask of the
-    chains that have an h-th distance.  Ties at the h-th distance go to the
+    chains that have an h-th distance.  The points are the columns of xt, the
+    contiguous (d, n) transpose of the data, which _dist_sq's stacked layout
+    takes and the caller forms once.  Ties at the h-th distance go to the
     smallest indices, as a stable sort would order them.  The selection is a
     partition per row, linear in n, not a sort; the tie count runs only when
     some chain has more than h points at or below its h-th distance.  NaNs
     sort last, so a chain with more than n - h NaN distances (they overflow)
     has no h-th distance: it is masked out, its row holding rows 0..h-1."""
-    k, n = len(m), len(x)
+    k, n = len(m), xt.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is masked out below
-        d2 = _dist_sq(x, m[:, None, :], low)
+        d2 = _dist_sq(xt, m, low)
     kth = np.partition(d2, h - 1, axis=1)[:, h - 1:h]
     ok = ~np.isnan(kth[:, 0])
     if not ok.all():
@@ -664,7 +666,7 @@ def c_step(x: np.ndarray, m: np.ndarray, sigma: np.ndarray, h: int) -> np.ndarra
     A private path for the searches: sigma must be an exactly symmetric
     positive definite matrix (as _moments builds), factored by _factor and
     used by _dist_sq without mahalanobis_sq's checks."""
-    sub, ok = _concentrate(x, m[None], _factor(sigma)[None], h)
+    sub, ok = _concentrate(np.ascontiguousarray(x.T), m[None], _factor(sigma)[None], h)
     if not ok[0]:
         _no_chain_left(np.array([np.nan]))
     return sub[0]
@@ -681,24 +683,34 @@ def _no_chain_left(logdet: np.ndarray):
                          "(singular covariance, determinant 0), which mcd does not report")
 
 
-def _mcd_chains(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int, max_csteps: int):
-    """Concentrate k chains in lockstep from their starts (m, low), stacked.
+def _mcd_chains(x: np.ndarray, xt: np.ndarray, m: np.ndarray, low: np.ndarray, h: int,
+                max_csteps: int):
+    """Concentrate k chains in lockstep from their starts (m, low), stacked,
+    on the rows of x, whose contiguous transpose xt the distances take.
 
     Every chain steps while its determinant drops by more than 1e-12 in log;
     one without an h-th distance (_concentrate), whose new scatter _factor
-    rejects or whose new log det is not finite is dropped.  Returns per chain
-    the last log det that dropped (inf for a chain dropped for its scatter,
-    NaN for the other two reasons), its moments and subset, and whether
+    rejects or whose new log det is not finite is dropped.  A chain whose new
+    h-subset is the one it holds is at its fixed point and stops before its
+    moments are formed again: the same sorted rows would give the same
+    moments, and so a log det that does not drop.  Returns per chain the
+    last log det that dropped (inf for a chain dropped for its scatter, NaN
+    for the other two reasons), its moments and subset, and whether
     max_csteps cut it while it still dropped."""
     k, d = m.shape
     logdet = np.full(k, np.inf)
     best_m, cov = np.empty((k, d)), np.empty((k, d, d))
     subset = np.empty((k, h), dtype=np.intp)
     live = np.arange(k)  # the chains still stepping, at (m, low)
-    for _ in range(max_csteps):
+    for step in range(max_csteps):
         if live.size == 0:
             break
-        sub, ok = _concentrate(x, m, low, h)
+        sub, ok = _concentrate(xt, m, low, h)
+        if step:  # from the second step on, each live chain holds a subset
+            moved = ~ok | (sub != subset[live]).any(axis=1)
+            sub, ok, live = sub[moved], ok[moved], live[moved]
+            if live.size == 0:
+                break
         with np.errstate(over="ignore"):  # an overflowing covariance ends its chain
             m, cov_new = _moments(np.take(x, sub, axis=0))  # x[sub], in a quarter of the time
         low, factored = _factor_each(cov_new)
@@ -738,15 +750,18 @@ def _screen(x: np.ndarray, m: np.ndarray, low: np.ndarray, h: int,
     Every start takes _SCREEN_CSTEPS C-steps on one sample: _SCREEN_ROWS rows
     drawn from rng and sorted, or all rows when there are no more than that,
     with the subset size scaled to h_s = max(d + 1, ceil(h n_s / n)).  The
-    _SCREEN_KEEP chains with the lowest finite log dets are kept, ties going
-    to the lower start index, each from the moments it reached."""
+    sample is transposed once for all its chains.  The _SCREEN_KEEP chains
+    with the lowest finite log dets are kept, ties going to the lower start
+    index, each from the moments it reached."""
     n, d = x.shape
     sample = x
     if n > _SCREEN_ROWS:
         sample = x[np.sort(rng.choice(n, size=_SCREEN_ROWS, replace=False))]
+    sample_t = np.ascontiguousarray(sample.T)
     h_s = max(d + 1, -(-h * len(sample) // n))
     chunk = _chunk(sample)
-    chains = [_mcd_chains(sample, m[lo:lo + chunk], low[lo:lo + chunk], h_s, _SCREEN_CSTEPS)
+    chains = [_mcd_chains(sample, sample_t, m[lo:lo + chunk], low[lo:lo + chunk], h_s,
+                          _SCREEN_CSTEPS)
               for lo in range(0, len(m), chunk)]
     logdet = np.concatenate([c[0] for c in chains])
     order = np.argsort(logdet, kind="stable")
@@ -764,16 +779,19 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
     Each start concentrates to a determinant fixed point: take the h points
     with the smallest Mahalanobis distances (ties keep the smallest indices,
     see _concentrate), recompute moments, repeat while the determinant
-    drops.  The starts step in lockstep, in chunks of about 2^16 distances,
-    as in FAST-MCD (Rousseeuw and Van Driessen 1999).  Their distances come
-    from stacked Cholesky factors inverted by forward substitution, which
-    runs the same products at every stack size, so up to 600 rows each
-    chain's result is that of running it alone.  The first n_starts
-    elemental subsets come from a cache (_cached_subsets) with the generator
-    state they leave, so fits that share (seed, n, d, n_starts), as the t
-    grid of a bias_sweep replication does, draw them once; subsets drawn
-    again for singular ones, and the screening sample, continue that stream,
-    so a cached fit is an uncached one.  Above 600 rows, FAST-MCD's
+    drops; a chain whose new h-subset is the one it holds stops at that fixed
+    point without forming its moments again.  The starts step in lockstep,
+    in chunks of about 2^16 distances, as in FAST-MCD (Rousseeuw and Van
+    Driessen 1999).  Their distances come from stacked Cholesky factors
+    inverted by forward substitution, which runs the same products at every
+    stack size, applied to the data's (d, n) transpose, formed once per fit:
+    L^-1 (x^T - m) per chain.  So up to 600 rows each chain's result is that
+    of running it alone.  The first n_starts elemental subsets come from a
+    cache (_cached_subsets) with the generator state they leave, so fits
+    that share (seed, n, d, n_starts), as the t grid of a bias_sweep
+    replication does, draw them once; subsets drawn again for singular ones,
+    and the screening sample, continue that stream, so a cached fit is an
+    uncached one.  Above 600 rows, FAST-MCD's
     selective iteration screens the starts first (_screen): each takes 2
     C-steps on a sample of at most 1,500 rows, drawn after the starts from
     the same stream, and only the 10 best chains concentrate on the full
@@ -828,9 +846,9 @@ def mcd(x, h: int | None = None, n_starts: int = 500, seed: int = 0,
 
     best_logdet = np.inf
     best, ends = None, []
-    chunk = _chunk(x)
+    chunk, xt = _chunk(x), np.ascontiguousarray(x.T)  # the distances' layout, once per fit
     for lo in range(0, len(m0), chunk):
-        chains = _mcd_chains(x, m0[lo:lo + chunk], low0[lo:lo + chunk], h, max_csteps)
+        chains = _mcd_chains(x, xt, m0[lo:lo + chunk], low0[lo:lo + chunk], h, max_csteps)
         ends.append(chains[0])
         for logdet, m, cov, subset, cut in zip(*chains):
             if logdet < best_logdet - 1e-14:
@@ -859,7 +877,8 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
     The subsets are the first n_trials draws of substream(seed, 0), from the
     same cache as mcd's starts (_elemental_starts), and the coverage
     distances come from the candidates' stacked Cholesky factors, inverted
-    by forward substitution.
+    by forward substitution and applied, as in mcd, to the data's (d, n)
+    transpose, formed once per fit.
     """
     x = _as_data(x)
     n, d = x.shape
@@ -875,10 +894,10 @@ def mve(x, n_trials: int = 500, seed: int = 0) -> LocationScatter:
             _elemental_moments(x, np.arange(n)[None])))
     if not len(m):
         raise DegenerateData("all MVE subsets were singular")
-    chunk = _chunk(x)
+    chunk, xt = _chunk(x), np.ascontiguousarray(x.T)
     with np.errstate(over="ignore", invalid="ignore"):  # named below if nothing covers
         m2 = np.concatenate([
-            np.partition(_dist_sq(x, m[lo:lo + chunk, None], low[lo:lo + chunk]), cover - 1,
+            np.partition(_dist_sq(xt, m[lo:lo + chunk], low[lo:lo + chunk]), cover - 1,
                          axis=1)[:, cover - 1] for lo in range(0, len(m), chunk)])
     logdet = _chol_logdet(low)
 

@@ -183,7 +183,8 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     substitution, one batched product per row:
     L^-1[j, :j] = -L[j, :j] L^-1[:j, :j] / L[j, j] and L^-1[j, j] = 1 / L[j, j].
     The same d products run at every k, so each matrix's inverse is bit for
-    bit that of its own (1, d, d) call."""
+    bit that of its own (1, d, d) call.  _dist_sq multiplies the stack into
+    the centered (d, n) data, L^-1 (x^T - m)."""
     d = low.shape[-1]
     inv = np.zeros_like(low)
     diag = np.arange(d)
@@ -199,17 +200,27 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
 
 
 def _dist_sq(x: np.ndarray, m: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of the rows of x from m under the scatter
-    whose lower Cholesky factor is low (from _factor): the rows of
-    (x - m) L^-T, squared and summed.  Stacks broadcast: m (k, 1, d) and low
-    (k, d, d) give the (k, n) distances of k chains, each bit for bit the
-    distances of its own call, since _tril_inv inverts a stack of any size the
-    same way.  A single (d, d) factor, at the checked mahalanobis_sq boundary
-    and in the S iteration's step test, is inverted by np.linalg.inv, about six
-    times faster than forward substitution on one matrix."""
-    inv = np.linalg.inv(low) if low.ndim == 2 else _tril_inv(low)
-    z = (x - m) @ np.swapaxes(inv, -1, -2)
-    return np.einsum("...j,...j->...", z, z)
+    """Squared Mahalanobis distances from m under the scatter whose lower
+    Cholesky factor is low (from _factor), in one of two layouts.
+
+    A single (d, d) factor, at the checked mahalanobis_sq boundary and in the
+    S iteration's step test, takes the rows of x (n, d) and m (d,): the rows
+    of (x - m) L^-T, squared and summed.  np.linalg.inv inverts it, about six
+    times faster than forward substitution on one matrix.
+
+    A (k, d, d) stack of factors, for the k chains of the subset searches,
+    takes x as the contiguous (d, n) transpose of the data, formed once by
+    the caller, and m (k, d).  It gives the (k, n) distances as the columns of
+    L^-1 (x^T - m), squared and summed: the centering comes before the
+    product, so nothing cancels, and each product is one (d, d) x (d, n)
+    matrix multiply.  Each chain's distances are bit for bit those of its own
+    (1, d, d) call, since _tril_inv inverts a stack of any size the same way
+    and the matrix multiply runs one chain at a time."""
+    if low.ndim == 2:
+        z = (x - m) @ np.linalg.inv(low).T
+        return np.einsum("...j,...j->...", z, z)
+    z = _tril_inv(low) @ (x - m[..., None])
+    return np.einsum("...jn,...jn->...n", z, z)
 
 
 def mahalanobis_sq(x, m, sigma) -> np.ndarray | float:

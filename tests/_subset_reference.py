@@ -6,8 +6,8 @@ starts in lockstep on stacked factors (above 600 rows first on a screening
 sample, then the 10 best on all rows), picks a C-step's h closest points by
 partition and reads MVE's coverage order statistic by partition.  This module
 keeps the slow and obvious forms on the same factorization (np.linalg.cholesky,
-L^-1 by forward substitution one row at a time, distances from the rows of
-(x - m) L^-T, log det as twice the sum of log diag L), so the two can be
+L^-1 by forward substitution one row at a time, distances from the columns
+of L^-1 (x - m)^T, log det as twice the sum of log diag L), so the two can be
 checked against each other bit for bit.  Both skip an elemental start, a
 concentration chain or an MVE candidate whose scatter the Cholesky
 factorization rejects.  The elemental subsets are drawn here one at a time
@@ -41,8 +41,8 @@ def tril_inv(low):
 
 
 def mahalanobis_sq(x, m, sigma):
-    z = (x - m) @ tril_inv(cholesky(sigma)).T
-    return np.einsum("ij,ij->i", z, z)
+    z = tril_inv(cholesky(sigma)) @ (x - m).T
+    return np.einsum("jn,jn->n", z, z)
 
 
 def elemental_starts(n, size, n_starts, rng):

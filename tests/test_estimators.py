@@ -732,12 +732,12 @@ def test_concentrate_fast_path_equals_the_tie_path(data):
     rng = substream(11, 7)
     x = rng.normal(size=(n, d)) if data == "tie-free" else _tie_heavy(n, d, seed=11)
     m, cov = _moments(x[np.array([rng.choice(n, size=3 * d, replace=False) for _ in range(k)])])
-    low = _factor(cov)
+    low, xt = _factor(cov), np.ascontiguousarray(x.T)
     tied_chains = 0
     for h in (d + 1, (n + d + 1) // 2, n - 1):
-        got, ok = estimators._concentrate(x, m, low, h)
+        got, ok = estimators._concentrate(xt, m, low, h)
         assert ok.all()
-        d2 = estimators._dist_sq(x, m[:, None, :], low)
+        d2 = estimators._dist_sq(xt, m, low)
         assert got.dtype == np.intp
         assert np.array_equal(got, _tie_path(d2, h))
         kth = np.sort(d2, axis=1)[:, h - 1:h]
@@ -792,6 +792,51 @@ def test_subset_searches_match_the_reference(data):
                                 lambda: _subset_reference.mve(x, n_trials=200, seed=3),
                                 ("mu", "sigma", "objective", "iterations"))
     assert fitted >= 8  # most cases fit rather than raise
+
+
+def test_a_chain_at_its_fixed_point_forms_no_moments_again(monkeypatch):
+    # a C-step that gives a chain the h-subset it already holds would give it
+    # the same moments and a log det that does not drop, so the chain stops
+    # before _moments.  A chain is known by its mean, which its next C-step
+    # starts from: each C-step's subsets are checked against the subset whose
+    # mean the chain started from, and _moments must receive exactly the
+    # subsets that moved (or have no h-th distance, and are dropped later)
+    n, d = 100, 5
+    x = substream(30, 0).normal(size=(n, d))
+    x[:15] += 6.0
+    concentrate, moments = estimators._concentrate, estimators._moments
+    events = []
+
+    def spy_concentrate(xt, m, low, h):
+        sub, ok = concentrate(xt, m, low, h)
+        events.append((m.copy(), sub.copy(), ok.copy()))
+        return sub, ok
+
+    def spy_moments(sub):
+        events.append(sub.copy())
+        return moments(sub)
+
+    monkeypatch.setattr(estimators, "_concentrate", spy_concentrate)
+    monkeypatch.setattr(estimators, "_moments", spy_moments)
+    got = mcd(x, n_starts=60, seed=3)
+    held, steps, at_fixed_point = {}, 0, 0  # the mean of each subset formed -> the subset
+    for i, event in enumerate(events):
+        if not isinstance(event, tuple):
+            continue
+        m, sub, ok = event
+        moved = ~ok | np.array([not np.array_equal(s, held.get(row.tobytes())) for row, s in
+                                zip(m, sub)])
+        steps += 1
+        at_fixed_point += np.count_nonzero(~moved)
+        formed = events[i + 1] if i + 1 < len(events) else ()
+        if isinstance(formed, tuple):  # no _moments call: every chain stopped
+            formed = x[sub[:0]]
+        assert np.array_equal(formed, x[sub[moved]])
+        held = {row.tobytes(): s for row, s in zip(moments(formed)[0], sub[moved])}
+    assert steps >= 3 and at_fixed_point >= 10  # the skip really ran
+    ref = _subset_reference.mcd(x, n_starts=60, seed=3)
+    for key in ("mu", "sigma", "objective", "subset", "iterations", "converged"):
+        assert np.array_equal(getattr(got, key), getattr(ref, key)), key
 
 
 def test_subset_searches_skip_scatters_the_factorization_rejects():
@@ -1078,6 +1123,55 @@ def test_subset_searches_are_equivariant_at_extreme_scales(name, rows):
             assert abs(e1.objective - 2.0 * log_det - e0.objective) < rel_tol
         else:  # the ellipsoid's volume
             assert abs(e1.objective / math.exp(log_det) / e0.objective - 1.0) < rel_tol
+
+
+# The equivariance bound of each estimator, for mu and for sigma (coord_s:
+# its scales), both relative and in the units of x.  Closed forms and subset
+# searches agree to rounding (the worst gap seen on these cases was 4.1e-14).
+# M stops once its whitened residual is below 1e-9 and its step below
+# 1e-12 (1 + max |mu|) in the units of x, so at a = 1e-6 it can stop a Newton
+# step sooner (the worst gap seen was 1.1e-11).  S stops once its step is
+# below 1e-12 (1 + |m|) in the Mahalanobis norm, and |m| moves with the shift
+# (the worst gap seen was 4.1e-11)
+_EQUIVARIANCE_TOL = {"mean": 1e-12, "coord_median": 1e-12, "coord_s": 1e-12, "m": 1e-9,
+                     "s": 1e-9, "mcd": 1e-12, "mve": 1e-12}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+@settings(max_examples=6, deadline=None)
+@given(log_a=st.floats(-6.0, 6.0), seed=st.integers(0, 2**16), n=st.just(80))
+@example(log_a=-6.0, seed=0, n=80)
+@example(log_a=6.0, seed=1, n=2000)  # the screened MCD and S's wider duplicate radius
+def test_every_estimator_is_equivariant(name, log_a, seed, n):
+    # x -> A x + b with A = a G, a in [1e-6, 1e6]: G is diagonal with entries
+    # of either sign for the coordinatewise estimators and a general matrix of
+    # condition number at most 10 for the affine ones; the shift is a u, u in
+    # [-10, 10]^d, so it moves the data by up to ten times their spread
+    # whatever their scale.  mu and sigma are mapped back through A, and
+    # converged must not change
+    assert set(_EQUIVARIANCE_TOL) == set(ESTIMATORS)
+    d = 3
+    x = _shifted_cluster(n, d, seed=44)
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** log_a
+    if name in ("coord_median", "coord_s"):
+        g = np.diag(rng.uniform(0.5, 2.0, size=d) * rng.choice([-1.0, 1.0], size=d))
+    else:
+        g = rng.normal(size=(d, d))
+        while np.linalg.cond(g) > 10.0:
+            g = rng.normal(size=(d, d))
+    big_a, b = a * g, a * rng.uniform(-10.0, 10.0, size=d)
+    fit, tol = ESTIMATORS[name], _EQUIVARIANCE_TOL[name]
+    e0 = fit(x, rho=fit.rho(d), seed=11)
+    e1 = fit(x @ big_a.T + b, rho=fit.rho(d), seed=11)
+    assert e1.converged == e0.converged
+    a_inv = np.linalg.inv(big_a)
+    assert np.max(np.abs(a_inv @ (e1.mu - b) - e0.mu)) <= tol * max(1.0, np.max(np.abs(e0.mu)))
+    if e0.sigma is not None:
+        back = a_inv @ e1.sigma @ a_inv.T
+        assert np.max(np.abs(back - e0.sigma)) <= tol * np.max(np.abs(e0.sigma))
+    if e0.scale is not None:
+        assert np.max(np.abs(e1.scale / np.abs(np.diag(big_a)) / e0.scale - 1.0)) <= tol
 
 
 def test_coord_median_is_not_rotation_equivariant():

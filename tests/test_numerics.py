@@ -252,21 +252,30 @@ def test_private_distance_path_is_the_public_one(d):
 @pytest.mark.parametrize("k", [1, 7, 43])
 def test_stacked_distances_are_each_factor_alone(k):
     # a stack of factors is inverted by the same d batched products at every
-    # k, so each chain's distances are bit for bit those of its own (1, d, d)
-    # call, whatever chains share its stack, and each inverse is the
-    # one-matrix forward substitution of _subset_reference.  Against the
-    # np.linalg.inv of a single factor the distances differ in the last bits:
-    # the worst relative gap on these cases was 4.6e-16, so the bound is 1e-14
-    d, n = 15, 100
-    rng = substream(k, 12)
-    a = rng.normal(size=(k, 3 * d, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1))
-    low = _factor(np.swapaxes(a, -1, -2) @ a)
-    x, m = rng.normal(size=(n, d)), rng.normal(size=(k, 1, d))
-    got, inv = _dist_sq(x, m, low), _tril_inv(low)
-    for i in range(k):
-        assert np.array_equal(got[i], _dist_sq(x, m[i:i + 1], low[i:i + 1])[0])
-        assert np.array_equal(inv[i], _subset_reference.tril_inv(low[i]))
-        assert np.allclose(got[i], _dist_sq(x, m[i, 0], low[i]), rtol=1e-14, atol=0.0)
+    # k and multiplied into the centered (d, n) data one chain at a time, so
+    # each chain's distances are bit for bit those of its own (1, d, d) call,
+    # whatever chains share its stack, and those of the one-chain reference
+    # L^-1 (x - m)^T of _subset_reference; each inverse is that reference's
+    # forward substitution.  Against the np.linalg.inv of a single factor,
+    # on the rows of x, the distances differ in the last bits: the worst
+    # relative gap on these cases was 6.9e-16, so the bound is 1e-14.  At
+    # k = 1 the last shape is that of the full-data C-steps of an MCD fit on
+    # 10,000 rows of 5 columns (the pipeline's S start), one chain per chunk
+    shapes = [(100, 2), (100, 5), (100, 15)] + ([(10_000, 5)] if k == 1 else [])
+    for n, d in shapes:
+        rng = substream(1000 * k + d, 12)
+        a = rng.normal(size=(k, 3 * d, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1, 1))
+        cov = np.swapaxes(a, -1, -2) @ a
+        low = _factor(cov)
+        x, m = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+        xt = np.ascontiguousarray(x.T)
+        got, inv = _dist_sq(xt, m, low), _tril_inv(low)
+        assert got.shape == (k, n)
+        for i in range(k):
+            assert np.array_equal(got[i], _dist_sq(xt, m[i:i + 1], low[i:i + 1])[0])
+            assert np.array_equal(got[i], _subset_reference.mahalanobis_sq(x, m[i], cov[i]))
+            assert np.array_equal(inv[i], _subset_reference.tril_inv(low[i]))
+            assert np.allclose(got[i], _dist_sq(x, m[i], low[i]), rtol=1e-14, atol=0.0)
 
 
 def test_elliptical_models():
